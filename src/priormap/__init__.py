@@ -33,7 +33,6 @@ from .matching import (
     LossWeights,
     MatchResult,
     MatchedLoss,
-    PermutationSet,
     PredictionSet,
     combined_cost_matrix,
     edge_direction_penalty,
@@ -63,7 +62,7 @@ from .model import (
     pad_to_fixed,
     resample_polyline,
 )
-from .perlin import PerlinParams, WarpField, fbm_warp_field
+from .perlin import PerlinParams, WarpField
 from .perturb import (
     MutationKind,
     MutationSpec,

@@ -15,7 +15,7 @@ import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -50,16 +50,6 @@ class RunManifest:
     tool_version: str
     wall_time_s: float
 
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config_hash": self.config_hash,
-            "master_seed": self.master_seed,
-            "input_digests": self.input_digests,
-            "tool_version": self.tool_version,
-            "wall_time_s": self.wall_time_s,
-        }
-
 
 def _sha256_file(path: Path) -> str:
     h = hashlib.sha256()
@@ -91,7 +81,7 @@ def _write_manifest(
         wall_time_s=time.time() - started,
     )
     path = out_path.with_name(out_path.name + ".manifest.json")
-    path.write_text(json.dumps(manifest.to_dict(), indent=2) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(asdict(manifest), indent=2) + "\n", encoding="utf-8")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -154,11 +144,16 @@ def cmd_loss(args: argparse.Namespace) -> int:
 
     def score(pair):
         pred_frame, label_frame = pair
-        loss = matched_loss(
-            prediction_set_from_frame(pred_frame, dims),
-            label_set_from_frame(label_frame, dims),
-            weights,
-        )
+        try:
+            loss = matched_loss(
+                prediction_set_from_frame(pred_frame, dims),
+                label_set_from_frame(label_frame, dims),
+                weights,
+            )
+        except ValueError as exc:
+            raise ValueError(
+                f"{args.pred} against {args.labels}, frame {label_frame.frame_id}: {exc}"
+            ) from exc
         return {
             "frame_id": label_frame.frame_id,
             "total": loss.total,
@@ -183,14 +178,7 @@ def cmd_loss(args: argparse.Namespace) -> int:
         out_path,
         "loss",
         {
-            "weights": {
-                "class_weight": weights.class_weight,
-                "point_weight": weights.point_weight,
-                "cosine_weight": weights.cosine_weight,
-                "focal_alpha": weights.focal_alpha,
-                "focal_gamma": weights.focal_gamma,
-                "joint_cosine": weights.joint_cosine,
-            },
+            "weights": asdict(weights),
             "n_points": dims.n_points,
             "m_max": dims.m_gt,
         },
@@ -225,12 +213,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     config = EvalConfig.from_dict(load_json_config(args.config)) if args.config else EvalConfig()
     if args.thresholds:
         taus = tuple(float(t) for t in args.thresholds.split(","))
-        config = EvalConfig(
-            thresholds=taus,
-            classes=config.classes,
-            score_floor=config.score_floor,
-            densify=config.densify,
-        )
+        config = replace(config, thresholds=taus)
     preds = read_scenes(args.pred)
     gts = read_scenes(args.gt)
     report = evaluate(preds, gts, config)

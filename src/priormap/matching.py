@@ -3,18 +3,19 @@
 The pairwise cost between a prediction and a label is the L1 distance over
 control points, minimized over the label's symmetry group (identity for
 directed polylines, reversal for undirected ones, all cyclic shifts of
-both orientations for polygons). Class-specific matrices are masked by
-label column so they partition cleanly, a focal classification cost and an
-optional edge-direction penalty are blended in, and one Hungarian pass on
-the combined matrix yields the optimal assignment whose matched entries
-are summed directly. All tie-breaks (permutation argmin, assignment) are
-deterministic, so results are stable across runs, platforms, and worker
-counts.
+both orientations for polygons). Each invariance class is costed in one
+pass over its own label columns, so the class matrices partition cleanly;
+a focal classification cost and an optional edge-direction penalty are
+blended in, and one Hungarian pass on the combined matrix yields the
+optimal assignment whose matched entries are summed directly. All
+tie-breaks (permutation argmin, assignment) are deterministic, so results
+are stable across runs, platforms, and worker counts.
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping
 
 import numpy as np
@@ -65,17 +66,7 @@ class LossWeights:
     @classmethod
     def from_dict(cls, raw: Mapping) -> "LossWeights":
         rec = dict(raw)
-        kwargs = {}
-        for name in (
-            "class_weight",
-            "point_weight",
-            "cosine_weight",
-            "focal_alpha",
-            "focal_gamma",
-            "joint_cosine",
-        ):
-            if name in rec:
-                kwargs[name] = rec.pop(name)
+        kwargs = {f.name: rec.pop(f.name) for f in fields(cls) if f.name in rec}
         if rec:
             raise ValueError(f"weights: unknown key(s): {', '.join(sorted(rec))}")
         return cls(**kwargs)
@@ -185,21 +176,11 @@ def prediction_set_from_frame(frame: MapFrame, dims: ModelDims = DEFAULT_DIMS) -
     return PredictionSet(points=np.stack([f.points for f in padded]), class_scores=scores)
 
 
-@dataclass(frozen=True)
-class PermutationSet:
-    """The valid point-order permutations for one invariance class, in
-    canonical order (identity first, then reversal, then their shifts)."""
-
-    invariance: InvarianceClass
-    perms: np.ndarray  # (count, n_points) integer index rows
-
-    @property
-    def count(self) -> int:
-        return self.perms.shape[0]
-
-
-def valid_permutations(invariance: InvarianceClass, n_points: int) -> PermutationSet:
-    """Enumerate the symmetry group of an invariance class.
+@functools.lru_cache(maxsize=None)
+def valid_permutations(invariance: InvarianceClass, n_points: int) -> np.ndarray:
+    """Enumerate the symmetry group of an invariance class as a read-only
+    (count, n_points) array of index rows, in canonical order (identity
+    first, then reversal, then their shifts).
 
     Directed polylines admit only the identity; undirected ones add the
     reversal; polygons admit every cyclic shift of both orientations
@@ -222,75 +203,59 @@ def valid_permutations(invariance: InvarianceClass, n_points: int) -> Permutatio
         if key not in seen:
             seen.add(key)
             unique.append(row)
-    return PermutationSet(invariance=invariance, perms=np.asarray(unique, dtype=np.intp))
+    perms = np.asarray(unique, dtype=np.intp)
+    perms.flags.writeable = False
+    return perms
 
 
-def _column_mask(labels: LabelSet, invariance: InvarianceClass) -> np.ndarray:
-    return np.array(
-        [
-            inv is invariance and cls is not FeatureClass.NO_OBJECT
-            for cls, inv in zip(labels.classes, labels.invariances)
-        ],
-        dtype=bool,
-    )
-
-
-def _l1_per_permutation(
-    pred_points: np.ndarray, label_points: np.ndarray, perms: np.ndarray
-) -> np.ndarray:
-    """L1 point cost for every (permutation, prediction, label) triple."""
-    permuted = np.moveaxis(pred_points[:, perms, :], 1, 0)  # (P, m, n, 2)
-    diff = permuted[:, :, None, :, :] - label_points[None, None, :, :, :]
-    return np.abs(diff).sum(axis=(3, 4))  # (P, m, m)
-
-
-def _edge_penalty_for_perms(
-    pred_points: np.ndarray, label_points: np.ndarray, perms: np.ndarray
-) -> np.ndarray:
-    """Mean (1 - cos) between consecutive edges, per permutation.
+def _edge_penalty(pe: np.ndarray, le: np.ndarray) -> np.ndarray:
+    """Mean (1 - cos) between paired prediction and label edges, given
+    edge arrays that broadcast to (..., m, k, n - 1, 2).
 
     Edge pairs where either edge has zero length contribute penalty 1.
     """
-    permuted = np.moveaxis(pred_points[:, perms, :], 1, 0)  # (P, m, n, 2)
-    pe = np.diff(permuted, axis=2)  # (P, m, n-1, 2)
-    le = np.diff(label_points, axis=1)  # (m, n-1, 2)
-    dot = np.einsum("pike,jke->pijk", pe, le)
+    dot = pe[..., 0] * le[..., 0] + pe[..., 1] * le[..., 1]
     # sqrt of the squared-norm product keeps cos exactly +-1 for exactly
     # parallel or antiparallel edge pairs
-    nsq_p = np.einsum("pike,pike->pik", pe, pe)
-    nsq_l = np.einsum("jke,jke->jk", le, le)
-    denom = np.sqrt(nsq_p[:, :, None, :] * nsq_l[None, None, :, :])
+    nsq_p = pe[..., 0] * pe[..., 0] + pe[..., 1] * pe[..., 1]
+    nsq_l = le[..., 0] * le[..., 0] + le[..., 1] * le[..., 1]
+    denom = np.sqrt(nsq_p * nsq_l)
     with np.errstate(invalid="ignore", divide="ignore"):
         cos = np.where(denom > 0.0, dot / denom, 0.0)
-    return (1.0 - cos).mean(axis=3)  # (P, m, m)
+    # The mean's summation order follows the memory layout, and loss
+    # reports depend on it bit for bit. With prediction rows innermost and
+    # edges next, the edges add one after another (pairwise for a one-slot
+    # frame), the order the reference build in the tests pins.
+    terms = np.ascontiguousarray(np.moveaxis(1.0 - cos, -3, -1))  # (..., k, n-1, m)
+    return np.moveaxis(terms.mean(axis=-2), -1, -2)
 
 
-def _class_costs(
-    pred: PredictionSet,
-    labels: LabelSet,
-    invariance: InvarianceClass,
-    joint_cosine_weight: float | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Masked point cost, selected-permutation index, and column mask for
-    one invariance class. The permutation argmin breaks ties toward the
-    lowest canonical index; with a joint cosine weight the argmin runs on
-    the blended positional-plus-direction objective."""
-    if pred.points.shape != labels.points.shape:
-        raise ValueError(
-            f"shape mismatch: predictions {pred.points.shape} vs labels {labels.points.shape}"
-        )
-    perms = valid_permutations(invariance, pred.points.shape[1]).perms
-    l1 = _l1_per_permutation(pred.points, labels.points, perms)
-    objective = l1
-    if joint_cosine_weight is not None and joint_cosine_weight != 0.0:
-        objective = l1 + joint_cosine_weight * _edge_penalty_for_perms(
-            pred.points, labels.points, perms
-        )
-    selected = objective.argmin(axis=0)  # first minimum wins ties
+def _class_pass(
+    pred_points: np.ndarray, label_points: np.ndarray, perms: np.ndarray, joint_weight: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetry-minimized L1 cost and edge penalty of every prediction
+    against the label columns of one invariance class, both under each
+    pair's selected permutation.
+
+    The permutation argmin breaks ties toward the lowest canonical index;
+    with a non-zero joint weight it runs on the blended positional-plus-
+    direction objective, which needs the penalty under every permutation.
+    """
+    permuted = pred_points[:, perms, :]  # (m, P, n, 2)
+    diff = np.moveaxis(permuted, 1, 0)[:, :, None, :, :] - label_points[None, None]
+    l1 = np.abs(diff).sum(axis=(3, 4))  # (P, m, k)
+    pred_edges = np.diff(permuted, axis=2)  # (m, P, n-1, 2)
+    label_edges = np.diff(label_points, axis=1)  # (k, n-1, 2)
+    if joint_weight:
+        penalty = _edge_penalty(np.moveaxis(pred_edges, 1, 0)[:, :, None], label_edges)
+        selected = (l1 + joint_weight * penalty).argmin(axis=0)  # first minimum wins
+        chosen = np.take_along_axis(penalty, selected[None], axis=0)[0]
+    else:
+        selected = l1.argmin(axis=0)  # first minimum wins
+        rows = np.arange(pred_points.shape[0])[:, None]
+        chosen = _edge_penalty(pred_edges[rows, selected], label_edges)
     cost = np.take_along_axis(l1, selected[None], axis=0)[0]
-    mask = _column_mask(labels, invariance)
-    cost = np.where(mask[None, :], cost, 0.0)
-    return cost, selected, mask
+    return cost, chosen
 
 
 def point_cost_matrix(
@@ -298,17 +263,13 @@ def point_cost_matrix(
 ) -> np.ndarray:
     """Pairwise symmetry-minimized L1 cost for one invariance class; label
     columns of any other class (including no-object pads) are zero."""
-    cost, _, _ = _class_costs(pred, labels, invariance)
-    return cost
+    return combined_cost_matrix(pred, labels).point_by_class[invariance]
 
 
 def point_cost_total(pred: PredictionSet, labels: LabelSet) -> np.ndarray:
-    """Sum of the three class matrices. The column masks partition the
+    """Sum of the three class matrices. The class columns partition the
     label indices, so each column equals exactly one class matrix column."""
-    total = np.zeros((pred.m, labels.m), dtype=np.float64)
-    for invariance in InvarianceClass:
-        total += point_cost_matrix(pred, labels, invariance)
-    return total
+    return combined_cost_matrix(pred, labels).point_total
 
 
 def edge_direction_penalty(
@@ -317,19 +278,10 @@ def edge_direction_penalty(
     """Pairwise mean (1 - cos) between consecutive prediction and label
     edges, evaluated under each pair's selected permutation; masked columns
     are zero and zero-length edges contribute penalty 1."""
-    out = np.zeros((pred.m, labels.m), dtype=np.float64)
-    perms_cache: dict[InvarianceClass, np.ndarray] = {}
-    for invariance in InvarianceClass:
-        _, selected, mask = _class_costs(pred, labels, invariance, joint_cosine_weight)
-        if not mask.any():
-            continue
-        perms = perms_cache.setdefault(
-            invariance, valid_permutations(invariance, pred.points.shape[1]).perms
-        )
-        penalty = _edge_penalty_for_perms(pred.points, labels.points, perms)
-        chosen = np.take_along_axis(penalty, selected[None], axis=0)[0]
-        out[:, mask] = chosen[:, mask]
-    return out
+    weights = LossWeights()
+    if joint_cosine_weight:
+        weights = LossWeights(cosine_weight=joint_cosine_weight, joint_cosine=True)
+    return combined_cost_matrix(pred, labels, weights).cosine
 
 
 def focal_cost_matrix(
@@ -362,16 +314,34 @@ def combined_cost_matrix(
 ) -> LossMatrices:
     """Blend focal, positional, and edge-direction costs into the single
     matrix the Hungarian step minimizes; component matrices ride along for
-    introspection."""
-    joint = weights.cosine_weight if weights.joint_cosine else None
+    introspection.
+
+    Each invariance class is costed in one pass over its own label
+    columns; no-object pads and other classes' columns stay zero.
+    """
+    if pred.points.shape != labels.points.shape:
+        raise ValueError(
+            f"shape mismatch: predictions {pred.points.shape} vs labels {labels.points.shape}"
+        )
+    joint = weights.cosine_weight if weights.joint_cosine else 0.0
     by_class: dict[InvarianceClass, np.ndarray] = {}
     point_total = np.zeros((pred.m, labels.m), dtype=np.float64)
+    cosine = np.zeros((pred.m, labels.m), dtype=np.float64)
     for invariance in InvarianceClass:
-        cost, _, _ = _class_costs(pred, labels, invariance, joint)
-        by_class[invariance] = cost
-        point_total += cost
+        cols = [
+            j
+            for j, (cls, inv) in enumerate(zip(labels.classes, labels.invariances))
+            if inv is invariance and cls is not FeatureClass.NO_OBJECT
+        ]
+        by_class[invariance] = np.zeros((pred.m, labels.m), dtype=np.float64)
+        if not cols:
+            continue
+        perms = valid_permutations(invariance, pred.points.shape[1])
+        cost, chosen = _class_pass(pred.points, labels.points[cols], perms, joint)
+        by_class[invariance][:, cols] = cost
+        point_total[:, cols] = cost
+        cosine[:, cols] = chosen
     focal = focal_cost_matrix(pred, labels, weights.focal_alpha, weights.focal_gamma)
-    cosine = edge_direction_penalty(pred, labels, joint)
     combined = weights.class_weight * focal + weights.point_weight * (
         point_total + weights.cosine_weight * cosine
     )

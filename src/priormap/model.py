@@ -191,7 +191,6 @@ class ModelDims:
     m_pred: int = 50
     m_gt: int = 50
     n_points: int = 20
-    p_dim: int = 2
 
     def __post_init__(self) -> None:
         if self.m_pred != self.m_gt:
@@ -200,8 +199,6 @@ class ModelDims:
             raise ValueError("m_gt must be positive")
         if self.n_points < 2:
             raise ValueError("n_points must be at least 2")
-        if self.p_dim != 2:
-            raise ValueError("only planar (p_dim=2) features are supported")
 
 
 DEFAULT_DIMS = ModelDims()

@@ -180,9 +180,3 @@ class WarpField:
             out[:, self._std == 0.0] = 0.0
         return out[0] if squeeze else out
 
-
-def fbm_warp_field(
-    params: PerlinParams, sigma: float, seed: int, fov_side: float = 90.0
-) -> WarpField:
-    """Build a renormalized displacement field; see :class:`WarpField`."""
-    return WarpField(params, sigma, seed, fov_side)

@@ -321,11 +321,15 @@ def apply_recipe(
     invariance_table: Mapping[FeatureClass, InvarianceClass] | None = None,
 ) -> MapFrame:
     """Apply a recipe's mutations in order, then re-clip to the field of
-    view so the output stays schema-valid after large shifts. Each mutation
-    gets an independent stream keyed by (master seed, frame id, index)."""
+    view so the output stays schema-valid after large shifts. The re-clip
+    can split a feature into pieces, so the clipped frame keeps only its
+    first dims.m_pred features, the rule duplicate_features applies. Each
+    mutation gets an independent stream keyed by (master seed, frame id,
+    index)."""
     frame_key = stable_key(frame.frame_id)
     current = frame
     for index, spec in enumerate(recipe.mutations):
         stream = MutationStream(recipe.master_seed, frame_key, index)
         current = _apply_one(current, spec, stream, dims, invariance_table)
-    return clip_to_fov(current)
+    clipped = clip_to_fov(current)
+    return clipped.with_features(clipped.features[: dims.m_pred])

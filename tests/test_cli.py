@@ -162,6 +162,17 @@ class TestLossCommand:
         err = capsys.readouterr().err
         assert "frame_2" in err and "frame_3" in err
 
+    def test_overflow_names_file_and_frame(self, tmp_path, scene_file, capsys):
+        src, frames = scene_file
+        full = frames[1].with_features([line_feature(y=float(k)) for k in range(11)])
+        labels = tmp_path / "labels.jsonl"
+        write_scenes([frames[0], full, *frames[2:]], labels)
+        rc = main(["loss", "--pred", str(src), "--labels", str(labels),
+                   "--out", str(tmp_path / "loss.json"), "--m-max", "10"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "frame_1" in err and str(src) in err and "overflow" in err
+
 
 class TestEvalCommand:
     def test_perfect_fixture(self, tmp_path, scene_file):

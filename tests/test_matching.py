@@ -114,11 +114,11 @@ def oracle_edge_penalties(
     """
     n = pred_row.shape[0]
     costs = []
-    for seq in valid_permutations(invariance, n).perms:
+    for seq in valid_permutations(invariance, n):
         costs.append(float(np.abs(pred_row[seq] - label_row).sum()))
     tie_cut = min(costs) + 1e-9 * (1.0 + min(costs))
     penalties = []
-    for seq, cost in zip(valid_permutations(invariance, n).perms, costs):
+    for seq, cost in zip(valid_permutations(invariance, n), costs):
         if cost > tie_cut:
             continue
         permuted = pred_row[seq]
@@ -133,7 +133,9 @@ def oracle_edge_penalties(
     return penalties
 
 
-def random_instance(rng: np.random.Generator, m: int, n: int):
+def random_instance(
+    rng: np.random.Generator, m: int, n: int, label_classes=REAL_CLASSES
+):
     """A random prediction/label pair with mixed classes and some pads."""
     n_real = int(rng.integers(1, m + 1))
     classes = []
@@ -142,7 +144,7 @@ def random_instance(rng: np.random.Generator, m: int, n: int):
     real_positions = sorted(rng.choice(m, size=n_real, replace=False).tolist())
     for j in range(m):
         if j in real_positions:
-            cls = REAL_CLASSES[int(rng.integers(len(REAL_CLASSES)))]
+            cls = label_classes[int(rng.integers(len(label_classes)))]
             classes.append(cls)
             invariances.append(DEFAULT_INVARIANCE[cls])
             pts[j] = rng.uniform(-10, 10, (n, 2))
@@ -165,28 +167,33 @@ def random_instance(rng: np.random.Generator, m: int, n: int):
 class TestPermutations:
     def test_directed_identity_only(self):
         ps = valid_permutations(InvarianceClass.DIRECTED_POLYLINE, 5)
-        np.testing.assert_array_equal(ps.perms, [[0, 1, 2, 3, 4]])
+        np.testing.assert_array_equal(ps, [[0, 1, 2, 3, 4]])
 
     def test_undirected_reversal(self):
         ps = valid_permutations(InvarianceClass.UNDIRECTED_POLYLINE, 3)
-        np.testing.assert_array_equal(ps.perms, [[0, 1, 2], [2, 1, 0]])
+        np.testing.assert_array_equal(ps, [[0, 1, 2], [2, 1, 0]])
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_polygon_is_dihedral_orbit(self, n):
         ps = valid_permutations(InvarianceClass.POLYGON, n)
-        got = {tuple(int(v) for v in row) for row in ps.perms}
+        got = {tuple(int(v) for v in row) for row in ps}
         expected = set(oracle_valid_sequences(InvarianceClass.POLYGON, n))
         assert got == expected
-        assert ps.count == 2 * n
+        assert len(ps) == 2 * n
 
     def test_polygon_n2_deduplicated(self):
         ps = valid_permutations(InvarianceClass.POLYGON, 2)
-        assert ps.count == 2
+        assert len(ps) == 2
 
     def test_canonical_order_starts_with_identity(self):
         for inv in InvarianceClass:
             ps = valid_permutations(inv, 4)
-            np.testing.assert_array_equal(ps.perms[0], [0, 1, 2, 3])
+            np.testing.assert_array_equal(ps[0], [0, 1, 2, 3])
+
+    def test_cached_array_is_read_only(self):
+        ps = valid_permutations(InvarianceClass.POLYGON, 4)
+        with pytest.raises(ValueError):
+            ps[0, 0] = 1
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +271,7 @@ class TestPointCost:
         for j in range(labels.m):
             if labels.classes[j] is FeatureClass.NO_OBJECT:
                 continue
-            perms = valid_permutations(labels.invariances[j], 5).perms
+            perms = valid_permutations(labels.invariances[j], 5)
             seq = perms[int(rng.integers(len(perms)))]
             new_pts = labels.points.copy()
             new_pts[j] = labels.points[j][seq]
@@ -406,6 +413,125 @@ class TestFocalCost:
                 assert got[i, j] == pytest.approx(
                     oracle_focal_entry(p, alpha, gamma), abs=1e-12
                 )
+
+
+# ---------------------------------------------------------------------------
+# Reference all-columns build. The library costs each invariance class in
+# one pass over that class's label columns only; this is the earlier build,
+# which costs every class over all label columns and all permutations, then
+# masks the other columns to zero. The one-pass build must reproduce it
+# bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def reference_column_mask(labels: LabelSet, invariance: InvarianceClass) -> np.ndarray:
+    return np.array(
+        [
+            inv is invariance and cls is not FeatureClass.NO_OBJECT
+            for cls, inv in zip(labels.classes, labels.invariances)
+        ],
+        dtype=bool,
+    )
+
+
+def reference_l1_per_permutation(pred_points, label_points, perms) -> np.ndarray:
+    permuted = np.moveaxis(pred_points[:, perms, :], 1, 0)  # (P, m, n, 2)
+    diff = permuted[:, :, None, :, :] - label_points[None, None, :, :, :]
+    return np.abs(diff).sum(axis=(3, 4))  # (P, m, m)
+
+
+def reference_edge_penalty_for_perms(pred_points, label_points, perms) -> np.ndarray:
+    permuted = np.moveaxis(pred_points[:, perms, :], 1, 0)  # (P, m, n, 2)
+    pe = np.diff(permuted, axis=2)  # (P, m, n-1, 2)
+    le = np.diff(label_points, axis=1)  # (m, n-1, 2)
+    dot = np.einsum("pike,jke->pijk", pe, le)
+    nsq_p = np.einsum("pike,pike->pik", pe, pe)
+    nsq_l = np.einsum("jke,jke->jk", le, le)
+    denom = np.sqrt(nsq_p[:, :, None, :] * nsq_l[None, None, :, :])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cos = np.where(denom > 0.0, dot / denom, 0.0)
+    return (1.0 - cos).mean(axis=3)  # (P, m, m)
+
+
+def reference_class_costs(pred, labels, invariance, joint_cosine_weight=None):
+    perms = valid_permutations(invariance, pred.points.shape[1])
+    l1 = reference_l1_per_permutation(pred.points, labels.points, perms)
+    objective = l1
+    if joint_cosine_weight is not None and joint_cosine_weight != 0.0:
+        objective = l1 + joint_cosine_weight * reference_edge_penalty_for_perms(
+            pred.points, labels.points, perms
+        )
+    selected = objective.argmin(axis=0)
+    cost = np.take_along_axis(l1, selected[None], axis=0)[0]
+    mask = reference_column_mask(labels, invariance)
+    cost = np.where(mask[None, :], cost, 0.0)
+    return cost, selected, mask
+
+
+def reference_cost_matrices(pred, labels, weights: LossWeights) -> dict:
+    joint = weights.cosine_weight if weights.joint_cosine else None
+    by_class = {}
+    point_total = np.zeros((pred.m, labels.m))
+    cosine = np.zeros((pred.m, labels.m))
+    for invariance in InvarianceClass:
+        cost, selected, mask = reference_class_costs(pred, labels, invariance, joint)
+        by_class[invariance] = cost
+        point_total += cost
+        if not mask.any():
+            continue
+        perms = valid_permutations(invariance, pred.points.shape[1])
+        penalty = reference_edge_penalty_for_perms(pred.points, labels.points, perms)
+        chosen = np.take_along_axis(penalty, selected[None], axis=0)[0]
+        cosine[:, mask] = chosen[:, mask]
+    focal = focal_cost_matrix(pred, labels, weights.focal_alpha, weights.focal_gamma)
+    combined = weights.class_weight * focal + weights.point_weight * (
+        point_total + weights.cosine_weight * cosine
+    )
+    return {
+        "point_by_class": by_class,
+        "point_total": point_total,
+        "focal": focal,
+        "cosine": cosine,
+        "combined": combined,
+    }
+
+
+class TestOnePassMatchesReference:
+    WEIGHTS = (LossWeights(), LossWeights(joint_cosine=True, cosine_weight=5.0))
+
+    def _assert_identical(self, pred, labels):
+        for weights in self.WEIGHTS:
+            got = combined_cost_matrix(pred, labels, weights)
+            want = reference_cost_matrices(pred, labels, weights)
+            for inv in InvarianceClass:
+                assert np.array_equal(got.point_by_class[inv], want["point_by_class"][inv])
+            for name in ("point_total", "focal", "cosine", "combined"):
+                assert np.array_equal(getattr(got, name), want[name]), name
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_default_dims(self, seed):
+        # a zero-length edge in some rows exercises the penalty-1 branch
+        rng = np.random.default_rng(1100 + seed)
+        pred, labels = random_instance(rng, 50, 20)
+        pts = pred.points.copy()
+        pts[::7, 3] = pts[::7, 2]
+        self._assert_identical(PredictionSet(points=pts, class_scores=pred.class_scores), labels)
+
+    def test_frame_without_polygon_columns(self):
+        rng = np.random.default_rng(1200)
+        lanes = (FeatureClass.LANE_CENTER, FeatureClass.LANE_DIVIDER)
+        pred, labels = random_instance(rng, 50, 20, label_classes=lanes)
+        assert InvarianceClass.POLYGON not in {
+            inv for inv, cls in zip(labels.invariances, labels.classes)
+            if cls is not FeatureClass.NO_OBJECT
+        }
+        self._assert_identical(pred, labels)
+
+    @pytest.mark.parametrize("cls", REAL_CLASSES)
+    def test_single_slot(self, cls):
+        rng = np.random.default_rng(1300)
+        pred, labels = random_instance(rng, 1, 20, label_classes=(cls,))
+        self._assert_identical(pred, labels)
 
 
 # ---------------------------------------------------------------------------

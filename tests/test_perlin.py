@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from priormap import PerlinParams, WarpField, fbm_warp_field
+from priormap import PerlinParams, WarpField
 
 
 def _norm_grid(fov_side: float = 90.0, n: int = 128) -> np.ndarray:
@@ -13,14 +13,14 @@ def _norm_grid(fov_side: float = 90.0, n: int = 128) -> np.ndarray:
 
 
 def test_zero_sigma_is_zero_everywhere():
-    field = fbm_warp_field(PerlinParams(), sigma=0.0, seed=1)
+    field = WarpField(PerlinParams(), sigma=0.0, seed=1)
     pts = np.random.default_rng(0).uniform(-45, 45, (64, 2))
     np.testing.assert_array_equal(field(pts), np.zeros_like(pts))
 
 
 def test_grid_statistics_contract():
     sigma = 0.7
-    field = fbm_warp_field(PerlinParams(), sigma=sigma, seed=42)
+    field = WarpField(PerlinParams(), sigma=sigma, seed=42)
     disp = field(_norm_grid())
     for axis in range(2):
         assert abs(disp[:, axis].mean()) < 1e-6 * sigma
@@ -29,21 +29,21 @@ def test_grid_statistics_contract():
 
 def test_deterministic_per_seed():
     pts = np.random.default_rng(1).uniform(-40, 40, (32, 2))
-    a = fbm_warp_field(PerlinParams(), 1.0, seed=5)(pts)
-    b = fbm_warp_field(PerlinParams(), 1.0, seed=5)(pts)
+    a = WarpField(PerlinParams(), 1.0, seed=5)(pts)
+    b = WarpField(PerlinParams(), 1.0, seed=5)(pts)
     np.testing.assert_array_equal(a, b)
-    c = fbm_warp_field(PerlinParams(), 1.0, seed=6)(pts)
+    c = WarpField(PerlinParams(), 1.0, seed=6)(pts)
     assert not np.array_equal(a, c)
 
 
 def test_field_is_function_of_position():
-    field = fbm_warp_field(PerlinParams(), 1.0, seed=9)
+    field = WarpField(PerlinParams(), 1.0, seed=9)
     p = np.array([[3.0, -7.0]])
     np.testing.assert_array_equal(field(p), field(p.copy()))
 
 
 def test_single_point_call_shape():
-    field = fbm_warp_field(PerlinParams(), 1.0, seed=2)
+    field = WarpField(PerlinParams(), 1.0, seed=2)
     out = field(np.array([1.0, 2.0]))
     assert out.shape == (2,)
 

@@ -9,6 +9,7 @@ from conftest import line_feature, random_frame, ring_feature
 from priormap import (
     DEFAULT_INVARIANCE,
     FeatureClass,
+    MapFeature,
     MapFrame,
     ModelDims,
     MutationKind,
@@ -274,6 +275,24 @@ class TestRecipe:
         )
         out = apply_recipe(frame, recipe, ModelDims(m_pred=8, m_gt=8, n_points=20))
         assert len(out.features) == 8
+
+    def test_final_clip_keeps_slot_budget(self):
+        # A zig-zag lane with every other vertex on the right FOV edge: a
+        # tiny shift pushes those vertices out and the final clip splits the
+        # lane into pieces, which must not overflow the slot budget.
+        zigzag = np.column_stack([np.where(np.arange(20) % 2 == 0, 45.0, 44.0),
+                                  np.linspace(-40.0, 40.0, 20)])
+        lane = MapFeature(
+            FeatureClass.LANE_CENTER, DEFAULT_INVARIANCE[FeatureClass.LANE_CENTER], zigzag
+        )
+        frame = _big_frame(45, n_points=20)
+        frame = frame.with_features(frame.features + (lane,))
+        recipe = PerturbRecipe(
+            mutations=(MutationSpec(MutationKind.SHIFT_FEATURES, sigma=1e-9),),
+            master_seed=3,
+        )
+        out = apply_recipe(frame, recipe)
+        assert len(out.features) <= 50
 
 
 class TestRecipeConfig:
