@@ -3,12 +3,14 @@ areas into regions, find trajectory windows that see those regions, and cut
 (outdated prior, current ground truth) scene pairs around poses.
 
 Feature identity is taken from stable ids when both versions carry them;
-otherwise same-class features are matched geometrically by minimum-Chamfer
-assignment within spatial proximity clusters, with a distance gate
-separating a moved feature from an unrelated add/remove pair.
+otherwise the features of each class are matched geometrically by one
+assignment that pairs as many features as it can within a Chamfer distance
+gate and then takes the least total Chamfer distance. The gate separates a
+moved feature from an unrelated add/remove pair.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -26,8 +28,6 @@ from .model import (
     resample_polyline,
     world_to_ego,
 )
-
-_FORBIDDEN = 1e18
 
 
 @dataclass(frozen=True)
@@ -151,51 +151,6 @@ class ChangeReport:
         }
 
 
-class _UnionFind:
-    def __init__(self):
-        self._parent: dict = {}
-
-    def find(self, key):
-        parent = self._parent.setdefault(key, key)
-        if parent != key:
-            parent = self.find(parent)
-            self._parent[key] = parent
-        return parent
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self._parent[rb] = ra
-
-
-def _proximity_components(
-    boxes: Sequence[Box], margin: float, cell: float
-) -> list[list[int]]:
-    """Group boxes into connected components of proximity: any two boxes
-    within `2 * margin` of each other land in the same component. Boxes are
-    expanded by the margin and hashed onto a coarse cell grid; overlapping
-    cell ownership links components."""
-    uf = _UnionFind()
-    owner: dict[tuple[int, int], int] = {}
-    for idx, box in enumerate(boxes):
-        grown = box.expanded(margin)
-        x0 = math.floor(grown.min_x / cell)
-        x1 = math.floor(grown.max_x / cell)
-        y0 = math.floor(grown.min_y / cell)
-        y1 = math.floor(grown.max_y / cell)
-        for cx in range(x0, x1 + 1):
-            for cy in range(y0, y1 + 1):
-                key = (cx, cy)
-                if key in owner:
-                    uf.union(("box", owner[key]), ("box", idx))
-                else:
-                    owner[key] = idx
-    groups: dict = {}
-    for idx in range(len(boxes)):
-        groups.setdefault(uf.find(("box", idx)), []).append(idx)
-    return sorted(groups.values(), key=lambda members: members[0])
-
-
 def _diff_by_ids(
     old: MapVersion, new: MapVersion, modify_tol: float
 ) -> tuple[list[str], list[str], list[tuple[str, str, float]], list[Box]]:
@@ -219,16 +174,18 @@ def diff_maps(
     new: MapVersion,
     modify_tol: float = 0.25,
     max_match_dist: float = 10.0,
-    tile_size: float = 200.0,
 ) -> ChangeReport:
     """Diff two map versions into added, removed, and modified features.
 
-    Matched pairs within modify_tol are unchanged; pairs above it are
-    modified. Geometric matching never pairs features farther apart than
-    max_match_dist; such features are reported as one removal plus one
-    addition instead. tile_size is the cell granularity used to cluster
-    nearby features so each assignment problem stays local.
+    Without ids on both sides, each class is matched by one assignment:
+    it pairs as many features as it can within the max_match_dist Chamfer
+    gate, then takes the least total Chamfer distance. A feature left
+    unpaired is a removal or an addition, so a feature moved beyond the gate
+    shows as one of each. Matched pairs within modify_tol are unchanged;
+    pairs above it are modified.
     """
+    if not max_match_dist >= 0.0:
+        raise ValueError(f"max_match_dist must be a non-negative distance, got {max_match_dist}")
     if old.has_ids and new.has_ids:
         added, removed, modified, bounds = _diff_by_ids(old, new, modify_tol)
         return ChangeReport(tuple(added), tuple(removed), tuple(modified), tuple(bounds))
@@ -244,53 +201,42 @@ def diff_maps(
     for cls in classes:
         old_idx = [i for i, f in enumerate(old.features) if f.feature_class is cls]
         new_idx = [j for j, f in enumerate(new.features) if f.feature_class is cls]
-        # One combined proximity clustering: anything matchable (at least
-        # one point pair within the gate) shares a component, so matching
-        # per component equals matching globally while keeping each
-        # assignment problem local.
-        boxes = [feature_box(old.features[i]) for i in old_idx] + [
-            feature_box(new.features[j]) for j in new_idx
-        ]
-        n_old = len(old_idx)
-        for members in _proximity_components(boxes, max_match_dist / 2.0, tile_size):
-            c_old = [old_idx[k] for k in members if k < n_old]
-            c_new = [new_idx[k - n_old] for k in members if k >= n_old]
-            if not c_old or not c_new:
-                for i in c_old:
-                    removed.append(old.feature_ids[i])
-                    bounds.append(feature_box(old.features[i]))
-                for j in c_new:
-                    added.append(new.feature_ids[j])
-                    bounds.append(feature_box(new.features[j]))
+        # Chamfer distance is never below the gap between two bounding boxes,
+        # so only pairs whose boxes lie within the gate can match.
+        box_old = np.array([old.features[i].bounds() for i in old_idx]).reshape(-1, 1, 4)
+        box_new = np.array([new.features[j].bounds() for j in new_idx]).reshape(1, -1, 4)
+        gap = np.maximum(box_new[..., :2] - box_old[..., 2:], box_old[..., :2] - box_new[..., 2:])
+        near = np.linalg.norm(np.maximum(gap, 0.0), axis=-1) <= max_match_dist
+        cost = np.full(near.shape, np.inf)
+        for a, b in zip(*np.nonzero(near)):
+            cost[a, b] = chamfer_distance(old.features[old_idx[a]], new.features[new_idx[b]])
+        gated = cost <= max_match_dist
+        # Each gated cost is at most the gate, so this exceeds any total of
+        # them: the solver pairs as many gated features as it can before it
+        # minimizes their total. A huge cost (say 1e18) would round the gated
+        # costs away in the solver's sums once a forbidden pair is forced in.
+        forbidden = max_match_dist * min(len(old_idx), len(new_idx)) + 1.0
+        rows, cols = linear_sum_assignment(np.where(gated, cost, forbidden))
+        matched_old = set()
+        matched_new = set()
+        for a, b in zip(rows, cols):
+            if not gated[a, b]:
                 continue
-            cost = np.empty((len(c_old), len(c_new)), dtype=np.float64)
-            for a, i in enumerate(c_old):
-                for b, j in enumerate(c_new):
-                    cost[a, b] = chamfer_distance(old.features[i], new.features[j])
-            gated = np.where(cost <= max_match_dist, cost, _FORBIDDEN)
-            rows, cols = linear_sum_assignment(gated)
-            matched_old = set()
-            matched_new = set()
-            for a, b in zip(rows, cols):
-                if gated[a, b] >= _FORBIDDEN:
-                    continue
-                matched_old.add(a)
-                matched_new.add(b)
-                d = float(cost[a, b])
-                if d > modify_tol:
-                    i, j = c_old[a], c_new[b]
-                    modified.append((old.feature_ids[i], new.feature_ids[j], d))
-                    bounds.append(
-                        feature_box(old.features[i]).union(feature_box(new.features[j]))
-                    )
-            for a, i in enumerate(c_old):
-                if a not in matched_old:
-                    removed.append(old.feature_ids[i])
-                    bounds.append(feature_box(old.features[i]))
-            for b, j in enumerate(c_new):
-                if b not in matched_new:
-                    added.append(new.feature_ids[j])
-                    bounds.append(feature_box(new.features[j]))
+            matched_old.add(a)
+            matched_new.add(b)
+            d = float(cost[a, b])
+            if d > modify_tol:
+                i, j = old_idx[a], new_idx[b]
+                modified.append((old.feature_ids[i], new.feature_ids[j], d))
+                bounds.append(feature_box(old.features[i]).union(feature_box(new.features[j])))
+        for a, i in enumerate(old_idx):
+            if a not in matched_old:
+                removed.append(old.feature_ids[i])
+                bounds.append(feature_box(old.features[i]))
+        for b, j in enumerate(new_idx):
+            if b not in matched_new:
+                added.append(new.feature_ids[j])
+                bounds.append(feature_box(new.features[j]))
     return ChangeReport(tuple(added), tuple(removed), tuple(modified), tuple(bounds))
 
 
@@ -345,6 +291,8 @@ def mine_frames(
     times = [t for t, _ in trajectory]
     if any(b < a for a, b in zip(times, times[1:])):
         raise ValueError("trajectory must be sorted by time")
+    if not window >= 0.0:
+        raise ValueError(f"window must be a non-negative duration, got {window}")
     hits = [
         any(_fov_box(pose, fov_side).intersects(region) for region in regions)
         for _, pose in trajectory
@@ -358,11 +306,11 @@ def mine_frames(
             continue
         t0 = times[i]
         t1 = t0 + window
-        members = [j for j in range(i, n) if times[j] <= t1]
+        end = bisect.bisect_right(times, t1, lo=i)
         windows.append(
-            SceneWindow(anchor_index=i, t_start=t0, t_end=t1, pose_indices=tuple(members))
+            SceneWindow(anchor_index=i, t_start=t0, t_end=t1, pose_indices=tuple(range(i, end)))
         )
-        i = members[-1] + 1
+        i = end
     return windows
 
 

@@ -103,6 +103,14 @@ def _dims_args(parser: argparse.ArgumentParser) -> None:
                         help="prediction/label slot count")
 
 
+def _diff_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--modify-tol", type=float, default=0.25,
+                        help="Chamfer tolerance below which a matched pair is unchanged")
+    parser.add_argument("--max-match-dist", type=float, default=10.0,
+                        help="Chamfer gate above which features are add/remove, not modified")
+    parser.add_argument("--buffer", type=float, default=20.0, help="region buffer in meters")
+
+
 def _dims_from(args: argparse.Namespace) -> ModelDims:
     return ModelDims(m_pred=args.m_max, m_gt=args.m_max, n_points=args.n_points)
 
@@ -400,11 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diff", help="diff two map versions into a change report")
     p.add_argument("--old", required=True, help="old map version file")
     p.add_argument("--new", required=True, help="new map version file")
-    p.add_argument("--modify-tol", type=float, default=0.25,
-                   help="Chamfer tolerance below which a matched pair is unchanged")
-    p.add_argument("--max-match-dist", type=float, default=10.0,
-                   help="Chamfer gate above which features are add/remove, not modified")
-    p.add_argument("--buffer", type=float, default=20.0, help="region buffer in meters")
+    _diff_args(p)
     p.add_argument("--out", required=True, help="output change report JSON")
     p.set_defaults(fn=cmd_diff)
 
@@ -412,9 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--old", required=True)
     p.add_argument("--new", required=True)
     p.add_argument("--trajectory", required=True, help="timestamped pose file")
-    p.add_argument("--modify-tol", type=float, default=0.25)
-    p.add_argument("--max-match-dist", type=float, default=10.0)
-    p.add_argument("--buffer", type=float, default=20.0)
+    _diff_args(p)
     p.add_argument("--fov", type=float, default=90.0, help="field-of-view side in meters")
     p.add_argument("--window", type=float, default=30.0, help="window duration in seconds")
     p.add_argument("--n-points", type=int, default=DEFAULT_DIMS.n_points)

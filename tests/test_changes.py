@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+import priormap.changes as changes
 from conftest import grid_world, line_feature, ring_feature
 from priormap import (
+    DEFAULT_INVARIANCE,
     Box,
     FeatureClass,
     InvarianceClass,
@@ -21,8 +23,17 @@ from priormap import (
     evaluate,
     mine_frames,
 )
+from priormap.changes import feature_box
 
 GATE = 10.0
+
+
+def sloped_segment(rng, cls=FeatureClass.LANE_CENTER, n=20):
+    """A straight segment with random x-range and slope, near the origin."""
+    x0 = float(rng.uniform(-30, 30))
+    x = np.linspace(x0, x0 + float(rng.uniform(5, 25)), n)
+    y = float(rng.uniform(-10, 10)) + float(rng.uniform(-0.6, 0.6)) * (x - x0)
+    return MapFeature(cls, DEFAULT_INVARIANCE[cls], np.column_stack([x, y]))
 
 
 def oracle_diff_class(old_feats, new_feats, modify_tol, gate):
@@ -81,7 +92,17 @@ class TestDiffMaps:
         report = diff_maps(self._version(old, "old"), self._version(new, "new"))
         assert len(report.removed) == 1 and len(report.added) == 1
 
-    @pytest.mark.parametrize("seed", range(6))
+    def _assert_matches_oracle(self, old, new):
+        report = diff_maps(self._version(old, "old"), self._version(new, "new"),
+                           modify_tol=0.25, max_match_dist=GATE)
+        added, removed, modified = oracle_diff_class(old, new, 0.25, GATE)
+        assert sorted(report.added) == sorted(str(j) for j in added)
+        assert sorted(report.removed) == sorted(str(i) for i in removed)
+        got_mod = sorted((o, n) for o, n, _ in report.modified)
+        want_mod = sorted((str(i), str(j)) for i, j, _ in modified)
+        assert got_mod == want_mod
+
+    @pytest.mark.parametrize("seed", range(48))
     def test_matches_exhaustive_oracle(self, seed):
         rng = np.random.default_rng(seed)
         n_old = int(rng.integers(1, 5))
@@ -91,14 +112,60 @@ class TestDiffMaps:
                for _ in range(n_old)]
         new = [line_feature(y=float(rng.uniform(-40, 40)), x0=-20, x1=20, cls=cls)
                for _ in range(n_new)]
-        report = diff_maps(self._version(old, "old"), self._version(new, "new"),
-                           modify_tol=0.25, max_match_dist=GATE)
-        added, removed, modified = oracle_diff_class(old, new, 0.25, GATE)
-        assert sorted(report.added) == sorted(str(j) for j in added)
-        assert sorted(report.removed) == sorted(str(i) for i in removed)
-        got_mod = sorted((o, n) for o, n, _ in report.modified)
-        want_mod = sorted((str(i), str(j)) for i, j, _ in modified)
-        assert got_mod == want_mod
+        self._assert_matches_oracle(old, new)
+        # Equal-length parallel lines tie exactly (their Chamfer distance is
+        # |dy|), so non-parallel segments of random extent pin the matching.
+        old = [sloped_segment(rng) for _ in range(int(rng.integers(2, 7)))]
+        new = [sloped_segment(rng) for _ in range(int(rng.integers(2, 7)))]
+        self._assert_matches_oracle(old, new)
+
+    def test_connected_grid_evaluates_only_gated_pairs(self, monkeypatch):
+        # One class, 8 x 8 blocks of 30 m segments joined at every node, so
+        # the whole network is one chain of features within the gate.
+        side, block = 8, 30.0
+        feats = []
+        for i in range(side + 1):
+            for k in range(side):
+                across = line_feature(y=i * block, x0=k * block, x1=(k + 1) * block)
+                feats += [across, across.with_points(across.points[:, ::-1])]
+        moved_idx = 36  # a horizontal segment, moved across its own direction
+        moved = list(feats)
+        moved[moved_idx] = feats[moved_idx].with_points(feats[moved_idx].points + [0.0, 1.5])
+        calls = []
+
+        def counted(a, b):
+            calls.append((feature_box(a), feature_box(b)))
+            return chamfer_distance(a, b)
+
+        monkeypatch.setattr(changes, "chamfer_distance", counted)
+        report = diff_maps(self._version(feats, "old"), self._version(moved, "new"),
+                           max_match_dist=GATE)
+        assert report.added == () and report.removed == ()
+        ((old_id, new_id, d),) = report.modified
+        assert (old_id, new_id) == (str(moved_idx), str(moved_idx))
+        assert d == pytest.approx(1.5, abs=1e-12)
+        assert calls
+        for a, b in calls:
+            gap_x = max(0.0, a.min_x - b.max_x, b.min_x - a.max_x)
+            gap_y = max(0.0, a.min_y - b.max_y, b.min_y - a.max_y)
+            assert math.hypot(gap_x, gap_y) <= GATE
+        assert len(calls) < len(feats) ** 2 / 10
+
+    def test_zero_gate_still_matches_identical_features(self):
+        a = line_feature(y=0.0)
+        b = line_feature(y=50.0)
+        moved_b = b.with_points(b.points + [0.0, 1.0])
+        report = diff_maps(self._version([a, b], "old"), self._version([moved_b, a], "new"),
+                           max_match_dist=0.0)
+        assert report.removed == ("1",)
+        assert report.added == ("0",)
+        assert report.modified == ()
+
+    @pytest.mark.parametrize("gate", [-1.0, float("nan")])
+    def test_invalid_gate_rejected(self, gate):
+        version = self._version([line_feature()])
+        with pytest.raises(ValueError, match="max_match_dist"):
+            diff_maps(version, version, max_match_dist=gate)
 
     def test_beyond_gate_becomes_add_remove(self):
         old = [line_feature(y=0.0)]
@@ -213,6 +280,34 @@ class TestMineFrames:
         traj = [(1.0, Pose2D(0, 0, 0)), (0.5, Pose2D(1, 0, 0))]
         with pytest.raises(ValueError, match="sorted"):
             mine_frames(traj, [Box(-1, -1, 1, 1)])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_scan_oracle(self, seed):
+        # Whole-second times with repeats, so window ends land on pose times.
+        rng = np.random.default_rng(seed)
+        times = np.cumsum(rng.integers(0, 3, 200)).astype(float)
+        xs = np.cumsum(rng.normal(0.0, 20.0, 200))
+        traj = [(float(t), Pose2D(float(x), 0.0, 0.0)) for t, x in zip(times, xs)]
+        regions = [Box(-100.0, -5.0, -90.0, 5.0), Box(60.0, -5.0, 80.0, 5.0)]
+        hits = [any(Box(p.x - 45, p.y - 45, p.x + 45, p.y + 45).intersects(r)
+                    for r in regions) for _, p in traj]
+        want = []
+        i = 0
+        while i < len(traj):
+            if hits[i]:
+                members = [j for j in range(i, len(traj)) if times[j] <= times[i] + 5.0]
+                want.append((i, times[i], times[i] + 5.0, tuple(members)))
+                i = members[-1] + 1
+            else:
+                i += 1
+        got = mine_frames(traj, regions, fov_side=90.0, window=5.0)
+        assert [(w.anchor_index, w.t_start, w.t_end, w.pose_indices) for w in got] == want
+        assert want
+
+    @pytest.mark.parametrize("window", [-1.0, float("nan")])
+    def test_invalid_window_rejected(self, window):
+        with pytest.raises(ValueError, match="window"):
+            mine_frames([(0.0, Pose2D(0, 0, 0))], [Box(-1, -1, 1, 1)], window=window)
 
 
 class TestBuildScenePair:
