@@ -4,8 +4,9 @@ One binary, six subcommands: perturb scenes with a recipe, score
 predictions against labels with the set-matching loss, evaluate Chamfer
 mAP, diff two map versions, mine change scenes along a trajectory, and
 render scenes to SVG. Every command is a pure function of its inputs plus
-configuration, emits records in input order regardless of worker count,
-and writes a run manifest next to its primary output.
+configuration and emits records in input order regardless of worker
+count. A subcommand writes its outputs and returns its manifest fields;
+`main` then writes the run manifest next to its primary output.
 """
 from __future__ import annotations
 
@@ -20,7 +21,14 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import __version__
-from .changes import MapVersion, build_scene_pair, change_regions, diff_maps, mine_frames
+from .changes import (
+    ChangeReport,
+    MapVersion,
+    build_scene_pair,
+    change_regions,
+    diff_maps,
+    mine_frames,
+)
 from .evaluation import EvalConfig, evaluate, pair_frames
 from .matching import (
     LossWeights,
@@ -28,7 +36,7 @@ from .matching import (
     matched_loss,
     prediction_set_from_frame,
 )
-from .model import DEFAULT_DIMS, ModelDims
+from .model import DEFAULT_DIMS, MapFrame, ModelDims
 from .perturb import apply_recipe, recipe_from_dict, recipe_to_dict
 from .render import write_frame_svg
 from .scene_io import (
@@ -64,21 +72,26 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
+#: What a subcommand returns for its manifest: the path the manifest goes
+#: next to, the config that is hashed, the input files and the master seed.
+Run = tuple[Path, dict, list[str], int | None]
+
+
 def _write_manifest(
     out_path: Path,
     command: str,
     config: dict,
-    inputs: Sequence[Path],
+    inputs: Sequence[str],
     master_seed: int | None,
-    started: float,
+    wall_time_s: float,
 ) -> None:
     manifest = RunManifest(
         command=command,
         config_hash=_config_hash(config),
         master_seed=master_seed,
-        input_digests={str(p): _sha256_file(p) for p in inputs},
+        input_digests={str(p): _sha256_file(p) for p in map(Path, inputs)},
         tool_version=__version__,
-        wall_time_s=time.time() - started,
+        wall_time_s=wall_time_s,
     )
     path = out_path.with_name(out_path.name + ".manifest.json")
     path.write_text(json.dumps(asdict(manifest), indent=2) + "\n", encoding="utf-8")
@@ -99,7 +112,7 @@ def _parallel_map(fn: Callable, items: Sequence, jobs: int) -> list:
 def _dims_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n-points", type=int, default=DEFAULT_DIMS.n_points,
                         help="control points per feature")
-    parser.add_argument("--m-max", type=int, default=DEFAULT_DIMS.m_gt,
+    parser.add_argument("--m-max", type=int, default=DEFAULT_DIMS.m,
                         help="prediction/label slot count")
 
 
@@ -112,13 +125,29 @@ def _diff_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _dims_from(args: argparse.Namespace) -> ModelDims:
-    return ModelDims(m_pred=args.m_max, m_gt=args.m_max, n_points=args.n_points)
+    return ModelDims(m=args.m_max, n_points=args.n_points)
 
 
-def cmd_perturb(args: argparse.Namespace) -> int:
-    started = time.time()
-    recipe_raw = load_json_config(args.recipe)
-    recipe = recipe_from_dict(recipe_raw)
+def _write_svgs(
+    out_dir: Path, frames: Sequence[MapFrame], overlay: Sequence[MapFrame] | None
+) -> None:
+    """One SVG per frame, named by frame id; with an overlay, the overlay
+    frame of the same id is drawn over it as the prediction layer."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    by_id = {f.frame_id: f for f in overlay or ()}
+    if overlay is not None:
+        missing = sorted(f.frame_id for f in frames if f.frame_id not in by_id)
+        if missing:
+            raise ValueError(f"overlay is missing frame(s): {', '.join(missing)}")
+    for frame in frames:
+        layers = [("ground_truth", frame)]
+        if overlay is not None:
+            layers.append(("prediction", by_id[frame.frame_id]))
+        write_frame_svg(out_dir / f"{frame.frame_id}.svg", layers)
+
+
+def cmd_perturb(args: argparse.Namespace) -> Run:
+    recipe = recipe_from_dict(load_json_config(args.recipe))
     if args.seed is not None:
         recipe = replace(recipe, master_seed=args.seed)
     dims = _dims_from(args)
@@ -126,20 +155,15 @@ def cmd_perturb(args: argparse.Namespace) -> int:
     out_frames = _parallel_map(lambda f: apply_recipe(f, recipe, dims), frames, args.jobs)
     out_path = Path(args.out)
     write_scenes(out_frames, out_path)
-    _write_manifest(
-        out_path,
-        "perturb",
-        {"recipe": recipe_to_dict(recipe), "n_points": dims.n_points, "m_max": dims.m_gt},
-        [Path(args.scenes), Path(args.recipe)],
-        recipe.master_seed,
-        started,
-    )
     print(f"perturbed {len(out_frames)} frame(s) -> {out_path}")
-    return 0
+    config = {"recipe": recipe_to_dict(recipe), "n_points": dims.n_points, "m_max": dims.m}
+    return out_path, config, [args.scenes, args.recipe], recipe.master_seed
 
 
-def cmd_loss(args: argparse.Namespace) -> int:
-    started = time.time()
+_LOSS_TERMS = ("total", "positional", "classification", "cosine")
+
+
+def cmd_loss(args: argparse.Namespace) -> Run:
     weights = (
         LossWeights.from_dict(load_json_config(args.weights))
         if args.weights
@@ -164,39 +188,19 @@ def cmd_loss(args: argparse.Namespace) -> int:
             ) from exc
         return {
             "frame_id": label_frame.frame_id,
-            "total": loss.total,
-            "positional": loss.positional,
-            "classification": loss.classification,
-            "cosine": loss.cosine,
+            **{term: getattr(loss, term) for term in _LOSS_TERMS},
             "assignment": list(loss.assignment),
             "pair_losses": list(loss.pair_losses),
         }
 
     rows = _parallel_map(score, pairs, args.jobs)
-    aggregate = {
-        "frames": len(rows),
-        "total": sum(r["total"] for r in rows),
-        "positional": sum(r["positional"] for r in rows),
-        "classification": sum(r["classification"] for r in rows),
-        "cosine": sum(r["cosine"] for r in rows),
-    }
+    aggregate = {"frames": len(rows), **{t: sum(r[t] for r in rows) for t in _LOSS_TERMS}}
     out_path = Path(args.out)
     _write_json(out_path, {"aggregate": aggregate, "per_frame": rows})
-    _write_manifest(
-        out_path,
-        "loss",
-        {
-            "weights": asdict(weights),
-            "n_points": dims.n_points,
-            "m_max": dims.m_gt,
-        },
-        [Path(args.pred), Path(args.labels)],
-        None,
-        started,
-    )
     print(f"loss over {len(rows)} frame(s): total={aggregate['total']:.6f} "
           f"positional={aggregate['positional']:.6f}")
-    return 0
+    config = {"weights": asdict(weights), "n_points": dims.n_points, "m_max": dims.m}
+    return out_path, config, [args.pred, args.labels], None
 
 
 def _print_eval_table(report) -> None:
@@ -216,8 +220,7 @@ def _print_eval_table(report) -> None:
     print("mAP".ljust(16) + map_s.rjust(10 * (len(taus) + 1)))
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    started = time.time()
+def cmd_eval(args: argparse.Namespace) -> Run:
     config = EvalConfig.from_dict(load_json_config(args.config)) if args.config else EvalConfig()
     if args.thresholds:
         taus = tuple(float(t) for t in args.thresholds.split(","))
@@ -228,28 +231,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
     out_path = Path(args.out)
     _write_json(out_path, report.to_dict())
     if args.render_dir:
-        render_dir = Path(args.render_dir)
-        render_dir.mkdir(parents=True, exist_ok=True)
-        for pred_frame, gt_frame in pair_frames(preds, gts):
-            write_frame_svg(
-                render_dir / f"{gt_frame.frame_id}.svg",
-                [("ground_truth", gt_frame), ("prediction", pred_frame)],
-            )
-    _write_manifest(
-        out_path,
-        "eval",
-        {
-            "thresholds": list(config.thresholds),
-            "classes": [c.value for c in config.classes],
-            "score_floor": config.score_floor,
-            "densify": config.densify,
-        },
-        [Path(args.pred), Path(args.gt)],
-        None,
-        started,
-    )
+        # evaluate has already paired the frames 1:1 by id.
+        _write_svgs(Path(args.render_dir), gts, preds)
     _print_eval_table(report)
-    return 0
+    hashed = {
+        "thresholds": list(config.thresholds),
+        "classes": [c.value for c in config.classes],
+        "score_floor": config.score_floor,
+        "densify": config.densify,
+    }
+    return out_path, hashed, [args.pred, args.gt], None
 
 
 def _load_version(path: str) -> MapVersion:
@@ -257,39 +248,35 @@ def _load_version(path: str) -> MapVersion:
     return MapVersion.build(version_id, features, ids)
 
 
-def cmd_diff(args: argparse.Namespace) -> int:
-    started = time.time()
+def _diff_config(args: argparse.Namespace) -> dict:
+    return {"modify_tol": args.modify_tol, "buffer": args.buffer,
+            "max_match_dist": args.max_match_dist}
+
+
+def _diff(args: argparse.Namespace) -> tuple[MapVersion, MapVersion, ChangeReport]:
+    """Both map versions and their change report, regions included."""
     old = _load_version(args.old)
     new = _load_version(args.new)
     report = diff_maps(old, new, modify_tol=args.modify_tol, max_match_dist=args.max_match_dist)
-    report = replace(report, regions=change_regions(report, buffer=args.buffer))
+    return old, new, replace(report, regions=change_regions(report, buffer=args.buffer))
+
+
+def cmd_diff(args: argparse.Namespace) -> Run:
+    old, new, report = _diff(args)
     out_path = Path(args.out)
     _write_json(out_path, report.to_dict())
-    _write_manifest(
-        out_path,
-        "diff",
-        {"modify_tol": args.modify_tol, "buffer": args.buffer,
-         "max_match_dist": args.max_match_dist},
-        [Path(args.old), Path(args.new)],
-        None,
-        started,
-    )
     print(
         f"diff {old.version_id} -> {new.version_id}: "
         f"{len(report.added)} added, {len(report.removed)} removed, "
         f"{len(report.modified)} modified, {len(report.regions)} region(s)"
     )
-    return 0
+    return out_path, _diff_config(args), [args.old, args.new], None
 
 
-def cmd_mine(args: argparse.Namespace) -> int:
-    started = time.time()
-    old = _load_version(args.old)
-    new = _load_version(args.new)
+def cmd_mine(args: argparse.Namespace) -> Run:
     trajectory = read_trajectory(args.trajectory)
-    report = diff_maps(old, new, modify_tol=args.modify_tol, max_match_dist=args.max_match_dist)
-    regions = change_regions(report, buffer=args.buffer)
-    windows = mine_frames(trajectory, regions, fov_side=args.fov, window=args.window)
+    old, new, report = _diff(args)
+    windows = mine_frames(trajectory, report.regions, fov_side=args.fov, window=args.window)
     priors = []
     gts = []
     window_rows = []
@@ -319,55 +306,23 @@ def cmd_mine(args: argparse.Namespace) -> int:
         )
     write_scenes(priors, args.out_prior)
     write_scenes(gts, args.out_gt)
-    out_path = Path(args.out_prior)
     if args.report:
         _write_json(Path(args.report), {"windows": window_rows})
-    _write_manifest(
-        out_path,
-        "mine",
-        {
-            "modify_tol": args.modify_tol,
-            "buffer": args.buffer,
-            "max_match_dist": args.max_match_dist,
-            "fov": args.fov,
-            "window": args.window,
-            "n_points": args.n_points,
-        },
-        [Path(args.old), Path(args.new), Path(args.trajectory)],
-        None,
-        started,
-    )
     note = f" ({skipped} off-map window(s) skipped)" if skipped else ""
     print(f"mined {len(priors)} window(s) -> {args.out_prior}, {args.out_gt}{note}")
-    return 0
+    config = {**_diff_config(args), "fov": args.fov, "window": args.window,
+              "n_points": args.n_points}
+    return Path(args.out_prior), config, [args.old, args.new, args.trajectory], None
 
 
-def cmd_render(args: argparse.Namespace) -> int:
-    started = time.time()
+def cmd_render(args: argparse.Namespace) -> Run:
     frames = read_scenes(args.scenes)
     overlay = read_scenes(args.overlay) if args.overlay else None
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if overlay is not None:
-        by_id = {f.frame_id: f for f in overlay}
-        missing = sorted(f.frame_id for f in frames if f.frame_id not in by_id)
-        if missing:
-            raise ValueError(f"overlay is missing frame(s): {', '.join(missing)}")
-    for frame in frames:
-        layers = [("ground_truth", frame)]
-        if overlay is not None:
-            layers.append(("prediction", by_id[frame.frame_id]))
-        write_frame_svg(out_dir / f"{frame.frame_id}.svg", layers)
-    _write_manifest(
-        out_dir / "render",
-        "render",
-        {"overlay": bool(args.overlay)},
-        [Path(args.scenes)] + ([Path(args.overlay)] if args.overlay else []),
-        None,
-        started,
-    )
+    _write_svgs(out_dir, frames, overlay)
     print(f"rendered {len(frames)} frame(s) -> {out_dir}")
-    return 0
+    inputs = [args.scenes] + ([args.overlay] if args.overlay else [])
+    return out_dir / "render", {"overlay": bool(args.overlay)}, inputs, None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -391,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True, help="label scene file")
     p.add_argument("--weights", default=None, help="loss weights JSON")
     p.add_argument("--out", required=True, help="output report JSON")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="worker threads over frames")
     _dims_args(p)
     p.set_defaults(fn=cmd_loss)
 
@@ -413,34 +368,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_diff)
 
     p = sub.add_parser("mine", help="mine change-intersecting windows into scene pairs")
-    p.add_argument("--old", required=True)
-    p.add_argument("--new", required=True)
+    p.add_argument("--old", required=True, help="old map version file")
+    p.add_argument("--new", required=True, help="new map version file")
     p.add_argument("--trajectory", required=True, help="timestamped pose file")
     _diff_args(p)
     p.add_argument("--fov", type=float, default=90.0, help="field-of-view side in meters")
     p.add_argument("--window", type=float, default=30.0, help="window duration in seconds")
-    p.add_argument("--n-points", type=int, default=DEFAULT_DIMS.n_points)
+    p.add_argument("--n-points", type=int, default=DEFAULT_DIMS.n_points,
+                   help="control points per feature")
     p.add_argument("--out-prior", required=True, help="output prior scene file")
     p.add_argument("--out-gt", required=True, help="output ground-truth scene file")
     p.add_argument("--report", default=None, help="optional windows report JSON")
     p.set_defaults(fn=cmd_mine)
 
     p = sub.add_parser("render", help="render scenes (optionally overlaid) to SVG")
-    p.add_argument("--scenes", required=True)
+    p.add_argument("--scenes", required=True, help="input scene file")
     p.add_argument("--overlay", default=None, help="second scene file drawn dashed")
-    p.add_argument("--out-dir", required=True)
+    p.add_argument("--out-dir", required=True, help="output directory for the SVG files")
     p.set_defaults(fn=cmd_render)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand, then write its manifest next to its primary output."""
+    args = build_parser().parse_args(argv)
+    started = time.time()
     try:
-        return args.fn(args)
+        out_path, config, inputs, master_seed = args.fn(args)
+        _write_manifest(out_path, args.command, config, inputs, master_seed,
+                        time.time() - started)
     except (SceneFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -166,7 +166,7 @@ def prediction_set_from_frame(frame: MapFrame, dims: ModelDims = DEFAULT_DIMS) -
     padded = pad_to_fixed(
         [f.with_points(p) for f, p in zip(frame.features, resampled)], dims
     )
-    scores = np.zeros((dims.m_pred, len(SCORE_CLASSES)), dtype=np.float64)
+    scores = np.zeros((dims.m, len(SCORE_CLASSES)), dtype=np.float64)
     for i, feat in enumerate(padded):
         if feat.feature_class is FeatureClass.NO_OBJECT:
             scores[i, _SCORE_INDEX[FeatureClass.NO_OBJECT]] = 1.0
@@ -291,7 +291,7 @@ def focal_cost_matrix(
     class (positive-minus-negative form); no-object columns use the
     no-object score. Probabilities are clamped away from 0 and 1."""
     cols = np.array([_SCORE_INDEX[c] for c in labels.classes], dtype=np.intp)
-    p = pred.class_scores[:, cols]  # (m_pred, m_gt)
+    p = pred.class_scores[:, cols]  # (predictions, labels)
     p = np.clip(p, _PROB_EPS, 1.0 - _PROB_EPS)
     positive = alpha * (1.0 - p) ** gamma * (-np.log(p))
     negative = (1.0 - alpha) * p**gamma * (-np.log(1.0 - p))

@@ -44,8 +44,7 @@ class InvarianceClass(Enum):
     POLYGON = "polygon"
 
 
-#: Default semantic-class to invariance-class table; overridable wherever a
-#: table argument is accepted.
+#: Semantic-class to invariance-class table.
 DEFAULT_INVARIANCE: Mapping[FeatureClass, InvarianceClass] = {
     FeatureClass.LANE_CENTER: InvarianceClass.DIRECTED_POLYLINE,
     FeatureClass.LANE_DIVIDER: InvarianceClass.UNDIRECTED_POLYLINE,
@@ -184,19 +183,16 @@ class MapFrame:
 class ModelDims:
     """Tensor dimensions shared by the matching layer.
 
-    The prediction and label slot counts are equal by construction; every
-    polyline carries the same number of 2D control points.
+    Predictions and labels have the same slot count m; every polyline
+    carries the same number of 2D control points.
     """
 
-    m_pred: int = 50
-    m_gt: int = 50
+    m: int = 50
     n_points: int = 20
 
     def __post_init__(self) -> None:
-        if self.m_pred != self.m_gt:
-            raise ValueError("m_pred and m_gt must be equal")
-        if self.m_gt < 1:
-            raise ValueError("m_gt must be positive")
+        if self.m < 1:
+            raise ValueError("m must be positive")
         if self.n_points < 2:
             raise ValueError("n_points must be at least 2")
 
@@ -267,7 +263,7 @@ def pad_feature(n_points: int) -> MapFeature:
 
 
 def pad_to_fixed(features: Sequence[MapFeature], dims: ModelDims = DEFAULT_DIMS) -> tuple[MapFeature, ...]:
-    """Pad a feature list with no-object slots up to exactly m_gt entries.
+    """Pad a feature list with no-object slots up to exactly m entries.
 
     Original order is preserved and pads are appended at the end. Padding
     an already-padded list is an error so pipeline double-padding surfaces
@@ -276,12 +272,10 @@ def pad_to_fixed(features: Sequence[MapFeature], dims: ModelDims = DEFAULT_DIMS)
     feats = tuple(features)
     if any(f.feature_class is FeatureClass.NO_OBJECT for f in feats):
         raise ValueError("input already contains no-object padding")
-    if len(feats) > dims.m_gt:
-        raise FrameOverflowError(
-            f"frame overflow: {len(feats)} features exceed m_gt={dims.m_gt}"
-        )
+    if len(feats) > dims.m:
+        raise FrameOverflowError(f"frame overflow: {len(feats)} features exceed m={dims.m}")
     pad = pad_feature(dims.n_points)
-    return feats + (pad,) * (dims.m_gt - len(feats))
+    return feats + (pad,) * (dims.m - len(feats))
 
 
 def _clip_segment_halfplane(
@@ -416,10 +410,3 @@ def world_to_ego(points: np.ndarray, pose: Pose2D) -> np.ndarray:
     rot = np.array([[c, s], [-s, c]], dtype=np.float64)
     return shifted @ rot.T
 
-
-def ego_to_world(points: np.ndarray, pose: Pose2D) -> np.ndarray:
-    """Inverse of :func:`world_to_ego`."""
-    pts = np.asarray(points, dtype=np.float64)
-    c, s = math.cos(pose.yaw), math.sin(pose.yaw)
-    rot = np.array([[c, -s], [s, c]], dtype=np.float64)
-    return pts @ rot.T + np.array([pose.x, pose.y])

@@ -18,8 +18,6 @@ from .model import (
     DEFAULT_DIMS,
     DEFAULT_INVARIANCE,
     REAL_CLASSES,
-    FeatureClass,
-    InvarianceClass,
     MapFeature,
     MapFrame,
     ModelDims,
@@ -217,14 +215,12 @@ def corrupt_class(
     frame: MapFrame,
     p: float,
     stream: MutationStream,
-    invariance_table: Mapping[FeatureClass, InvarianceClass] | None = None,
 ) -> MapFrame:
     """Replace each feature's class, with probability p, by a uniformly
-    random different real class; the invariance class follows the table and
-    geometry is untouched."""
+    random different real class; the invariance class follows
+    DEFAULT_INVARIANCE and geometry is untouched."""
     if p == 0.0 or not frame.features:
         return frame
-    table = DEFAULT_INVARIANCE if invariance_table is None else invariance_table
     out: list[MapFeature] = []
     for i, feat in enumerate(frame.features):
         gen = stream.feature(i)
@@ -233,7 +229,7 @@ def corrupt_class(
             new_class = others[int(gen.integers(len(others)))]
             feat = MapFeature(
                 feature_class=new_class,
-                invariance=table[new_class],
+                invariance=DEFAULT_INVARIANCE[new_class],
                 points=feat.points,
                 confidence=feat.confidence,
             )
@@ -296,15 +292,14 @@ def _apply_one(
     spec: MutationSpec,
     stream: MutationStream,
     dims: ModelDims,
-    table: Mapping[FeatureClass, InvarianceClass] | None,
 ) -> MapFrame:
     kind = spec.kind
     if kind is MutationKind.DROP_FEATURES:
         return drop_features(frame, spec.p, stream)
     if kind is MutationKind.DUPLICATE_FEATURES:
-        return duplicate_features(frame, spec.p, dims.m_pred, stream)
+        return duplicate_features(frame, spec.p, dims.m, stream)
     if kind is MutationKind.WRONG_CLASS:
-        return corrupt_class(frame, spec.p, stream, table)
+        return corrupt_class(frame, spec.p, stream)
     if kind is MutationKind.JITTER_CONTROL_POINTS:
         return jitter_control_points(frame, spec.sigma, stream)
     if kind is MutationKind.SHIFT_FEATURES:
@@ -318,18 +313,17 @@ def apply_recipe(
     frame: MapFrame,
     recipe: PerturbRecipe,
     dims: ModelDims = DEFAULT_DIMS,
-    invariance_table: Mapping[FeatureClass, InvarianceClass] | None = None,
 ) -> MapFrame:
     """Apply a recipe's mutations in order, then re-clip to the field of
     view so the output stays schema-valid after large shifts. The re-clip
     can split a feature into pieces, so the clipped frame keeps only its
-    first dims.m_pred features, the rule duplicate_features applies. Each
+    first dims.m features, the rule duplicate_features applies. Each
     mutation gets an independent stream keyed by (master seed, frame id,
     index)."""
     frame_key = stable_key(frame.frame_id)
     current = frame
     for index, spec in enumerate(recipe.mutations):
         stream = MutationStream(recipe.master_seed, frame_key, index)
-        current = _apply_one(current, spec, stream, dims, invariance_table)
+        current = _apply_one(current, spec, stream, dims)
     clipped = clip_to_fov(current)
-    return clipped.with_features(clipped.features[: dims.m_pred])
+    return clipped.with_features(clipped.features[: dims.m])

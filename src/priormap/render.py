@@ -18,6 +18,9 @@ CLASS_COLORS = {
     FeatureClass.NO_OBJECT: "#bbbbbb",
 }
 
+#: Width and height of every rendering, in pixels.
+SIZE_PX = 800
+
 #: stroke-dasharray per overlay layer name; unknown layers render solid.
 LAYER_DASH = {"ground_truth": "", "prediction": "6,4", "prior": "2,3"}
 
@@ -37,10 +40,7 @@ def _feature_element(feature, to_px, dash: str, width: float) -> str:
     )
 
 
-def frame_svg(
-    layers: Sequence[tuple[str, MapFrame]],
-    size_px: int = 800,
-) -> str:
+def frame_svg(layers: Sequence[tuple[str, MapFrame]]) -> str:
     """Render one or more layers of the same scene into an SVG string.
 
     Layers are (name, frame) pairs sharing a field of view; the first
@@ -50,15 +50,15 @@ def frame_svg(
     if not layers:
         raise ValueError("at least one layer is required")
     fov = layers[0][1].fov_side
-    scale = size_px / fov
+    scale = SIZE_PX / fov
 
     def to_px(p) -> tuple[float, float]:
         return ((p[0] + fov / 2.0) * scale, (fov / 2.0 - p[1]) * scale)
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size_px}" height="{size_px}" '
-        f'viewBox="0 0 {size_px} {size_px}">',
-        f'<rect x="0" y="0" width="{size_px}" height="{size_px}" fill="#ffffff" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE_PX}" height="{SIZE_PX}" '
+        f'viewBox="0 0 {SIZE_PX} {SIZE_PX}">',
+        f'<rect x="0" y="0" width="{SIZE_PX}" height="{SIZE_PX}" fill="#ffffff" '
         f'stroke="#444444" stroke-width="1"/>',
     ]
     for k, (name, frame) in enumerate(layers):
@@ -69,7 +69,7 @@ def frame_svg(
             parts.append(_feature_element(feat, to_px, dash, width))
         parts.append("</g>")
     # Ego marker at the origin.
-    cx = cy = size_px / 2.0
+    cx = cy = SIZE_PX / 2.0
     parts.append(
         f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="4" fill="#d62728"/>'
     )
@@ -77,7 +77,5 @@ def frame_svg(
     return "\n".join(parts) + "\n"
 
 
-def write_frame_svg(
-    path: str | Path, layers: Sequence[tuple[str, MapFrame]], size_px: int = 800
-) -> None:
-    Path(path).write_text(frame_svg(layers, size_px), encoding="utf-8")
+def write_frame_svg(path: str | Path, layers: Sequence[tuple[str, MapFrame]]) -> None:
+    Path(path).write_text(frame_svg(layers), encoding="utf-8")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -99,13 +99,13 @@ def feature_to_record(feature: MapFeature) -> dict:
     }
 
 
-def feature_from_record(record: dict, where: str, allow_no_object: bool = False) -> MapFeature:
+def feature_from_record(record: dict, where: str) -> MapFeature:
     rec = dict(record)
     cls_name = _as_str(_take(rec, "class", where), f"{where}.class")
     if cls_name not in _CLASS_BY_VALUE:
         raise SceneFormatError(f"{where}.class: unknown class {cls_name!r}")
     cls = _CLASS_BY_VALUE[cls_name]
-    if cls is FeatureClass.NO_OBJECT and not allow_no_object:
+    if cls is FeatureClass.NO_OBJECT:
         raise SceneFormatError(f"{where}.class: 'no_object' is not allowed in input files")
     inv_name = _as_str(_take(rec, "invariance", where), f"{where}.invariance")
     if inv_name not in _INVARIANCE_BY_VALUE:
@@ -166,31 +166,33 @@ def _bad_feature(where: str):
     raise SceneFormatError(f"{where}: expected an object")
 
 
-def write_scenes(frames: Iterable[MapFrame], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        write_scenes_to(frames, fh)
+_T = TypeVar("_T")
 
 
-def write_scenes_to(frames: Iterable[MapFrame], fh: IO[str]) -> None:
-    for frame in frames:
-        fh.write(_dumps(frame_to_record(frame)))
-        fh.write("\n")
-
-
-def iter_scenes(path: str | Path) -> Iterator[MapFrame]:
-    """Yield frames from a scene file, reporting errors with line numbers."""
+def _read_records(path: str | Path, parse: Callable[[dict], _T]) -> list[_T]:
+    """Parse every non-blank line of a line-delimited file in order; a
+    record that fails is reported with the file and its line number."""
+    out: list[_T] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                yield frame_from_record(_loads(line))
+                out.append(parse(_loads(line)))
             except SceneFormatError as exc:
                 raise SceneFormatError(f"{path}: line {lineno}: {exc}") from None
+    return out
+
+
+def write_scenes(frames: Iterable[MapFrame], path: str | Path) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for frame in frames:
+            fh.write(_dumps(frame_to_record(frame)))
+            fh.write("\n")
 
 
 def read_scenes(path: str | Path) -> list[MapFrame]:
-    return list(iter_scenes(path))
+    return _read_records(path, frame_from_record)
 
 
 def write_map_version(
@@ -219,33 +221,25 @@ def read_map_version(path: str | Path) -> tuple[str, list[MapFeature], list[str]
     version_id: str | None = None
     features: list[MapFeature] = []
     ids: list[str] = []
-    with_ids: bool | None = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = _loads(line)
-                if version_id is None:
-                    version_id = _as_str(_take(rec, "version_id", "header"), "header.version_id")
-                    _no_extras(rec, "header")
-                    continue
-                has_id = "id" in rec
-                if with_ids is None:
-                    with_ids = has_id
-                elif with_ids != has_id:
-                    raise SceneFormatError(
-                        "feature ids must be present on all features or none"
-                    )
-                fid = _as_str(rec.pop("id"), "feature.id") if has_id else ""
-                features.append(feature_from_record(rec, f"feature[{len(features)}]"))
-                if has_id:
-                    ids.append(fid)
-            except SceneFormatError as exc:
-                raise SceneFormatError(f"{path}: line {lineno}: {exc}") from None
+
+    def parse(rec: dict) -> None:
+        nonlocal version_id
+        if version_id is None:
+            version_id = _as_str(_take(rec, "version_id", "header"), "header.version_id")
+            _no_extras(rec, "header")
+            return
+        has_id = "id" in rec
+        # ids is non-empty exactly when the first feature carried an id.
+        if features and has_id != bool(ids):
+            raise SceneFormatError("feature ids must be present on all features or none")
+        if has_id:
+            ids.append(_as_str(rec.pop("id"), "feature.id"))
+        features.append(feature_from_record(rec, f"feature[{len(features)}]"))
+
+    _read_records(path, parse)
     if version_id is None:
         raise SceneFormatError(f"{path}: missing version header line")
-    return version_id, features, (ids if with_ids else None)
+    return version_id, features, (ids or None)
 
 
 def write_trajectory(poses: Sequence[tuple[float, Pose2D]], path: str | Path) -> None:
@@ -255,25 +249,19 @@ def write_trajectory(poses: Sequence[tuple[float, Pose2D]], path: str | Path) ->
             fh.write("\n")
 
 
+def _timed_pose_from_record(rec: dict) -> tuple[float, Pose2D]:
+    t = _as_float(_take(rec, "t", "pose"), "pose.t")
+    pose = Pose2D(
+        x=_as_float(_take(rec, "x", "pose"), "pose.x"),
+        y=_as_float(_take(rec, "y", "pose"), "pose.y"),
+        yaw=_as_float(_take(rec, "yaw", "pose"), "pose.yaw"),
+    )
+    _no_extras(rec, "pose")
+    return t, pose
+
+
 def read_trajectory(path: str | Path) -> list[tuple[float, Pose2D]]:
-    out: list[tuple[float, Pose2D]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = _loads(line)
-                t = _as_float(_take(rec, "t", "pose"), "pose.t")
-                pose = Pose2D(
-                    x=_as_float(_take(rec, "x", "pose"), "pose.x"),
-                    y=_as_float(_take(rec, "y", "pose"), "pose.y"),
-                    yaw=_as_float(_take(rec, "yaw", "pose"), "pose.yaw"),
-                )
-                _no_extras(rec, "pose")
-            except SceneFormatError as exc:
-                raise SceneFormatError(f"{path}: line {lineno}: {exc}") from None
-            out.append((t, pose))
-    return out
+    return _read_records(path, _timed_pose_from_record)
 
 
 def load_json_config(path: str | Path) -> dict:

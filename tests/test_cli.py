@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import argparse
+import hashlib
 import json
 
 import numpy as np
@@ -21,7 +23,7 @@ from priormap import (
     write_scenes,
     write_trajectory,
 )
-from priormap.cli import main
+from priormap.cli import build_parser, main
 
 
 @pytest.fixture
@@ -127,7 +129,7 @@ class TestLossCommand:
         assert main(["loss", "--pred", str(pred_path), "--labels", str(label_path),
                      "--out", str(out), "--m-max", "4"]) == 0
         report = json.loads(out.read_text())
-        dims = ModelDims(m_pred=4, m_gt=4, n_points=20)
+        dims = ModelDims(m=4, n_points=20)
         matrices = combined_cost_matrix(
             prediction_set_from_frame(noisy, dims),
             label_set_from_frame(labels, dims),
@@ -216,16 +218,24 @@ class TestEvalCommand:
         )
 
 
-class TestDiffMineCommands:
-    def _maps(self, tmp_path):
-        world = grid_world(n_blocks=3)
-        moved = list(world)
-        moved[0] = moved[0].with_points(moved[0].points + [0.0, 2.0])
-        old_path, new_path = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
-        write_map_version("v2020", world, old_path)
-        write_map_version("v2023", moved, new_path)
-        return old_path, new_path
+def _moved_curb_maps(tmp_path):
+    world = grid_world(n_blocks=3)
+    moved = list(world)
+    moved[0] = moved[0].with_points(moved[0].points + [0.0, 2.0])
+    old_path, new_path = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
+    write_map_version("v2020", world, old_path)
+    write_map_version("v2023", moved, new_path)
+    return old_path, new_path
 
+
+def _drive(tmp_path):
+    traj_path = tmp_path / "traj.jsonl"
+    poses = [(float(t), Pose2D(-100.0 + 5.0 * t, 0.0, 0.0)) for t in range(120)]
+    write_trajectory(poses, traj_path)
+    return traj_path
+
+
+class TestDiffMineCommands:
     def test_identical_maps_empty_report(self, tmp_path):
         world = grid_world(n_blocks=2)
         old_path, new_path = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
@@ -239,7 +249,7 @@ class TestDiffMineCommands:
         assert report["modified"] == [] and report["regions"] == []
 
     def test_moved_curb_fixture(self, tmp_path):
-        old_path, new_path = self._maps(tmp_path)
+        old_path, new_path = _moved_curb_maps(tmp_path)
         out = tmp_path / "diff.json"
         assert main(["diff", "--old", str(old_path), "--new", str(new_path),
                      "--out", str(out)]) == 0
@@ -249,10 +259,8 @@ class TestDiffMineCommands:
         assert len(report["regions"]) == 1
 
     def test_mine_pipeline(self, tmp_path):
-        old_path, new_path = self._maps(tmp_path)
-        traj_path = tmp_path / "traj.jsonl"
-        poses = [(float(t), Pose2D(-100.0 + 5.0 * t, 0.0, 0.0)) for t in range(120)]
-        write_trajectory(poses, traj_path)
+        old_path, new_path = _moved_curb_maps(tmp_path)
+        traj_path = _drive(tmp_path)
         prior_path, gt_path = tmp_path / "prior.jsonl", tmp_path / "gt.jsonl"
         report_path = tmp_path / "windows.json"
         assert main(["mine", "--old", str(old_path), "--new", str(new_path),
@@ -265,7 +273,7 @@ class TestDiffMineCommands:
                      "--out", str(tmp_path / "eval.json")]) == 0
 
     def test_trajectory_missing_timestamp_schema_error(self, tmp_path, capsys):
-        old_path, new_path = self._maps(tmp_path)
+        old_path, new_path = _moved_curb_maps(tmp_path)
         traj_path = tmp_path / "traj.jsonl"
         traj_path.write_text('{"x":0.0,"y":0.0,"yaw":0.0}\n')
         rc = main(["mine", "--old", str(old_path), "--new", str(new_path),
@@ -282,3 +290,96 @@ class TestRenderCommand:
         out_dir = tmp_path / "svg"
         assert main(["render", "--scenes", str(src), "--out-dir", str(out_dir)]) == 0
         assert len(list(out_dir.glob("*.svg"))) == len(frames)
+
+
+    def test_eval_render_dir_matches_render_overlay(self, tmp_path, scene_file):
+        src, frames = scene_file
+        rng = np.random.default_rng(8)
+        noisy = [
+            frame.with_features([f.with_points(f.points + rng.normal(0, 0.5, f.points.shape))
+                                 for f in frame.features])
+            for frame in reversed(frames)
+        ]
+        pred = tmp_path / "pred.jsonl"
+        write_scenes(noisy, pred)
+        via_eval, via_render = tmp_path / "eval_svg", tmp_path / "render_svg"
+        assert main(["eval", "--pred", str(pred), "--gt", str(src),
+                     "--out", str(tmp_path / "eval.json"), "--render-dir", str(via_eval)]) == 0
+        assert main(["render", "--scenes", str(src), "--overlay", str(pred),
+                     "--out-dir", str(via_render)]) == 0
+        svgs = sorted(p.name for p in via_eval.glob("*.svg"))
+        assert svgs == sorted(f"{f.frame_id}.svg" for f in frames)
+        assert sorted(p.name for p in via_render.glob("*.svg")) == svgs
+        for name in svgs:
+            assert (via_eval / name).read_bytes() == (via_render / name).read_bytes()
+
+
+def _canonical_hash(config: dict) -> str:
+    canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+
+
+def _manifest_case(command: str, tmp_path, scenes):
+    """argv of one run of a subcommand, its manifest path, the config it
+    must hash, its inputs and its master seed."""
+    out = tmp_path / "out"
+    copy = tmp_path / "copy.jsonl"
+    copy.write_bytes(scenes.read_bytes())
+    if command == "perturb":
+        recipe = tmp_path / "recipe.json"
+        recipe.write_text(json.dumps(
+            {"master_seed": 7, "mutations": [{"kind": "drop_features", "p": 0.1}]}))
+        argv = ["perturb", "--scenes", str(scenes), "--recipe", str(recipe),
+                "--out", str(out), "--seed", "99"]
+        config = {"recipe": {"master_seed": 99, "mutations": [{"kind": "drop_features", "p": 0.1}]},
+                  "n_points": 20, "m_max": 50}
+        return argv, out, config, [scenes, recipe], 99
+    if command == "loss":
+        argv = ["loss", "--pred", str(scenes), "--labels", str(copy), "--out", str(out),
+                "--m-max", "10"]
+        weights = {"class_weight": 2.0, "point_weight": 5.0, "cosine_weight": 0.02,
+                   "focal_alpha": 0.25, "focal_gamma": 2.0, "joint_cosine": False}
+        return argv, out, {"weights": weights, "n_points": 20, "m_max": 10}, [scenes, copy], None
+    if command == "eval":
+        argv = ["eval", "--pred", str(scenes), "--gt", str(copy), "--out", str(out),
+                "--thresholds", "0.2,0.4"]
+        config = {"thresholds": [0.2, 0.4],
+                  "classes": ["lane_center", "lane_divider", "road_boundary", "driveway"],
+                  "score_floor": 0.05, "densify": 0}
+        return argv, out, config, [scenes, copy], None
+    if command == "render":
+        argv = ["render", "--scenes", str(scenes), "--overlay", str(copy), "--out-dir", str(out)]
+        return argv, out / "render", {"overlay": True}, [scenes, copy], None
+    old, new = _moved_curb_maps(tmp_path)
+    diff_config = {"modify_tol": 0.25, "max_match_dist": 10.0, "buffer": 20.0}
+    if command == "diff":
+        argv = ["diff", "--old", str(old), "--new", str(new), "--out", str(out)]
+        return argv, out, diff_config, [old, new], None
+    traj = _drive(tmp_path)
+    argv = ["mine", "--old", str(old), "--new", str(new), "--trajectory", str(traj),
+            "--out-prior", str(out), "--out-gt", str(tmp_path / "gt.jsonl"), "--window", "20"]
+    config = {**diff_config, "fov": 90.0, "window": 20.0, "n_points": 20}
+    return argv, out, config, [old, new, traj], None
+
+
+@pytest.mark.parametrize("command", ["perturb", "loss", "eval", "diff", "mine", "render"])
+def test_manifest_of_every_subcommand(tmp_path, scene_file, command):
+    argv, out, config, inputs, seed = _manifest_case(command, tmp_path, scene_file[0])
+    assert main(argv) == 0
+    manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
+    assert manifest["command"] == command
+    assert manifest["master_seed"] == seed
+    assert sorted(manifest["input_digests"]) == sorted({str(p) for p in inputs})
+    assert manifest["config_hash"] == _canonical_hash(config)
+
+
+def test_every_option_has_help_text():
+    parser = build_parser()
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    missing = [
+        f"{name} {action.option_strings[0]}"
+        for name, sub in subcommands.choices.items()
+        for action in sub._actions
+        if action.option_strings and not action.help
+    ]
+    assert missing == []

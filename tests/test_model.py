@@ -175,7 +175,7 @@ class TestRigidTransform:
 
 class TestPadding:
     def test_counting(self):
-        dims = ModelDims(m_pred=5, m_gt=5, n_points=4)
+        dims = ModelDims(m=5, n_points=4)
         feats = [line_feature(n=4), line_feature(y=5, n=4)]
         padded = pad_to_fixed(feats, dims)
         assert len(padded) == 5
@@ -186,22 +186,22 @@ class TestPadding:
             assert not pad.points.any()
 
     def test_empty_input(self):
-        padded = pad_to_fixed([], ModelDims(m_pred=3, m_gt=3, n_points=4))
+        padded = pad_to_fixed([], ModelDims(m=3, n_points=4))
         assert len(padded) == 3
         assert all(p.feature_class is FeatureClass.NO_OBJECT for p in padded)
 
     def test_full_input_unchanged(self):
-        dims = ModelDims(m_pred=2, m_gt=2, n_points=4)
+        dims = ModelDims(m=2, n_points=4)
         feats = [line_feature(n=4), line_feature(y=3, n=4)]
         assert pad_to_fixed(feats, dims) == tuple(feats)
 
     def test_overflow(self):
-        dims = ModelDims(m_pred=1, m_gt=1, n_points=4)
+        dims = ModelDims(m=1, n_points=4)
         with pytest.raises(FrameOverflowError, match="frame overflow"):
             pad_to_fixed([line_feature(n=4), line_feature(y=1, n=4)], dims)
 
     def test_double_padding_is_an_error(self):
-        dims = ModelDims(m_pred=4, m_gt=4, n_points=4)
+        dims = ModelDims(m=4, n_points=4)
         padded = pad_to_fixed([line_feature(n=4)], dims)
         with pytest.raises(ValueError, match="no-object"):
             pad_to_fixed(padded, dims)

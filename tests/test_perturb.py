@@ -273,7 +273,7 @@ class TestRecipe:
             mutations=(MutationSpec(MutationKind.DUPLICATE_FEATURES, p=1.0),),
             master_seed=5,
         )
-        out = apply_recipe(frame, recipe, ModelDims(m_pred=8, m_gt=8, n_points=20))
+        out = apply_recipe(frame, recipe, ModelDims(m=8, n_points=20))
         assert len(out.features) == 8
 
     def test_final_clip_keeps_slot_budget(self):
