@@ -16,9 +16,9 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .evaluation import chamfer_distance
+from .matching import linear_sum_assignment
 from .model import (
     InvarianceClass,
     MapFeature,

@@ -19,7 +19,6 @@ from dataclasses import dataclass, fields
 from typing import Mapping
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .model import (
     DEFAULT_DIMS,
@@ -258,12 +257,26 @@ def _class_pass(
     return cost, chosen
 
 
+def _class_columns(labels: LabelSet, invariance: InvarianceClass) -> np.ndarray:
+    """Boolean mask of the label columns of one invariance class, no-object
+    pads excluded."""
+    return np.array(
+        [
+            inv is invariance and cls is not FeatureClass.NO_OBJECT
+            for cls, inv in zip(labels.classes, labels.invariances)
+        ],
+        dtype=bool,
+    )
+
+
 def point_cost_matrix(
     pred: PredictionSet, labels: LabelSet, invariance: InvarianceClass
 ) -> np.ndarray:
     """Pairwise symmetry-minimized L1 cost for one invariance class; label
-    columns of any other class (including no-object pads) are zero."""
-    return combined_cost_matrix(pred, labels).point_by_class[invariance]
+    columns of any other class (including no-object pads) are zero. Each
+    class's columns of the point total hold exactly that class's cost."""
+    total = combined_cost_matrix(pred, labels).point_total
+    return np.where(_class_columns(labels, invariance), total, 0.0)
 
 
 def point_cost_total(pred: PredictionSet, labels: LabelSet) -> np.ndarray:
@@ -302,7 +315,6 @@ def focal_cost_matrix(
 class LossMatrices:
     """All pairwise cost matrices feeding the assignment step."""
 
-    point_by_class: Mapping[InvarianceClass, np.ndarray]
     point_total: np.ndarray
     focal: np.ndarray
     cosine: np.ndarray
@@ -324,21 +336,14 @@ def combined_cost_matrix(
             f"shape mismatch: predictions {pred.points.shape} vs labels {labels.points.shape}"
         )
     joint = weights.cosine_weight if weights.joint_cosine else 0.0
-    by_class: dict[InvarianceClass, np.ndarray] = {}
     point_total = np.zeros((pred.m, labels.m), dtype=np.float64)
     cosine = np.zeros((pred.m, labels.m), dtype=np.float64)
     for invariance in InvarianceClass:
-        cols = [
-            j
-            for j, (cls, inv) in enumerate(zip(labels.classes, labels.invariances))
-            if inv is invariance and cls is not FeatureClass.NO_OBJECT
-        ]
-        by_class[invariance] = np.zeros((pred.m, labels.m), dtype=np.float64)
-        if not cols:
+        cols = np.flatnonzero(_class_columns(labels, invariance))
+        if not cols.size:
             continue
         perms = valid_permutations(invariance, pred.points.shape[1])
         cost, chosen = _class_pass(pred.points, labels.points[cols], perms, joint)
-        by_class[invariance][:, cols] = cost
         point_total[:, cols] = cost
         cosine[:, cols] = chosen
     focal = focal_cost_matrix(pred, labels, weights.focal_alpha, weights.focal_gamma)
@@ -346,7 +351,6 @@ def combined_cost_matrix(
         point_total + weights.cosine_weight * cosine
     )
     return LossMatrices(
-        point_by_class=by_class,
         point_total=point_total,
         focal=focal,
         cosine=cosine,
@@ -362,6 +366,15 @@ class MatchResult:
     assignment: tuple[int, ...]
     total_loss: float
     pair_losses: tuple[float, ...]
+
+
+def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """scipy's rectangular assignment solver, imported at the first solve:
+    of the subcommands only `loss`, `diff` and `mine` solve assignments, so
+    the others start without loading scipy.optimize."""
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(cost)
 
 
 def _lexicographic_refine(cost: np.ndarray, base_cols: np.ndarray) -> np.ndarray:

@@ -95,7 +95,7 @@ def feature_to_record(feature: MapFeature) -> dict:
         "class": feature.feature_class.value,
         "invariance": feature.invariance.value,
         "confidence": feature.confidence,
-        "points": [[float(x), float(y)] for x, y in feature.points],
+        "points": feature.points.tolist(),
     }
 
 

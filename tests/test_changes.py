@@ -151,6 +151,23 @@ class TestDiffMaps:
             assert math.hypot(gap_x, gap_y) <= GATE
         assert len(calls) < len(feats) ** 2 / 10
 
+    def test_solves_through_module_attribute(self, monkeypatch):
+        # Assignment sizes are counted by patching changes.linear_sum_assignment
+        # (bench/tracing.py), so the id-less diff must solve through that name.
+        solve, shapes = changes.linear_sum_assignment, []
+
+        def counting(cost):
+            shapes.append(cost.shape)
+            return solve(cost)
+
+        old = [line_feature(y=0.0), line_feature(y=20.0),
+               line_feature(y=0.0, cls=FeatureClass.ROAD_BOUNDARY)]
+        new = [old[0].with_points(old[0].points + [0.0, 1.0]), old[2]]
+        monkeypatch.setattr(changes, "linear_sum_assignment", counting)
+        report = diff_maps(self._version(old, "old"), self._version(new, "new"))
+        assert report.modified[0][:2] == ("0", "0") and report.removed == ("1",)
+        assert sorted(shapes) == [(1, 1), (2, 1)]
+
     def test_zero_gate_still_matches_identical_features(self):
         a = line_feature(y=0.0)
         b = line_feature(y=50.0)

@@ -3,10 +3,15 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import priormap
 from conftest import grid_world, line_feature, random_frame
 from priormap import (
     LossWeights,
@@ -383,3 +388,56 @@ def test_every_option_has_help_text():
         if action.option_strings and not action.help
     ]
     assert missing == []
+
+
+_STARTUP_PROBE = """
+import json, sys
+from priormap.cli import main
+try:
+    rc = main(sys.argv[1:])
+except SystemExit as exc:  # --help leaves through argparse
+    rc = exc.code
+print(json.dumps({"rc": rc, "scipy_optimize": "scipy.optimize" in sys.modules}))
+"""
+
+
+def _fresh_process(argv: list[str]) -> dict:
+    """Run main(argv) in a new interpreter; report its exit code and whether
+    scipy.optimize was loaded by the end."""
+    paths = [str(Path(priormap.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    done = subprocess.run([sys.executable, "-c", _STARTUP_PROBE, *argv], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def _startup_argv(command: str, tmp_path, scenes) -> list[str]:
+    if command == "--help":
+        return ["--help"]
+    if command == "perturb":
+        recipe = tmp_path / "recipe.json"
+        recipe.write_text(json.dumps(recipe_to_dict(low_all_noise_recipe(5))))
+        return ["perturb", "--scenes", str(scenes), "--recipe", str(recipe),
+                "--out", str(tmp_path / "out.jsonl")]
+    if command == "eval":
+        return ["eval", "--pred", str(scenes), "--gt", str(scenes),
+                "--out", str(tmp_path / "eval.json"), "--render-dir", str(tmp_path / "svg")]
+    return ["render", "--scenes", str(scenes), "--overlay", str(scenes),
+            "--out-dir", str(tmp_path / "svg")]
+
+
+@pytest.mark.parametrize("command", ["--help", "perturb", "eval", "render"])
+def test_subcommands_without_assignment_start_without_scipy(tmp_path, scene_file, command):
+    probe = _fresh_process(_startup_argv(command, tmp_path, scene_file[0]))
+    assert probe == {"rc": 0, "scipy_optimize": False}
+
+
+def test_loss_solves_with_scipy_in_a_fresh_process(tmp_path, scene_file):
+    src, _ = scene_file
+    fresh, here = tmp_path / "fresh.json", tmp_path / "here.json"
+    probe = _fresh_process(["loss", "--pred", str(src), "--labels", str(src),
+                            "--out", str(fresh), "--m-max", "10"])
+    assert probe == {"rc": 0, "scipy_optimize": True}
+    assert main(["loss", "--pred", str(src), "--labels", str(src),
+                 "--out", str(here), "--m-max", "10"]) == 0
+    assert fresh.read_bytes() == here.read_bytes()

@@ -4,11 +4,12 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import line_feature, random_frame
 from priormap import (
+    REAL_CLASSES,
     FeatureClass,
     InvarianceClass,
     MapFeature,
@@ -63,6 +64,96 @@ class TestSceneRoundTrip:
         write_scenes(frames, p1)
         write_scenes(frames, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def _per_point_scene_bytes(frames) -> bytes:
+    """The scene writer as it was before points went out through
+    ndarray.tolist(): every coordinate passed through float() one by one.
+    Kept as the oracle for the bytes write_scenes produces."""
+    lines = []
+    for frame in frames:
+        record = {
+            "frame_id": frame.frame_id,
+            "ego_pose": {"x": frame.ego_pose.x, "y": frame.ego_pose.y, "yaw": frame.ego_pose.yaw},
+            "fov_side": frame.fov_side,
+            "features": [
+                {
+                    "class": f.feature_class.value,
+                    "invariance": f.invariance.value,
+                    "confidence": f.confidence,
+                    "points": [[float(x), float(y)] for x, y in f.points],
+                }
+                for f in frame.features
+            ],
+        }
+        lines.append(json.dumps(record, separators=(",", ":"), allow_nan=False) + "\n")
+    return "".join(lines).encode("utf-8")
+
+
+#: Coordinates whose text form is easy to get wrong: signed zero, the
+#: smallest subnormal, the largest double, and values around the switch
+#: to exponent notation.
+_AWKWARD = (-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1e-7, 1e-4,
+            1e15, 1e16, 1e22, -1.7976931348623157e308, 1.7976931348623157e308, 3.0, 0.1)
+
+
+class TestWriterMatchesPerPointOracle:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bytes_identical(self, tmp_path, seed):
+        rng = np.random.default_rng(700 + seed)
+        frames = []
+        for k in range(4):
+            frame = random_frame(rng, f"frame_{k}", n_features=int(rng.integers(0, 9)))
+            features = []
+            for f in frame.features:
+                pts = f.points * np.exp(rng.uniform(-40, 40))
+                picks = rng.random(pts.shape) < 0.3
+                pts[picks] = rng.choice(_AWKWARD, size=int(picks.sum()))
+                features.append(f.with_points(pts))
+            frames.append(frame.with_features(features))
+        path = tmp_path / "scenes.jsonl"
+        write_scenes(frames, path)
+        assert path.read_bytes() == _per_point_scene_bytes(frames)
+        assert b"-0.0" in path.read_bytes()
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _feature(draw):
+    invariance = draw(st.sampled_from(list(InvarianceClass)))
+    n = draw(st.integers(3 if invariance is InvarianceClass.POLYGON else 2, 6))
+    pts = np.array(draw(st.lists(st.tuples(_finite, _finite), min_size=n, max_size=n)))
+    assume(invariance is not InvarianceClass.POLYGON or not np.array_equal(pts[0], pts[-1]))
+    return MapFeature(draw(st.sampled_from(REAL_CLASSES)), invariance, pts,
+                      confidence=draw(st.floats(0.0, 1.0)))
+
+
+@st.composite
+def _frame(draw):
+    frame_id = draw(st.text(st.characters(exclude_categories=("Cs",)), min_size=1, max_size=8))
+    pose = Pose2D(draw(_finite), draw(_finite), draw(_finite))
+    fov_side = draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    return MapFrame(frame_id, pose, fov_side, tuple(draw(st.lists(_feature(), max_size=4))))
+
+
+class TestSceneRoundTripProperty:
+    @given(st.lists(_frame(), max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_write_then_read_is_exact(self, tmp_path_factory, frames):
+        path = tmp_path_factory.mktemp("io") / "scenes.jsonl"
+        write_scenes(frames, path)
+        back = read_scenes(path)
+        assert back == frames
+        for got, want in zip(back, frames):
+            for a, b in zip(got.features, want.features):
+                assert a.points.tobytes() == b.points.tobytes()  # signed zeros too
+        # every number is written in its shortest exact form, so equal bytes
+        # on a second write mean every value came back bit for bit
+        again = tmp_path_factory.mktemp("io") / "again.jsonl"
+        write_scenes(back, again)
+        assert again.read_bytes() == path.read_bytes()
 
 
 class TestSceneErrors:
