@@ -16,9 +16,10 @@ import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import __version__
 from .changes import (
@@ -109,6 +110,16 @@ def _parallel_map(fn: Callable, items: Sequence, jobs: int) -> list:
         return list(pool.map(fn, items))
 
 
+@contextmanager
+def _naming(where: str) -> Iterator[None]:
+    """Prefix a ValueError raised inside the block with where it arose: the
+    input file(s) and, for per-frame work, the frame id."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+
+
 def _dims_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n-points", type=int, default=DEFAULT_DIMS.n_points,
                         help="control points per feature")
@@ -152,7 +163,12 @@ def cmd_perturb(args: argparse.Namespace) -> Run:
         recipe = replace(recipe, master_seed=args.seed)
     dims = _dims_from(args)
     frames = read_scenes(args.scenes)
-    out_frames = _parallel_map(lambda f: apply_recipe(f, recipe, dims), frames, args.jobs)
+
+    def perturb(frame: MapFrame) -> MapFrame:
+        with _naming(f"{args.scenes}, frame {frame.frame_id}"):
+            return apply_recipe(frame, recipe, dims)
+
+    out_frames = _parallel_map(perturb, frames, args.jobs)
     out_path = Path(args.out)
     write_scenes(out_frames, out_path)
     print(f"perturbed {len(out_frames)} frame(s) -> {out_path}")
@@ -176,16 +192,12 @@ def cmd_loss(args: argparse.Namespace) -> Run:
 
     def score(pair):
         pred_frame, label_frame = pair
-        try:
+        with _naming(f"{args.pred} against {args.labels}, frame {label_frame.frame_id}"):
             loss = matched_loss(
                 prediction_set_from_frame(pred_frame, dims),
                 label_set_from_frame(label_frame, dims),
                 weights,
             )
-        except ValueError as exc:
-            raise ValueError(
-                f"{args.pred} against {args.labels}, frame {label_frame.frame_id}: {exc}"
-            ) from exc
         return {
             "frame_id": label_frame.frame_id,
             **{term: getattr(loss, term) for term in _LOSS_TERMS},
@@ -227,7 +239,8 @@ def cmd_eval(args: argparse.Namespace) -> Run:
         config = replace(config, thresholds=taus)
     preds = read_scenes(args.pred)
     gts = read_scenes(args.gt)
-    report = evaluate(preds, gts, config)
+    with _naming(f"{args.pred} against {args.gt}"):
+        report = evaluate(preds, gts, config)
     out_path = Path(args.out)
     _write_json(out_path, report.to_dict())
     if args.render_dir:
@@ -289,10 +302,11 @@ def cmd_mine(args: argparse.Namespace) -> Run:
                 and new.extent.contains_point(pose.x, pose.y)):
             skipped += 1
             continue
-        pair = build_scene_pair(
-            old, new, pose, fov_side=args.fov, n_points=args.n_points,
-            frame_id=f"window_{k:04d}",
-        )
+        frame_id = f"window_{k:04d}"
+        with _naming(f"{args.old} to {args.new}, frame {frame_id}"):
+            pair = build_scene_pair(
+                old, new, pose, fov_side=args.fov, n_points=args.n_points, frame_id=frame_id
+            )
         priors.append(pair.prior)
         gts.append(pair.ground_truth)
         window_rows.append(

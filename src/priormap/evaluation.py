@@ -214,6 +214,7 @@ def evaluate(
 
     Classes with no labels anywhere are excluded from the mAP mean; the
     mAP is the mean over remaining classes of the mean over thresholds.
+    An error in the work on one frame names the frame.
     """
     pairs = pair_frames(pred_frames, gt_frames)
     records: dict[FeatureClass, dict[float, list[tuple[float, bool]]]] = {
@@ -224,8 +225,11 @@ def evaluate(
     }
     n_gt: dict[FeatureClass, int] = {cls: 0 for cls in config.classes}
     for pred_frame, gt_frame in pairs:
-        preds = [_densified(f, config) for f in _usable_predictions(pred_frame, config)]
-        gts = [_densified(f, config) for f in gt_frame.features]
+        try:
+            preds = [_densified(f, config) for f in _usable_predictions(pred_frame, config)]
+            gts = [_densified(f, config) for f in gt_frame.features]
+        except ValueError as exc:
+            raise ValueError(f"frame {gt_frame.frame_id}: {exc}") from exc
         for cls in config.classes:
             cls_preds = [f for f in preds if f.feature_class is cls]
             cls_gts = [f for f in gts if f.feature_class is cls]

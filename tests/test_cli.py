@@ -392,18 +392,20 @@ def test_every_option_has_help_text():
 
 _STARTUP_PROBE = """
 import json, sys
+from priormap import matching
 from priormap.cli import main
 try:
     rc = main(sys.argv[1:])
 except SystemExit as exc:  # --help leaves through argparse
     rc = exc.code
-print(json.dumps({"rc": rc, "scipy_optimize": "scipy.optimize" in sys.modules}))
+print(json.dumps({"rc": rc, "scipy_optimize": "scipy.optimize" in sys.modules,
+                  "solver": matching._solver is not None}))
 """
 
 
 def _fresh_process(argv: list[str]) -> dict:
-    """Run main(argv) in a new interpreter; report its exit code and whether
-    scipy.optimize was loaded by the end."""
+    """Run main(argv) in a new interpreter; report its exit code, whether
+    scipy.optimize was loaded by the end and whether a solver was."""
     paths = [str(Path(priormap.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     done = subprocess.run([sys.executable, "-c", _STARTUP_PROBE, *argv], env=env,
@@ -429,15 +431,80 @@ def _startup_argv(command: str, tmp_path, scenes) -> list[str]:
 @pytest.mark.parametrize("command", ["--help", "perturb", "eval", "render"])
 def test_subcommands_without_assignment_start_without_scipy(tmp_path, scene_file, command):
     probe = _fresh_process(_startup_argv(command, tmp_path, scene_file[0]))
-    assert probe == {"rc": 0, "scipy_optimize": False}
+    assert probe == {"rc": 0, "scipy_optimize": False, "solver": False}
 
 
-def test_loss_solves_with_scipy_in_a_fresh_process(tmp_path, scene_file):
+def _solving_case(command: str, tmp_path, scenes) -> tuple[list[str], list[Path]]:
+    """argv of a run of a subcommand that solves assignments, with its
+    outputs placed under tmp_path."""
+    if command == "loss":
+        return (["loss", "--pred", str(scenes), "--labels", str(scenes),
+                 "--out", str(tmp_path / "loss.json"), "--m-max", "10"],
+                [tmp_path / "loss.json"])
+    old, new = _moved_curb_maps(tmp_path)
+    if command == "diff":
+        return (["diff", "--old", str(old), "--new", str(new),
+                 "--out", str(tmp_path / "diff.json")], [tmp_path / "diff.json"])
+    outs = [tmp_path / "prior.jsonl", tmp_path / "gt.jsonl", tmp_path / "windows.json"]
+    return (["mine", "--old", str(old), "--new", str(new), "--trajectory", str(_drive(tmp_path)),
+             "--out-prior", str(outs[0]), "--out-gt", str(outs[1]), "--report", str(outs[2]),
+             "--window", "20"], outs)
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("loss", []), ("loss", ["--jobs", "2"]), ("diff", []), ("mine", []),
+], ids=["loss", "loss-jobs-2", "diff", "mine"])
+def test_solving_subcommands_load_only_the_compiled_kernel(tmp_path, scene_file, command, extra):
+    fresh_dir, here_dir = tmp_path / "fresh", tmp_path / "here"
+    fresh_dir.mkdir()
+    here_dir.mkdir()
+    argv, fresh_outs = _solving_case(command, fresh_dir, scene_file[0])
+    assert _fresh_process(argv + extra) == {"rc": 0, "scipy_optimize": False, "solver": True}
+    argv, here_outs = _solving_case(command, here_dir, scene_file[0])
+    assert main(argv + extra) == 0
+    for fresh, here in zip(fresh_outs, here_outs):
+        assert fresh.read_bytes() == here.read_bytes()
+
+
+def _error_of(argv: list[str], capsys) -> str:
+    assert main(argv) == 1
+    return capsys.readouterr().err
+
+
+def _zero_length_line(x: float, y: float):
+    return line_feature(y=0.0).with_points(np.zeros((20, 2)) + [x, y])
+
+
+def test_perturb_error_names_file_and_frame(tmp_path, scene_file, capsys):
     src, _ = scene_file
-    fresh, here = tmp_path / "fresh.json", tmp_path / "here.json"
-    probe = _fresh_process(["loss", "--pred", str(src), "--labels", str(src),
-                            "--out", str(fresh), "--m-max", "10"])
-    assert probe == {"rc": 0, "scipy_optimize": True}
-    assert main(["loss", "--pred", str(src), "--labels", str(src),
-                 "--out", str(here), "--m-max", "10"]) == 0
-    assert fresh.read_bytes() == here.read_bytes()
+    recipe = tmp_path / "recipe.json"
+    recipe.write_text(json.dumps(
+        {"master_seed": 1, "mutations": [{"kind": "jitter_control_points", "sigma": 1e308}]}))
+    with np.errstate(over="ignore"):
+        err = _error_of(["perturb", "--scenes", str(src), "--recipe", str(recipe),
+                         "--out", str(tmp_path / "out.jsonl")], capsys)
+    assert f"{src}, frame frame_0: points must be finite" in err
+
+
+def test_eval_error_names_files_and_frame(tmp_path, scene_file, capsys):
+    src, frames = scene_file
+    bad = frames[2].with_features([*frames[2].features, _zero_length_line(1.0, 2.0)])
+    gt = tmp_path / "gt.jsonl"
+    write_scenes([*frames[:2], bad, frames[3]], gt)
+    config = tmp_path / "eval_config.json"
+    config.write_text(json.dumps({"densify": 30}))
+    err = _error_of(["eval", "--pred", str(src), "--gt", str(gt), "--config", str(config),
+                     "--out", str(tmp_path / "eval.json")], capsys)
+    assert f"{src} against {gt}: frame frame_2: degenerate feature" in err
+
+
+def test_mine_error_names_files_and_frame(tmp_path, capsys):
+    world = grid_world(n_blocks=3)
+    old, new = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
+    write_map_version("v2020", world, old)
+    write_map_version("v2023", [*world, _zero_length_line(30.0, 1.0)], new)
+    err = _error_of(["mine", "--old", str(old), "--new", str(new),
+                     "--trajectory", str(_drive(tmp_path)), "--out-prior",
+                     str(tmp_path / "prior.jsonl"), "--out-gt", str(tmp_path / "gt.jsonl"),
+                     "--window", "20"], capsys)
+    assert f"{old} to {new}, frame window_0001: degenerate feature" in err

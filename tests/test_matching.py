@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -644,6 +645,121 @@ class TestHungarian:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
             hungarian_assign(np.zeros((2, 3)))
+
+
+class TestCompiledSolver:
+    """matching.linear_sum_assignment loads scipy's compiled `_lsap` kernel
+    without the scipy.optimize package; scipy.optimize's own solver is the
+    oracle, so every output and error must be the same."""
+
+    @pytest.fixture(scope="class")
+    def kernel(self):
+        import importlib.machinery
+
+        import priormap.matching as matching
+
+        # The kernel path, not the fallback. Python keeps one copy of a
+        # single-phase extension's functions, so once scipy.optimize is
+        # imported a later load may hand out the package's function object.
+        assert isinstance(matching._lsap_spec().loader, importlib.machinery.ExtensionFileLoader)
+        return matching._load_solver()
+
+    @staticmethod
+    def _same(kernel, cost):
+        from scipy.optimize import linear_sum_assignment as oracle
+
+        got, want = kernel(cost), oracle(cost)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_square(self, kernel, seed):
+        self._same(kernel, np.random.default_rng(900 + seed).uniform(0, 10, (50, 50)))
+
+    @pytest.mark.parametrize("shape", [(7, 30), (30, 7), (1, 5), (5, 1)])
+    def test_rectangular_both_orientations(self, kernel, shape):
+        self._same(kernel, np.random.default_rng(sum(shape)).uniform(0, 10, shape))
+
+    @pytest.mark.parametrize("m", [50, 100, 200])
+    def test_tie_heavy_integer_costs(self, kernel, m):
+        self._same(kernel, np.random.default_rng(m).integers(0, 3, (m, m)).astype(float))
+
+    def test_empty(self, kernel):
+        self._same(kernel, np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("cost", [
+        np.array([[np.nan, 1.0], [1.0, 0.0]]),
+        np.array([[np.inf, np.inf], [1.0, 1.0]]),
+    ], ids=["nan", "infeasible-inf"])
+    def test_same_errors(self, kernel, cost):
+        from scipy.optimize import linear_sum_assignment as oracle
+
+        with pytest.raises(ValueError) as want:
+            oracle(cost)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            kernel(cost)
+
+    def test_concurrent_first_solves_load_once(self, monkeypatch):
+        import sys
+        import threading
+        import time
+
+        import priormap.matching as matching
+
+        load, loads = matching._load_solver, []
+
+        def slow_load():
+            loads.append(threading.get_ident())
+            time.sleep(0.01)  # widen the window in which a second load could start
+            return load()
+
+        monkeypatch.setattr(matching, "_solver", None)
+        monkeypatch.setattr(matching, "_load_solver", slow_load)
+        cost = np.random.default_rng(5).uniform(0, 10, (20, 20))
+        workers = 8
+        start = threading.Barrier(workers)
+        results = [None] * workers
+
+        def solve(k):
+            start.wait(timeout=10)
+            results[k] = matching.linear_sum_assignment(cost)[1]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=solve, args=(k,)) for k in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(loads) == 1
+        assert all(np.array_equal(r, results[0]) for r in results)
+
+    @pytest.mark.parametrize("spec", [None, "json"], ids=["no-spec", "source-module"])
+    def test_falls_back_to_scipy_optimize(self, tmp_path, monkeypatch, spec):
+        import importlib.util
+
+        import priormap.matching as matching
+        from conftest import random_frame
+        from priormap import write_scenes
+        from priormap.cli import main
+        from scipy.optimize import linear_sum_assignment as oracle
+
+        rng = np.random.default_rng(31)
+        scenes = tmp_path / "scenes.jsonl"
+        write_scenes([random_frame(rng, f"frame_{i}", n_features=6) for i in range(3)], scenes)
+        argv = ["loss", "--pred", str(scenes), "--labels", str(scenes), "--m-max", "10"]
+        assert main([*argv, "--out", str(tmp_path / "kernel.json")]) == 0
+        found = importlib.util.find_spec(spec) if spec else None
+        monkeypatch.setattr(matching, "_lsap_spec", lambda: found)
+        monkeypatch.setattr(matching, "_solver", None)
+        assert main([*argv, "--out", str(tmp_path / "package.json")]) == 0
+        assert matching._solver is oracle
+        assert (tmp_path / "kernel.json").read_bytes() == (tmp_path / "package.json").read_bytes()
 
 
 class TestMatchedLoss:
