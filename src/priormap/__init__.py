@@ -24,6 +24,7 @@ from .evaluation import (
     EvalReport,
     average_precision,
     chamfer_distance,
+    chamfer_matrix,
     evaluate,
     match_predictions,
 )

@@ -2,14 +2,16 @@
 
 Predictions and ground truth are matched greedily per frame and per class
 in descending confidence order; a prediction claims the nearest unmatched
-label when their symmetric Chamfer distance is within the threshold.
-Average precision integrates the interpolated precision envelope with a
-threshold sweep over confidence levels, which makes the result invariant
-to frame and prediction ordering. The report averages per-class AP over
-thresholds first, then over classes.
+label when their symmetric Chamfer distance is within the threshold. The
+distances are computed once per frame and class, as one matrix that every
+threshold's matching reads. Average precision integrates the interpolated
+precision envelope with a threshold sweep over confidence levels, which
+makes the result invariant to frame and prediction ordering. The report
+averages per-class AP over thresholds first, then over classes.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -66,14 +68,94 @@ class EvalConfig:
         return cls(**kwargs)
 
 
+#: Most elements of the (rows, labels, na, nb) distance block that
+#: chamfer_matrix holds at once (8 MB of float64 per block array).
+_BLOCK_ELEMENTS = 1 << 20
+
+
+def chamfer_matrix(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """Symmetric Chamfer distance of every pair from a (P, na, 2) and a
+    (G, nb, 2) point stack, as a (P, G) array.
+
+    Each directed mean is taken over the last axis of a fresh array, so it
+    sums in the same pairwise order as a 1-D mean and every entry equals
+    the pair's distance computed alone, bit for bit. Rows and columns are
+    split into blocks of at most _BLOCK_ELEMENTS point pairs (or of one
+    feature pair, if that alone is larger), which changes no reduction
+    order.
+    """
+    pa = np.asarray(pa, dtype=np.float64)
+    pb = np.asarray(pb, dtype=np.float64)
+    out = np.empty((pa.shape[0], pb.shape[0]))
+    pair_points = max(1, pa.shape[1] * pb.shape[1])
+    cols = max(1, min(pb.shape[0], _BLOCK_ELEMENTS // pair_points))
+    rows = max(1, _BLOCK_ELEMENTS // (cols * pair_points))
+    for j in range(0, pb.shape[0], cols):
+        b = pb[j : j + cols]
+        for i in range(0, pa.shape[0], rows):
+            a = pa[i : i + rows]
+            dist = a[:, None, :, None, 0] - b[None, :, None, :, 0]
+            dy = a[:, None, :, None, 1] - b[None, :, None, :, 1]
+            dist *= dist
+            dy *= dy
+            dist += dy
+            np.sqrt(dist, out=dist)
+            out[i : i + rows, j : j + cols] = 0.5 * (
+                dist.min(axis=3).mean(axis=-1) + dist.min(axis=2).mean(axis=-1)
+            )
+    return out
+
+
 def chamfer_distance(a: MapFeature | np.ndarray, b: MapFeature | np.ndarray) -> float:
     """Symmetric Chamfer distance between two control-point sets: the mean
     of the two directed mean nearest-point distances."""
     pa = a.points if isinstance(a, MapFeature) else np.asarray(a, dtype=np.float64)
     pb = b.points if isinstance(b, MapFeature) else np.asarray(b, dtype=np.float64)
-    diff = pa[:, None, :] - pb[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
-    return 0.5 * (float(dist.min(axis=1).mean()) + float(dist.min(axis=0).mean()))
+    return float(chamfer_matrix(pa[None], pb[None])[0, 0])
+
+
+def _distance_rows(preds: Sequence[MapFeature], gts: Sequence[MapFeature]) -> list[list[float]]:
+    """Chamfer distance of every (prediction, label) pair, one row per
+    prediction: one chamfer_matrix call per pair of point counts."""
+    dist = np.empty((len(preds), len(gts)))
+    gt_groups = [(idx, np.stack([gts[j].points for j in idx])) for idx in _by_point_count(gts)]
+    for idx in _by_point_count(preds):
+        pa = np.stack([preds[i].points for i in idx])
+        for gt_idx, pb in gt_groups:
+            dist[np.ix_(idx, gt_idx)] = chamfer_matrix(pa, pb)
+    return dist.tolist()
+
+
+def _by_point_count(features: Sequence[MapFeature]) -> list[list[int]]:
+    groups: dict[int, list[int]] = {}
+    for k, f in enumerate(features):
+        groups.setdefault(f.n_points, []).append(k)
+    return list(groups.values())
+
+
+def _confidence_order(preds: Sequence[MapFeature]) -> list[int]:
+    return sorted(range(len(preds)), key=lambda i: (-preds[i].confidence, i))
+
+
+def _greedy_hits(dist: list[list[float]], order: list[int], n_gt: int, tau: float) -> list[bool]:
+    """Greedy one-to-one matching over a distance matrix: in the given
+    order each prediction takes the first strictly nearest untaken label if
+    that distance is within tau. Returns whether each prediction, in order,
+    is a true positive."""
+    taken = [False] * n_gt
+    hits = []
+    for i in order:
+        best_j = -1
+        best_d = math.inf
+        for j, d in enumerate(dist[i]):
+            if d < best_d and not taken[j]:
+                best_j = j
+                best_d = d
+        hit = best_j >= 0 and best_d <= tau
+        if hit:
+            taken[best_j] = True
+        hits.append(hit)
+    return hits
 
 
 @dataclass
@@ -92,25 +174,11 @@ def match_predictions(
     order each prediction takes the lowest-Chamfer unmatched label if that
     distance is within tau, otherwise it is a false positive; leftover
     labels count as false negatives."""
-    order = sorted(range(len(preds)), key=lambda i: (-preds[i].confidence, i))
-    taken = [False] * len(gts)
-    out = FrameMatches()
-    for i in order:
-        best_j = -1
-        best_d = np.inf
-        for j, gt in enumerate(gts):
-            if taken[j]:
-                continue
-            d = chamfer_distance(preds[i], gt)
-            if d < best_d:
-                best_d = d
-                best_j = j
-        if best_j >= 0 and best_d <= tau:
-            taken[best_j] = True
-            out.tp_confidences.append(preds[i].confidence)
-        else:
-            out.fp_confidences.append(preds[i].confidence)
-    out.fn = taken.count(False)
+    order = _confidence_order(preds)
+    hits = _greedy_hits(_distance_rows(preds, gts), order, len(gts), tau)
+    out = FrameMatches(fn=len(gts) - sum(hits))
+    for i, hit in zip(order, hits):
+        (out.tp_confidences if hit else out.fp_confidences).append(preds[i].confidence)
     return out
 
 
@@ -220,9 +288,7 @@ def evaluate(
     records: dict[FeatureClass, dict[float, list[tuple[float, bool]]]] = {
         cls: {tau: [] for tau in config.thresholds} for cls in config.classes
     }
-    fn_count: dict[FeatureClass, dict[float, int]] = {
-        cls: {tau: 0 for tau in config.thresholds} for cls in config.classes
-    }
+    tallies = {tau: [0, 0, 0] for tau in config.thresholds}  # tp, fp, fn
     n_gt: dict[FeatureClass, int] = {cls: 0 for cls in config.classes}
     for pred_frame, gt_frame in pairs:
         try:
@@ -234,11 +300,17 @@ def evaluate(
             cls_preds = [f for f in preds if f.feature_class is cls]
             cls_gts = [f for f in gts if f.feature_class is cls]
             n_gt[cls] += len(cls_gts)
+            order = _confidence_order(cls_preds)
+            confidences = [cls_preds[i].confidence for i in order]
+            dist = _distance_rows(cls_preds, cls_gts)
             for tau in config.thresholds:
-                matches = match_predictions(cls_preds, cls_gts, tau)
-                records[cls][tau].extend((c, True) for c in matches.tp_confidences)
-                records[cls][tau].extend((c, False) for c in matches.fp_confidences)
-                fn_count[cls][tau] += matches.fn
+                hits = _greedy_hits(dist, order, len(cls_gts), tau)
+                records[cls][tau].extend(zip(confidences, hits))
+                n_tp = sum(hits)
+                tally = tallies[tau]
+                tally[0] += n_tp
+                tally[1] += len(hits) - n_tp
+                tally[2] += len(cls_gts) - n_tp
     ap: dict[FeatureClass, dict[float, float | None]] = {}
     class_mean: dict[FeatureClass, float | None] = {}
     for cls in config.classes:
@@ -249,10 +321,5 @@ def evaluate(
         class_mean[cls] = float(np.mean(vals)) if vals else None
     present = [v for v in class_mean.values() if v is not None]
     mean_ap = float(np.mean(present)) if present else None
-    counts = {}
-    for tau in config.thresholds:
-        tp = sum(sum(1 for _, flag in records[cls][tau] if flag) for cls in config.classes)
-        fp = sum(sum(1 for _, flag in records[cls][tau] if not flag) for cls in config.classes)
-        fn = sum(fn_count[cls][tau] for cls in config.classes)
-        counts[tau] = (tp, fp, fn)
+    counts = {tau: tuple(tally) for tau, tally in tallies.items()}
     return EvalReport(ap=ap, class_mean=class_mean, mean_ap=mean_ap, counts=counts, config=config)

@@ -29,8 +29,11 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _feature_element(feature, to_px, dash: str, width: float) -> str:
-    pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in (to_px(p) for p in feature.points))
+def _feature_element(feature, half: float, scale: float, dash: str, width: float) -> str:
+    p = feature.points
+    xs = ((p[:, 0] + half) * scale).tolist()
+    ys = ((half - p[:, 1]) * scale).tolist()
+    pts = " ".join(map("{:.2f},{:.2f}".format, xs, ys))
     color = CLASS_COLORS[feature.feature_class]
     tag = "polygon" if feature.invariance is InvarianceClass.POLYGON else "polyline"
     dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
@@ -50,11 +53,8 @@ def frame_svg(layers: Sequence[tuple[str, MapFrame]]) -> str:
     if not layers:
         raise ValueError("at least one layer is required")
     fov = layers[0][1].fov_side
+    half = fov / 2.0
     scale = SIZE_PX / fov
-
-    def to_px(p) -> tuple[float, float]:
-        return ((p[0] + fov / 2.0) * scale, (fov / 2.0 - p[1]) * scale)
-
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE_PX}" height="{SIZE_PX}" '
         f'viewBox="0 0 {SIZE_PX} {SIZE_PX}">',
@@ -66,7 +66,7 @@ def frame_svg(layers: Sequence[tuple[str, MapFrame]]) -> str:
         width = 2.5 if k == 0 else 1.8
         parts.append(f"<g><!-- {name}: {frame.frame_id} -->")
         for feat in frame.features:
-            parts.append(_feature_element(feat, to_px, dash, width))
+            parts.append(_feature_element(feat, half, scale, dash, width))
         parts.append("</g>")
     # Ego marker at the origin.
     cx = cy = SIZE_PX / 2.0

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,14 +11,17 @@ from conftest import line_feature, random_feature, random_frame
 from priormap import (
     EvalConfig,
     FeatureClass,
+    InvarianceClass,
     MapFrame,
     Pose2D,
     average_precision,
     chamfer_distance,
+    chamfer_matrix,
     evaluate,
     match_predictions,
     resample_polyline,
 )
+from priormap import evaluation
 from priormap.model import REAL_CLASSES
 
 # ---------------------------------------------------------------------------
@@ -40,14 +44,22 @@ def oracle_chamfer(pa, pb) -> float:
     return 0.5 * (directed(pa, pb) + directed(pb, pa))
 
 
-def oracle_greedy_match(preds, gts, tau):
+def pairwise_chamfer(pa, pb) -> float:
+    """The per-pair numpy Chamfer distance that evaluation computed before
+    its matrix kernel; bit-exact oracle for chamfer_matrix."""
+    diff = pa[:, None, :] - pb[None, :, :]
+    dist = np.sqrt((diff * diff).sum(axis=2))
+    return 0.5 * (float(dist.min(axis=1).mean()) + float(dist.min(axis=0).mean()))
+
+
+def oracle_greedy_match(preds, gts, tau, distance=oracle_chamfer):
     """Second implementation of the greedy protocol using sorted tuples."""
     order = sorted(range(len(preds)), key=lambda k: (-preds[k].confidence, k))
     free = set(range(len(gts)))
     tp, fp = [], []
     for k in order:
         ranked = sorted(
-            ((oracle_chamfer(preds[k].points, gts[j].points), j) for j in free),
+            ((distance(preds[k].points, gts[j].points), j) for j in free),
         )
         if ranked and ranked[0][0] <= tau:
             free.discard(ranked[0][1])
@@ -137,6 +149,61 @@ class TestChamfer:
         assert chamfer_distance(a, b) > 0.0
 
 
+def random_points(rng, n, scale=1.0):
+    return rng.normal(0.0, 10.0, (n, 2)) * scale
+
+
+def reference_matrix(pa, pb):
+    return np.array([[pairwise_chamfer(a, b) for b in pb] for a in pa]).reshape(len(pa), len(pb))
+
+
+class TestChamferMatrix:
+    @pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 16, 17, 127, 128, 129, 130, 199, 200])
+    def test_pairwise_summation_edges_bit_exact(self, n):
+        rng = np.random.default_rng(n)
+        pa = np.stack([random_points(rng, n) for _ in range(3)])
+        pb = np.stack([random_points(rng, n + 1) for _ in range(2)])
+        got = chamfer_matrix(pa, pb)
+        assert got.shape == (3, 2)
+        assert np.array_equal(got, reference_matrix(pa, pb))
+        assert np.array_equal(chamfer_matrix(pb, pa), got.T)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_stacks_bit_exact(self, seed):
+        rng = np.random.default_rng(1000 + seed)
+        na, nb = (int(v) for v in rng.integers(2, 201, 2))
+        p, g = (int(v) for v in rng.integers(1, 5, 2))
+        scale = math.exp(rng.uniform(-20.0, 20.0))
+        pa = np.stack([random_points(rng, na, scale) for _ in range(p)])
+        pb = np.stack([random_points(rng, nb, scale) for _ in range(g)])
+        got = chamfer_matrix(pa, pb)
+        assert np.array_equal(got, reference_matrix(pa, pb))
+        for i in range(p):
+            for j in range(g):
+                assert chamfer_distance(pa[i], pb[j]) == got[i, j]
+        if na * nb <= 2_000:
+            assert got[0, 0] == pytest.approx(oracle_chamfer(pa[0], pb[0]), rel=1e-12)
+
+    def test_one_by_one_and_empty_sides(self):
+        rng = np.random.default_rng(7)
+        a, b = random_points(rng, 5), random_points(rng, 9)
+        one = chamfer_matrix(a[None], b[None])
+        assert one.shape == (1, 1) and one[0, 0] == pairwise_chamfer(a, b)
+        assert chamfer_matrix(np.empty((0, 5, 2)), b[None]).shape == (0, 1)
+        assert chamfer_matrix(a[None], np.empty((0, 9, 2))).shape == (1, 0)
+        assert chamfer_matrix(np.empty((0, 5, 2)), np.empty((0, 9, 2))).shape == (0, 0)
+
+    @pytest.mark.parametrize("cap", [1, 60, 1_000])
+    def test_blocks_over_the_cap_bit_exact(self, monkeypatch, cap):
+        rng = np.random.default_rng(cap)
+        pa = np.stack([random_points(rng, 6) for _ in range(11)])
+        pb = np.stack([random_points(rng, 4) for _ in range(13)])
+        want = chamfer_matrix(pa, pb)
+        monkeypatch.setattr(evaluation, "_BLOCK_ELEMENTS", cap)
+        assert np.array_equal(chamfer_matrix(pa, pb), want)
+        assert np.array_equal(want, reference_matrix(pa, pb))
+
+
 class TestMatchPredictions:
     def test_perfect_predictions(self):
         gts = [line_feature(y=i * 10.0) for i in range(3)]
@@ -156,6 +223,17 @@ class TestMatchPredictions:
         out = match_predictions([weak, strong], gt, tau=1.0)
         assert out.tp_confidences == [0.9]
         assert out.fp_confidences == [0.4]
+
+    def test_tie_goes_to_first_label(self):
+        # The strong prediction is exactly 1 m from both labels; taking the
+        # first leaves the weak one only the far label.
+        gts = [line_feature(y=1.0), line_feature(y=-1.0)]
+        preds = [line_feature(y=0.0, confidence=0.9), line_feature(y=1.2, confidence=0.5)]
+        out = match_predictions(preds, gts, tau=1.0)
+        assert out.tp_confidences == [0.9] and out.fp_confidences == [0.5] and out.fn == 1
+        frame = MapFrame("f", Pose2D(0, 0, 0), 90.0, tuple(gts))
+        report = evaluate([frame.with_features(preds)], [frame], EvalConfig(thresholds=(1.0,)))
+        assert report.counts[1.0] == (1, 1, 1)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_second_implementation(self, seed):
@@ -313,3 +391,105 @@ class TestEvaluate:
             preds, gts, config.thresholds, config.classes, config.score_floor
         )
         assert got == pytest.approx(want, abs=1e-9)
+
+
+def mixed_frames(rng, n_frames, classes=REAL_CLASSES):
+    """Ground truth with mixed point counts per class, including exact
+    duplicate labels (tied distances), and noisy, partly dropped, partly
+    doubled predictions with coarse (tied) confidences."""
+    gts, preds = [], []
+    for k in range(n_frames):
+        feats = []
+        for _ in range(int(rng.integers(3, 10))):
+            cls = classes[int(rng.integers(len(classes)))]
+            feats.append(random_feature(rng, n=int(rng.integers(2, 12)), cls=cls))
+        feats += feats[: int(rng.integers(0, 2))]
+        noisy = []
+        for g in feats:
+            for _ in range(int(rng.choice([0, 1, 1, 1, 2]))):
+                pts = g.points + rng.normal(0.0, rng.choice([0.1, 0.6, 2.0]), g.points.shape)
+                noisy.append(g.__class__(g.feature_class, g.invariance, pts,
+                                         confidence=int(rng.integers(1, 6)) / 5.0))
+        gts.append(MapFrame(f"f{k}", Pose2D(0, 0, 0), 90.0, tuple(feats)))
+        preds.append(gts[-1].with_features(noisy))
+    return preds, gts
+
+
+def oracle_report(pred_frames, gt_frames, config):
+    """AP and counts from the per-threshold greedy over per-pair Chamfer."""
+    def dense(f):
+        if config.densify <= 0 or f.n_points == config.densify:
+            return f
+        closed = f.invariance is InvarianceClass.POLYGON
+        return f.with_points(resample_polyline(f.points, config.densify, closed=closed))
+
+    gt_by_id = {f.frame_id: f for f in gt_frames}
+    records = {cls: {t: [] for t in config.thresholds} for cls in config.classes}
+    counts = {t: [0, 0, 0] for t in config.thresholds}
+    n_gt = dict.fromkeys(config.classes, 0)
+    for pf in pred_frames:
+        gf = gt_by_id[pf.frame_id]
+        for cls in config.classes:
+            preds = [dense(f) for f in pf.features
+                     if f.feature_class is cls and f.confidence >= config.score_floor]
+            gts = [dense(f) for f in gf.features if f.feature_class is cls]
+            n_gt[cls] += len(gts)
+            for t in config.thresholds:
+                tp, fp, fn = oracle_greedy_match(preds, gts, t, distance=pairwise_chamfer)
+                records[cls][t] += [(c, True) for c in tp] + [(c, False) for c in fp]
+                counts[t] = [counts[t][0] + len(tp), counts[t][1] + len(fp), counts[t][2] + fn]
+    ap = {cls: {t: average_precision(records[cls][t], n_gt[cls]) for t in config.thresholds}
+          for cls in config.classes}
+    return ap, {t: tuple(c) for t, c in counts.items()}
+
+
+class TestEvaluateAgainstPerThresholdGreedy:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_frames(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        preds, gts = mixed_frames(rng, n_frames=4)
+        config = EvalConfig(thresholds=(0.3, 0.8, 1.5, 4.0))
+        report = evaluate(preds, gts, config)
+        assert (report.ap, report.counts) == oracle_report(preds, gts, config)
+
+    @pytest.mark.parametrize("densify", [2, 7, 30])
+    def test_densify(self, densify):
+        rng = np.random.default_rng(densify)
+        preds, gts = mixed_frames(rng, n_frames=3)
+        config = EvalConfig(densify=densify)
+        report = evaluate(preds, gts, config)
+        assert (report.ap, report.counts) == oracle_report(preds, gts, config)
+
+    def test_class_over_the_block_cap(self, monkeypatch):
+        rng = np.random.default_rng(77)
+        preds, gts = mixed_frames(rng, n_frames=2, classes=(FeatureClass.LANE_CENTER,))
+        config = EvalConfig(thresholds=(0.5, 2.0))
+        monkeypatch.setattr(evaluation, "_BLOCK_ELEMENTS", 50)
+        report = evaluate(preds, gts, config)
+        assert (report.ap, report.counts) == oracle_report(preds, gts, config)
+
+    def test_class_with_predictions_and_no_labels(self):
+        rng = np.random.default_rng(4)
+        lanes = [random_feature(rng, n=6, cls=FeatureClass.LANE_CENTER) for _ in range(3)]
+        gt = MapFrame("f", Pose2D(0, 0, 0), 90.0, (line_feature(cls=FeatureClass.DRIVEWAY),))
+        pred = gt.with_features(lanes)
+        report = evaluate([pred], [gt])
+        assert (report.ap, report.counts) == oracle_report([pred], [gt], EvalConfig())
+        out = match_predictions(lanes, [], tau=1.0)
+        assert out.tp_confidences == [] and len(out.fp_confidences) == 3 and out.fn == 0
+
+    def test_densified_class_memory_stays_bounded(self):
+        """50 + 50 same-class features at densify=100 make a (50, 50, 100,
+        100) distance block, about 200 MB per float64 array if built whole."""
+        rng = np.random.default_rng(5)
+        feats = tuple(random_feature(rng, n=12, cls=FeatureClass.LANE_CENTER) for _ in range(50))
+        gt = MapFrame("f", Pose2D(0, 0, 0), 90.0, feats)
+        pred = gt.with_features(f.with_points(f.points + 0.3) for f in feats)
+        tracemalloc.start()
+        try:
+            report = evaluate([pred], [gt], EvalConfig(densify=100))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.counts[1.5][0] == 50
+        assert peak < 64e6
