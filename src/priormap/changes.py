@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -73,19 +73,17 @@ class Box:
         }
 
 
-def feature_box(feature: MapFeature) -> Box:
-    return Box(*feature.bounds())
-
-
 @dataclass(frozen=True)
 class MapVersion:
-    """A world-frame map snapshot with per-feature stable ids."""
+    """A world-frame map snapshot with per-feature stable ids. Row i of the
+    read-only (n, 4) `boxes` array is feature i's bounds()."""
 
     version_id: str
     features: tuple[MapFeature, ...]
     feature_ids: tuple[str, ...]
     has_ids: bool
     extent: Box
+    boxes: np.ndarray = field(repr=False, compare=False)
 
     @classmethod
     def build(
@@ -105,23 +103,16 @@ class MapVersion:
             if len(set(ids)) != len(ids):
                 raise ValueError("feature ids must be unique")
             has_ids = True
-        if feats:
-            boxes = [feature_box(f) for f in feats]
-            extent = Box(
-                min(b.min_x for b in boxes),
-                min(b.min_y for b in boxes),
-                max(b.max_x for b in boxes),
-                max(b.max_y for b in boxes),
-            )
-        else:
-            extent = Box(0.0, 0.0, 0.0, 0.0)
-        return cls(
-            version_id=version_id,
-            features=feats,
-            feature_ids=ids,
-            has_ids=has_ids,
-            extent=extent,
+        boxes = np.array([f.bounds() for f in feats], dtype=np.float64).reshape(-1, 4)
+        boxes.flags.writeable = False
+        extent = (
+            Box(*boxes[:, :2].min(axis=0).tolist(), *boxes[:, 2:].max(axis=0).tolist())
+            if feats else Box(0.0, 0.0, 0.0, 0.0)
         )
+        return cls(version_id, feats, ids, has_ids, extent, boxes)
+
+    def box(self, i: int) -> Box:
+        return Box(*self.boxes[i].tolist())
 
 
 @dataclass(frozen=True)
@@ -154,18 +145,19 @@ class ChangeReport:
 def _diff_by_ids(
     old: MapVersion, new: MapVersion, modify_tol: float
 ) -> tuple[list[str], list[str], list[tuple[str, str, float]], list[Box]]:
-    old_by_id = dict(zip(old.feature_ids, old.features))
-    new_by_id = dict(zip(new.feature_ids, new.features))
-    removed = sorted(set(old_by_id) - set(new_by_id))
-    added = sorted(set(new_by_id) - set(old_by_id))
+    old_at = {fid: i for i, fid in enumerate(old.feature_ids)}
+    new_at = {fid: j for j, fid in enumerate(new.feature_ids)}
+    removed = sorted(set(old_at) - set(new_at))
+    added = sorted(set(new_at) - set(old_at))
     modified: list[tuple[str, str, float]] = []
-    bounds = [feature_box(old_by_id[i]) for i in removed]
-    bounds += [feature_box(new_by_id[i]) for i in added]
-    for fid in sorted(set(old_by_id) & set(new_by_id)):
-        d = chamfer_distance(old_by_id[fid], new_by_id[fid])
+    bounds = [old.box(old_at[fid]) for fid in removed]
+    bounds += [new.box(new_at[fid]) for fid in added]
+    for fid in sorted(set(old_at) & set(new_at)):
+        i, j = old_at[fid], new_at[fid]
+        d = chamfer_distance(old.features[i], new.features[j])
         if d > modify_tol:
             modified.append((fid, fid, d))
-            bounds.append(feature_box(old_by_id[fid]).union(feature_box(new_by_id[fid])))
+            bounds.append(old.box(i).union(new.box(j)))
     return added, removed, modified, bounds
 
 
@@ -203,8 +195,8 @@ def diff_maps(
         new_idx = [j for j, f in enumerate(new.features) if f.feature_class is cls]
         # Chamfer distance is never below the gap between two bounding boxes,
         # so only pairs whose boxes lie within the gate can match.
-        box_old = np.array([old.features[i].bounds() for i in old_idx]).reshape(-1, 1, 4)
-        box_new = np.array([new.features[j].bounds() for j in new_idx]).reshape(1, -1, 4)
+        box_old = old.boxes[old_idx].reshape(-1, 1, 4)
+        box_new = new.boxes[new_idx].reshape(1, -1, 4)
         gap = np.maximum(box_new[..., :2] - box_old[..., 2:], box_old[..., :2] - box_new[..., 2:])
         near = np.linalg.norm(np.maximum(gap, 0.0), axis=-1) <= max_match_dist
         cost = np.full(near.shape, np.inf)
@@ -228,15 +220,15 @@ def diff_maps(
             if d > modify_tol:
                 i, j = old_idx[a], new_idx[b]
                 modified.append((old.feature_ids[i], new.feature_ids[j], d))
-                bounds.append(feature_box(old.features[i]).union(feature_box(new.features[j])))
+                bounds.append(old.box(i).union(new.box(j)))
         for a, i in enumerate(old_idx):
             if a not in matched_old:
                 removed.append(old.feature_ids[i])
-                bounds.append(feature_box(old.features[i]))
+                bounds.append(old.box(i))
         for b, j in enumerate(new_idx):
             if b not in matched_new:
                 added.append(new.feature_ids[j])
-                bounds.append(feature_box(new.features[j]))
+                bounds.append(new.box(j))
     return ChangeReport(tuple(added), tuple(removed), tuple(modified), tuple(bounds))
 
 
@@ -271,11 +263,19 @@ class SceneWindow:
     pose_indices: tuple[int, ...]
 
 
-def _fov_box(pose: Pose2D, fov_side: float) -> Box:
-    # Axis-aligned in the world frame, ignoring yaw: a conservative
-    # superset used only for the intersection test.
-    half = fov_side / 2.0
-    return Box(pose.x - half, pose.y - half, pose.x + half, pose.y + half)
+#: Poses tested against the regions per array comparison in mine_frames.
+_POSE_CHUNK = 4096
+
+
+def _overlaps(lo: np.ndarray, hi: np.ndarray, boxes: np.ndarray) -> np.ndarray:
+    """(k, r) closed-overlap test, as Box.intersects, between the boxes with
+    corners lo[i], hi[i] and the (r, 4) boxes."""
+    return (
+        (lo[:, None, 0] <= boxes[:, 2])
+        & (boxes[:, 0] <= hi[:, None, 0])
+        & (lo[:, None, 1] <= boxes[:, 3])
+        & (boxes[:, 1] <= hi[:, None, 1])
+    )
 
 
 def mine_frames(
@@ -293,10 +293,14 @@ def mine_frames(
         raise ValueError("trajectory must be sorted by time")
     if not window >= 0.0:
         raise ValueError(f"window must be a non-negative duration, got {window}")
-    hits = [
-        any(_fov_box(pose, fov_side).intersects(region) for region in regions)
-        for _, pose in trajectory
-    ]
+    # Each pose's FOV square, axis-aligned in the world frame and ignoring
+    # yaw: a conservative superset used only for the intersection test.
+    half = fov_side / 2.0
+    centers = np.array([(p.x, p.y) for _, p in trajectory]).reshape(-1, 2)
+    boxes = np.array([(r.min_x, r.min_y, r.max_x, r.max_y) for r in regions]).reshape(-1, 4)
+    hits: list[bool] = []
+    for c in np.split(centers, range(_POSE_CHUNK, len(centers), _POSE_CHUNK)):
+        hits += _overlaps(c - half, c + half, boxes).any(axis=1).tolist()
     windows: list[SceneWindow] = []
     i = 0
     n = len(trajectory)
@@ -331,8 +335,9 @@ def _crop_version(
     # Coarse world-frame prefilter: anything reaching the FOV square at any
     # yaw lies within the circumscribed axis-aligned box.
     reach = fov_side * math.sqrt(2.0) / 2.0
-    keep_box = Box(pose.x - reach, pose.y - reach, pose.x + reach, pose.y + reach)
-    nearby = [f for f in version.features if keep_box.intersects(feature_box(f))]
+    center = np.array([[pose.x, pose.y]])
+    keep = _overlaps(center - reach, center + reach, version.boxes)[0]
+    nearby = [version.features[i] for i in np.flatnonzero(keep)]
     ego = [f.with_points(world_to_ego(f.points, pose)) for f in nearby]
     frame = MapFrame(frame_id=frame_id, ego_pose=pose, fov_side=fov_side, features=tuple(ego))
     clipped = clip_to_fov(frame)

@@ -278,99 +278,69 @@ def pad_to_fixed(features: Sequence[MapFeature], dims: ModelDims = DEFAULT_DIMS)
     return feats + (pad,) * (dims.m - len(feats))
 
 
-def _clip_segment_halfplane(
-    a: np.ndarray, b: np.ndarray, axis: int, bound: float, keep_below: bool
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Clip segment a->b against one axis-aligned half-plane.
+# The FOV square's half-planes in clipping order, as (axis, keep_below):
+# x >= lo, x <= hi, y >= lo, y <= hi.
+_HALFPLANES = ((0, False), (0, True), (1, False), (1, True))
 
-    Crossing points get the boundary coordinate assigned exactly, so
-    clipped endpoints sit on the box edge bit-exactly.
+
+def _crossing(p: np.ndarray, q: np.ndarray, axis: int, below: bool, bound: float):
+    """Test the ends of the segments p -> q against one half-plane.
+
+    Returns (p inside, q inside, crossing mask, crossing points). Crossing
+    points get the boundary coordinate assigned exactly, so clipped ends sit
+    on the box edge bit-exactly.
     """
-    fa = a[axis] - bound
-    fb = b[axis] - bound
-    ina = fa <= 0.0 if keep_below else fa >= 0.0
-    inb = fb <= 0.0 if keep_below else fb >= 0.0
-    if ina and inb:
-        return a, b
-    if not ina and not inb:
-        return None
-    t = fa / (fa - fb)
-    cross = a + t * (b - a)
-    cross[axis] = bound
-    return (a, cross) if ina else (cross, b)
+    fp = p[:, axis] - bound
+    fq = q[:, axis] - bound
+    p_in = fp <= 0.0 if below else fp >= 0.0
+    q_in = fq <= 0.0 if below else fq >= 0.0
+    cut = p_in != q_in
+    t = fp[cut] / (fp[cut] - fq[cut])
+    cross = p[cut] + t[:, None] * (q[cut] - p[cut])
+    cross[:, axis] = bound
+    return p_in, q_in, cut, cross
 
 
-_HALFPLANES = (
-    (0, False),  # x >= lo
-    (0, True),   # x <= hi
-    (1, False),  # y >= lo
-    (1, True),   # y <= hi
-)
-
-
-def _clip_segment_box(a: np.ndarray, b: np.ndarray, lo: float, hi: float):
-    seg = (a.copy(), b.copy())
+def _clip_polylines(a: np.ndarray, b: np.ndarray, owner: np.ndarray, lo: float, hi: float):
+    """Clip the stacked segments a[i] -> b[i] against the box, in place, into
+    (owner, piece) pairs, one per run of surviving segments: a piece goes on
+    while the next segment of its owner survives and starts where the last
+    ended."""
+    alive = np.ones(len(a), dtype=bool)
     for axis, below in _HALFPLANES:
-        bound = hi if below else lo
-        seg = _clip_segment_halfplane(seg[0], seg[1], axis, bound, below)
-        if seg is None:
-            return None
-    return seg
-
-
-def _clip_polyline_box(pts: np.ndarray, lo: float, hi: float) -> list[np.ndarray]:
-    pieces: list[list[np.ndarray]] = []
-    current: list[np.ndarray] | None = None
-    for i in range(pts.shape[0] - 1):
-        seg = _clip_segment_box(pts[i], pts[i + 1], lo, hi)
-        if seg is None:
-            current = None
-            continue
-        a, b = seg
-        if current is not None and np.array_equal(current[-1], a):
-            current.append(b)
-        else:
-            current = [a, b]
-            pieces.append(current)
-    return [np.asarray(p) for p in pieces]
+        a_in, b_in, cut, cross = _crossing(a, b, axis, below, hi if below else lo)
+        alive &= a_in | b_in
+        rows, exits = np.flatnonzero(cut), a_in[cut]
+        b[rows[exits]] = cross[exits]
+        a[rows[~exits]] = cross[~exits]
+    rows = np.flatnonzero(alive)
+    a, b, owner = a[rows], b[rows], owner[rows]
+    starts = np.ones(len(rows), dtype=bool)
+    starts[1:] = (np.diff(rows) != 1) | (np.diff(owner) != 0) | np.any(b[:-1] != a[1:], axis=1)
+    first = np.flatnonzero(starts)
+    points = np.insert(b, first, a[first], axis=0)
+    return zip(owner[first].tolist(), np.split(points, (first + np.arange(len(first)))[1:]))
 
 
 def _clip_polygon_box(pts: np.ndarray, lo: float, hi: float) -> np.ndarray | None:
     """Sutherland-Hodgman clip of a closed ring against the box; returns an
     open ring (no repeated closing vertex) or None when nothing remains."""
-    poly = [p.copy() for p in pts]
+    ring = pts
     for axis, below in _HALFPLANES:
-        bound = hi if below else lo
-        if not poly:
-            return None
-        out: list[np.ndarray] = []
-        for i, cur in enumerate(poly):
-            prev = poly[i - 1]
-            fc = cur[axis] - bound
-            fp = prev[axis] - bound
-            cur_in = fc <= 0.0 if below else fc >= 0.0
-            prev_in = fp <= 0.0 if below else fp >= 0.0
-            if cur_in != prev_in:
-                t = fp / (fp - fc)
-                cross = prev + t * (cur - prev)
-                cross[axis] = bound
-                out.append(cross)
-            if cur_in:
-                out.append(cur.copy())
-        poly = out
-    if not poly:
-        return None
+        prev = np.roll(ring, 1, axis=0)
+        _, cur_in, cut, cross = _crossing(prev, ring, axis, below, hi if below else lo)
+        # Each vertex emits the crossing into it, if any, then itself if inside.
+        emitted = np.empty((len(ring), 2, 2))
+        emitted[cut, 0] = cross
+        emitted[:, 1] = ring
+        ring = emitted[np.stack([cut, cur_in], axis=1)]
     # Drop consecutive duplicates, including the wrap-around pair.
-    kept: list[np.ndarray] = []
-    for p in poly:
-        if not kept or not np.array_equal(kept[-1], p):
-            kept.append(p)
-    if len(kept) > 1 and np.array_equal(kept[0], kept[-1]):
-        kept.pop()
-    if len(kept) < 3:
-        return None
-    ring = np.asarray(kept)
-    if polyline_length(ring, closed=True) <= 0.0:
+    keep = np.ones(len(ring), dtype=bool)
+    keep[1:] = np.any(ring[1:] != ring[:-1], axis=1)
+    ring = ring[keep]
+    if len(ring) > 1 and np.array_equal(ring[0], ring[-1]):
+        ring = ring[:-1]
+    if len(ring) < 3 or polyline_length(ring, closed=True) <= 0.0:
         return None
     return ring
 
@@ -385,18 +355,28 @@ def clip_to_fov(frame: MapFrame) -> MapFrame:
     """
     half = frame.fov_side / 2.0
     lo, hi = -half, half
+    feats = frame.features
+    if not feats:
+        return frame
+    pts = np.concatenate([f.points for f in feats])
+    owner = np.repeat(np.arange(len(feats)), [f.n_points for f in feats])
+    outside = np.any((pts < lo) | (pts > hi), axis=1)
+    clipped = np.bincount(owner[outside], minlength=len(feats)) > 0
+    is_line = np.array([f.invariance is not InvarianceClass.POLYGON for f in feats])
+    seg = np.flatnonzero((owner[:-1] == owner[1:]) & (clipped & is_line)[owner[:-1]])
+    pieces: dict[int, list[np.ndarray]] = {}
+    for i, piece in _clip_polylines(pts[seg], pts[seg + 1], owner[seg], lo, hi):
+        pieces.setdefault(i, []).append(piece)
     out: list[MapFeature] = []
-    for feat in frame.features:
-        pts = feat.points
-        if np.all((pts >= lo) & (pts <= hi)):
+    for i, feat in enumerate(feats):
+        if not clipped[i]:
             out.append(feat)
-            continue
-        if feat.invariance is InvarianceClass.POLYGON:
-            ring = _clip_polygon_box(pts, lo, hi)
+        elif not is_line[i]:
+            ring = _clip_polygon_box(feat.points, lo, hi)
             if ring is not None:
                 out.append(feat.with_points(resample_polyline(ring, feat.n_points, closed=True)))
         else:
-            for piece in _clip_polyline_box(pts, lo, hi):
+            for piece in pieces.get(i, ()):
                 if polyline_length(piece) > 0.0:
                     out.append(feat.with_points(resample_polyline(piece, feat.n_points)))
     return frame.with_features(out)

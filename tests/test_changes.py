@@ -21,9 +21,9 @@ from priormap import (
     chamfer_distance,
     diff_maps,
     evaluate,
+    clip_to_fov,
     mine_frames,
 )
-from priormap.changes import feature_box
 
 GATE = 10.0
 
@@ -134,7 +134,7 @@ class TestDiffMaps:
         calls = []
 
         def counted(a, b):
-            calls.append((feature_box(a), feature_box(b)))
+            calls.append((Box(*a.bounds()), Box(*b.bounds())))
             return chamfer_distance(a, b)
 
         monkeypatch.setattr(changes, "chamfer_distance", counted)
@@ -327,6 +327,32 @@ class TestMineFrames:
             mine_frames([(0.0, Pose2D(0, 0, 0))], [Box(-1, -1, 1, 1)], window=window)
 
 
+    @pytest.mark.parametrize("chunk", [changes._POSE_CHUNK, 7])
+    def test_hits_match_box_intersects_scan(self, chunk, monkeypatch):
+        # Integer coordinates, so many FOV squares touch a region exactly at
+        # an edge or a corner; window 0 over distinct times anchors one
+        # window at every hit, so the anchors are the hits.
+        monkeypatch.setattr(changes, "_POSE_CHUNK", chunk)
+        rng = np.random.default_rng(11)
+        traj = [(float(t), Pose2D(float(x), float(y), float(yaw)))
+                for t, (x, y, yaw) in enumerate(rng.integers(-300, 300, (3000, 3)))]
+        regions = [Box(float(x), float(y), float(x + w), float(y + h))
+                   for x, y, w, h in zip(*rng.integers(-300, 300, (2, 40)),
+                                         *rng.integers(0, 30, (2, 40)))]
+        want = [i for i, (_, p) in enumerate(traj)
+                if any(Box(p.x - 45.0, p.y - 45.0, p.x + 45.0, p.y + 45.0).intersects(r)
+                       for r in regions)]
+        got = mine_frames(traj, regions, fov_side=90.0, window=0.0)
+        assert [w.anchor_index for w in got] == want
+        assert all(w.pose_indices == (w.anchor_index,) for w in got)
+        assert 0 < len(want) < len(traj)
+
+    def test_no_regions_or_poses(self):
+        traj = _straight_trajectory()
+        assert mine_frames(traj, []) == []
+        assert mine_frames([], [Box(-1.0, -1.0, 1.0, 1.0)]) == []
+
+
 class TestBuildScenePair:
     def _world(self):
         return MapVersion.build("old", grid_world(n_blocks=3))
@@ -402,3 +428,60 @@ class TestBuildScenePair:
         score_base = evaluate([base.prior], [base.ground_truth]).mean_ap
         score_rot = evaluate([rotated.prior], [rotated.ground_truth]).mean_ap
         assert score_rot == pytest.approx(score_base, abs=1e-9)
+
+
+class TestVersionBoxes:
+    def test_boxes_are_feature_bounds(self):
+        feats = grid_world(n_blocks=2)
+        version = MapVersion.build("v", feats)
+        assert version.boxes.shape == (len(feats), 4)
+        assert version.boxes.tolist() == [list(f.bounds()) for f in feats]
+        assert version.extent == Box(*version.boxes[:, :2].min(axis=0),
+                                     *version.boxes[:, 2:].max(axis=0))
+
+    def test_boxes_read_only(self):
+        version = MapVersion.build("v", [line_feature()])
+        with pytest.raises(ValueError, match="read-only"):
+            version.boxes[0, 0] = 1.0
+
+    def test_empty_version(self):
+        empty = MapVersion.build("empty", [])
+        assert empty.boxes.shape == (0, 4)
+        assert empty.extent == Box(0.0, 0.0, 0.0, 0.0)
+        full = MapVersion.build("full", [line_feature(y=5.0)])
+        report = diff_maps(empty, full)
+        assert report.added == ("0",) and report.removed == () and report.modified == ()
+        assert diff_maps(full, empty).removed == ("0",)
+        assert diff_maps(empty, empty).is_empty
+        pair = build_scene_pair(empty, empty, Pose2D(0.0, 0.0, 0.3))
+        assert pair.prior.features == () and pair.ground_truth.features == ()
+
+    def test_box_touching_prefilter_square_is_kept(self, monkeypatch):
+        # The prefilter square reaches fov * sqrt(2) / 2 from the pose; a
+        # feature box touching it exactly (at an edge, and at a corner) is
+        # handed to the clip, one a step further out is not.
+        reach = 90.0 * math.sqrt(2.0) / 2.0
+        beyond = float(np.nextafter(reach, np.inf))
+        pose = Pose2D(0.0, 0.0, 0.0)
+
+        def segment(x0, y0, x1, y1):
+            return MapFeature(FeatureClass.LANE_CENTER, InvarianceClass.DIRECTED_POLYLINE,
+                              [[x0, y0], [x1, y1]])
+
+        touching = [segment(reach, 0.0, reach + 5.0, 0.0),
+                    segment(-reach - 5.0, 1.0, -reach, 1.0),
+                    segment(reach, reach, reach + 5.0, reach + 5.0)]
+        outside = [segment(beyond, 0.0, beyond + 5.0, 0.0),
+                   segment(-5.0, -beyond - 5.0, 5.0, -beyond)]
+        centre = segment(-1.0, 0.0, 1.0, 0.0)
+        version = MapVersion.build("v", [centre, *touching, *outside])
+        seen = []
+
+        def recording(frame):
+            seen.append(len(frame.features))
+            return clip_to_fov(frame)
+
+        monkeypatch.setattr(changes, "clip_to_fov", recording)
+        pair = build_scene_pair(version, version, pose)
+        assert seen == [4, 4]
+        assert len(pair.prior.features) == 1

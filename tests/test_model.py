@@ -256,3 +256,178 @@ class TestClip:
         ring = ring_feature(cx=100.0, cy=100.0, radius=3.0)
         frame = MapFrame("f", Pose2D(0, 0, 0), 90.0, (ring,))
         assert clip_to_fov(frame).features == ()
+
+
+# The per-segment / per-vertex clipper that clip_to_fov replaced, kept as the
+# oracle for the array clip.
+_ORACLE_HALFPLANES = ((0, False), (0, True), (1, False), (1, True))
+
+
+def _oracle_clip_segment_halfplane(a, b, axis, bound, keep_below):
+    fa = a[axis] - bound
+    fb = b[axis] - bound
+    ina = fa <= 0.0 if keep_below else fa >= 0.0
+    inb = fb <= 0.0 if keep_below else fb >= 0.0
+    if ina and inb:
+        return a, b
+    if not ina and not inb:
+        return None
+    t = fa / (fa - fb)
+    cross = a + t * (b - a)
+    cross[axis] = bound
+    return (a, cross) if ina else (cross, b)
+
+
+def _oracle_clip_segment(a, b, lo, hi):
+    seg = (a.copy(), b.copy())
+    for axis, below in _ORACLE_HALFPLANES:
+        bound = hi if below else lo
+        seg = _oracle_clip_segment_halfplane(seg[0], seg[1], axis, bound, below)
+        if seg is None:
+            return None
+    return seg
+
+
+def _oracle_clip_polyline(pts, lo, hi):
+    pieces, current = [], None
+    for i in range(pts.shape[0] - 1):
+        seg = _oracle_clip_segment(pts[i], pts[i + 1], lo, hi)
+        if seg is None:
+            current = None
+            continue
+        a, b = seg
+        if current is not None and np.array_equal(current[-1], a):
+            current.append(b)
+        else:
+            current = [a, b]
+            pieces.append(current)
+    return [np.asarray(p) for p in pieces]
+
+
+def _oracle_clip_polygon(pts, lo, hi):
+    poly = [p.copy() for p in pts]
+    for axis, below in _ORACLE_HALFPLANES:
+        bound = hi if below else lo
+        if not poly:
+            return None
+        out = []
+        for i, cur in enumerate(poly):
+            prev = poly[i - 1]
+            fc = cur[axis] - bound
+            fp = prev[axis] - bound
+            cur_in = fc <= 0.0 if below else fc >= 0.0
+            prev_in = fp <= 0.0 if below else fp >= 0.0
+            if cur_in != prev_in:
+                t = fp / (fp - fc)
+                cross = prev + t * (cur - prev)
+                cross[axis] = bound
+                out.append(cross)
+            if cur_in:
+                out.append(cur.copy())
+        poly = out
+    kept = []
+    for p in poly:
+        if not kept or not np.array_equal(kept[-1], p):
+            kept.append(p)
+    if len(kept) > 1 and np.array_equal(kept[0], kept[-1]):
+        kept.pop()
+    if len(kept) < 3:
+        return None
+    ring = np.asarray(kept)
+    return ring if polyline_length(ring, closed=True) > 0.0 else None
+
+
+def oracle_clip_to_fov(frame: MapFrame) -> MapFrame:
+    half = frame.fov_side / 2.0
+    lo, hi = -half, half
+    out = []
+    for feat in frame.features:
+        pts = feat.points
+        if np.all((pts >= lo) & (pts <= hi)):
+            out.append(feat)
+        elif feat.invariance is InvarianceClass.POLYGON:
+            ring = _oracle_clip_polygon(pts, lo, hi)
+            if ring is not None:
+                out.append(feat.with_points(resample_polyline(ring, feat.n_points, closed=True)))
+        else:
+            for piece in _oracle_clip_polyline(pts, lo, hi):
+                if polyline_length(piece) > 0.0:
+                    out.append(feat.with_points(resample_polyline(piece, feat.n_points)))
+    return frame.with_features(out)
+
+
+def edge_case_feature(rng: np.random.Generator, half: float) -> tuple[str, MapFeature]:
+    """A random feature near the FOV square of half-side `half`, of one of
+    the kinds the clip must get right; returns (kind, feature)."""
+    kind = ["walk", "on_edge", "repeats", "corner_ring", "outside"][int(rng.integers(5))]
+    cls = [FeatureClass.LANE_CENTER, FeatureClass.LANE_DIVIDER, FeatureClass.DRIVEWAY][
+        int(rng.integers(3))]
+    n = int(rng.integers(2, 16))
+    if kind == "corner_ring":
+        cls = FeatureClass.DRIVEWAY
+        corner = rng.choice([-half, half], 2)
+        ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, max(n, 3)))
+        pts = corner + rng.uniform(2.0, 20.0) * np.column_stack([np.cos(ang), np.sin(ang)])
+    else:
+        # A random walk with long steps, so it leaves the square and comes back.
+        steps = rng.normal(0.0, rng.uniform(5.0, 40.0), (n, 2))
+        pts = rng.uniform(-1.2 * half, 1.2 * half, 2) + np.cumsum(steps, axis=0)
+    if kind == "on_edge":
+        # Snap to a grid that holds the edges, so vertices land exactly on
+        # them and segments run along them.
+        pts = np.round(pts / (half / 3.0)) * (half / 3.0)
+    if kind == "repeats":
+        pts = np.repeat(pts, rng.integers(1, 4, len(pts)), axis=0)
+    if kind == "outside":
+        pts = pts + rng.choice([-1.0, 1.0], 2) * (3.0 * half + np.abs(pts).max())
+    inv = InvarianceClass.POLYGON if cls is FeatureClass.DRIVEWAY else InvarianceClass.UNDIRECTED_POLYLINE
+    return kind, MapFeature(cls, inv, pts)
+
+
+class TestClipMatchesOracle:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_frames_bit_identical(self, seed):
+        rng = np.random.default_rng(seed)
+        seen = {"pieces>1": 0, "dropped": 0, "on_edge": 0, "repeats": 0, "corner_ring": 0}
+        for k in range(80):
+            half = float(rng.choice([45.0, 30.0, 12.5]))
+            drawn = [edge_case_feature(rng, half) for _ in range(int(rng.integers(0, 9)))]
+            frame = MapFrame(f"f{k}", Pose2D(0, 0, 0), 2.0 * half, tuple(f for _, f in drawn))
+            want = oracle_clip_to_fov(frame)
+            got = clip_to_fov(frame)
+            assert got == want
+            for a, b in zip(got.features, want.features):
+                assert a.points.tobytes() == b.points.tobytes()
+            for kind, feat in drawn:
+                one = oracle_clip_to_fov(frame.with_features([feat])).features
+                seen["pieces>1"] += len(one) > 1
+                seen["dropped"] += not one
+                if kind in seen and np.any(np.abs(feat.points) > half):
+                    seen[kind] += 1
+        assert min(seen.values()) > 0, seen
+
+    def test_hand_cases_bit_identical(self):
+        on_edge = [[-45.0, 0.0], [-45.0, 10.0], [-60.0, 10.0], [-45.0, 20.0], [0.0, 45.0]]
+        repeats = [[0.0, 0.0], [0.0, 0.0], [50.0, 0.0], [50.0, 0.0], [50.0, 5.0], [0.0, 5.0]]
+        back_and_forth = [[-50.0, 0.0], [50.0, 0.0], [50.0, 10.0], [-50.0, 10.0]]
+        touch_corner = [[40.0, 50.0], [50.0, 40.0]]
+        feats = [
+            MapFeature(FeatureClass.LANE_CENTER, InvarianceClass.DIRECTED_POLYLINE, pts)
+            for pts in (on_edge, repeats, back_and_forth, touch_corner)
+        ] + [
+            ring_feature(cx=45.0, cy=-45.0, radius=10.0, n=7),
+            ring_feature(cx=45.0, cy=45.0, radius=1e-3, n=3),
+            MapFeature(FeatureClass.DRIVEWAY, InvarianceClass.POLYGON,
+                       [[45.0, 0.0], [60.0, 0.0], [60.0, 10.0], [45.0, 10.0]]),
+            ring_feature(cx=300.0, cy=0.0),
+        ]
+        frame = MapFrame("f", Pose2D(0, 0, 0), 90.0, tuple(feats))
+        assert clip_to_fov(frame) == oracle_clip_to_fov(frame)
+        # Pieces per feature: the repeated outside vertex ends a piece, the
+        # corner touch has zero length, and the ring along the edge is flat.
+        counts = [len(clip_to_fov(frame.with_features([f])).features) for f in feats]
+        assert counts == [2, 2, 2, 0, 1, 1, 0, 0]
+
+    def test_empty_frame(self):
+        frame = MapFrame("f", Pose2D(0, 0, 0), 90.0, ())
+        assert clip_to_fov(frame) == oracle_clip_to_fov(frame) == frame
