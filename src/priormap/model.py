@@ -66,7 +66,7 @@ def as_points(points: Sequence | np.ndarray) -> np.ndarray:
     pts = np.ascontiguousarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"points must have shape (n, 2), got {pts.shape}")
-    if not np.all(np.isfinite(pts)):
+    if not np.isfinite(pts).all():
         raise ValueError("points must be finite (no NaN/Inf)")
     pts.flags.writeable = False
     return pts

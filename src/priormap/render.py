@@ -8,6 +8,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .model import FeatureClass, InvarianceClass, MapFrame
 
 CLASS_COLORS = {
@@ -25,15 +27,18 @@ SIZE_PX = 800
 LAYER_DASH = {"ground_truth": "", "prediction": "6,4", "prior": "2,3"}
 
 
+#: Multiplier taking ego (x, y) to SVG axes, whose y points down.
+_FLIP_Y = np.array([1.0, -1.0])
+
+
 def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
 def _feature_element(feature, half: float, scale: float, dash: str, width: float) -> str:
-    p = feature.points
-    xs = ((p[:, 0] + half) * scale).tolist()
-    ys = ((half - p[:, 1]) * scale).tolist()
-    pts = " ".join(map("{:.2f},{:.2f}".format, xs, ys))
+    # -y + half is half - y bit for bit, signed zeros included.
+    px = (feature.points * _FLIP_Y + half) * scale
+    pts = " ".join(["{:.2f},{:.2f}"] * len(px)).format(*px.ravel().tolist())
     color = CLASS_COLORS[feature.feature_class]
     tag = "polygon" if feature.invariance is InvarianceClass.POLYGON else "polyline"
     dash_attr = f' stroke-dasharray="{dash}"' if dash else ""

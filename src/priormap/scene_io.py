@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -33,9 +34,21 @@ def _reject_constant(token: str):
     raise SceneFormatError(f"non-finite number {token!r} is not allowed")
 
 
+#: One decoder for every line: ``json.loads`` with keyword arguments builds a
+#: new one per call.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
+def _decode(text: str):
+    """``json.loads(text, parse_constant=_reject_constant)``, BOM check included."""
+    if text.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    return _DECODER.decode(text)
+
+
 def _loads(line: str) -> dict:
     try:
-        obj = json.loads(line, parse_constant=_reject_constant)
+        obj = _decode(line)
     except json.JSONDecodeError as exc:
         raise SceneFormatError(f"invalid JSON ({exc.msg})") from exc
     if not isinstance(obj, dict):
@@ -62,7 +75,10 @@ def _no_extras(record: dict, where: str) -> None:
 def _as_float(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SceneFormatError(f"{where}: expected a number")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an integer too large for a double
+        out = math.inf
     if not math.isfinite(out):
         raise SceneFormatError(f"{where}: must be finite")
     return out
@@ -90,6 +106,44 @@ def _parse_points(raw, where: str) -> np.ndarray:
     return pts
 
 
+_NUMBER_TYPES = {float, int}
+
+
+def _bulk_points(records: list) -> list[np.ndarray] | None:
+    """The points of every feature record, converted through one array.
+
+    Checks every record at once with C-level passes: each ``points`` is a
+    list of at least 2 pairs, each pair a list of 2 numbers (``bool`` is
+    not one), each number finite as a double. Returns None when any check
+    fails; the caller then runs the per-feature validator, which names the
+    fault.
+    """
+    try:
+        raws = [rec["points"] for rec in records]
+    except (KeyError, TypeError):
+        return None
+    if set(map(type, raws)) - {list}:
+        return None
+    lens = list(map(len, raws))
+    if min(lens, default=2) < 2:
+        return None
+    pairs = list(chain.from_iterable(raws))
+    if set(map(type, pairs)) - {list} or set(map(len, pairs)) - {2}:
+        return None
+    values = list(chain.from_iterable(pairs))
+    if set(map(type, values)) - _NUMBER_TYPES:
+        return None
+    try:
+        flat = np.array(values, dtype=np.float64)
+    except OverflowError:
+        return None
+    if not np.isfinite(flat).all():
+        return None
+    pts = flat.reshape(-1, 2)
+    ends = list(accumulate(lens))
+    return [pts[a:b] for a, b in zip([0, *ends], ends)]
+
+
 def feature_to_record(feature: MapFeature) -> dict:
     return {
         "class": feature.feature_class.value,
@@ -99,7 +153,11 @@ def feature_to_record(feature: MapFeature) -> dict:
     }
 
 
-def feature_from_record(record: dict, where: str) -> MapFeature:
+def feature_from_record(record: dict, where: str, points: np.ndarray | None = None) -> MapFeature:
+    """Validate one feature record. ``points``, when given, is the record's
+    own points already checked and converted by ``_bulk_points``."""
+    if not isinstance(record, dict):
+        raise SceneFormatError(f"{where}: expected an object")
     rec = dict(record)
     cls_name = _as_str(_take(rec, "class", where), f"{where}.class")
     if cls_name not in _CLASS_BY_VALUE:
@@ -114,7 +172,8 @@ def feature_from_record(record: dict, where: str) -> MapFeature:
     confidence = _as_float(_take(rec, "confidence", where), f"{where}.confidence")
     if not (0.0 <= confidence <= 1.0):
         raise SceneFormatError(f"{where}.confidence: must lie in [0, 1]")
-    pts = _parse_points(_take(rec, "points", where), where)
+    raw = _take(rec, "points", where)
+    pts = _parse_points(raw, where) if points is None else points
     _no_extras(rec, where)
     if invariance is InvarianceClass.POLYGON:
         if pts.shape[0] < 3:
@@ -154,16 +213,12 @@ def frame_from_record(record: dict) -> MapFrame:
     if not isinstance(feats_rec, list):
         raise SceneFormatError(f"{where}.features: expected a list")
     _no_extras(rec, where)
-    features = [
-        feature_from_record(fr, f"{where}.features[{k}]") if isinstance(fr, dict)
-        else _bad_feature(f"{where}.features[{k}]")
-        for k, fr in enumerate(feats_rec)
-    ]
-    return MapFrame(frame_id=frame_id, ego_pose=pose, fov_side=fov_side, features=tuple(features))
-
-
-def _bad_feature(where: str):
-    raise SceneFormatError(f"{where}: expected an object")
+    points = _bulk_points(feats_rec) or [None] * len(feats_rec)
+    features = tuple(
+        feature_from_record(fr, f"{where}.features[{k}]", pts)
+        for k, (fr, pts) in enumerate(zip(feats_rec, points))
+    )
+    return MapFrame(frame_id=frame_id, ego_pose=pose, fov_side=fov_side, features=features)
 
 
 _T = TypeVar("_T")
@@ -234,7 +289,8 @@ def read_map_version(path: str | Path) -> tuple[str, list[MapFeature], list[str]
             raise SceneFormatError("feature ids must be present on all features or none")
         if has_id:
             ids.append(_as_str(rec.pop("id"), "feature.id"))
-        features.append(feature_from_record(rec, f"feature[{len(features)}]"))
+        (points,) = _bulk_points([rec]) or [None]
+        features.append(feature_from_record(rec, f"feature[{len(features)}]", points))
 
     _read_records(path, parse)
     if version_id is None:
@@ -268,7 +324,7 @@ def load_json_config(path: str | Path) -> dict:
     """Load a single-object JSON config file, rejecting non-finite numbers."""
     text = Path(path).read_text(encoding="utf-8")
     try:
-        obj = json.loads(text, parse_constant=_reject_constant)
+        obj = _decode(text)
     except json.JSONDecodeError as exc:
         raise SceneFormatError(f"{path}: invalid JSON ({exc.msg})") from None
     if not isinstance(obj, dict):

@@ -29,6 +29,7 @@ from priormap import (
     write_trajectory,
 )
 from priormap.cli import build_parser, main
+from priormap.scene_io import frame_to_record
 
 
 @pytest.fixture
@@ -403,12 +404,16 @@ print(json.dumps({"rc": rc, "scipy_optimize": "scipy.optimize" in sys.modules,
 """
 
 
+def _child_env() -> dict:
+    """The environment of a new interpreter that imports this priormap."""
+    paths = [str(Path(priormap.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
 def _fresh_process(argv: list[str]) -> dict:
     """Run main(argv) in a new interpreter; report its exit code, whether
     scipy.optimize was loaded by the end and whether a solver was."""
-    paths = [str(Path(priormap.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    done = subprocess.run([sys.executable, "-c", _STARTUP_PROBE, *argv], env=env,
+    done = subprocess.run([sys.executable, "-c", _STARTUP_PROBE, *argv], env=_child_env(),
                           capture_output=True, text=True, timeout=120, check=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
 
@@ -508,3 +513,22 @@ def test_mine_error_names_files_and_frame(tmp_path, capsys):
                      str(tmp_path / "prior.jsonl"), "--out-gt", str(tmp_path / "gt.jsonl"),
                      "--window", "20"], capsys)
     assert f"{old} to {new}, frame window_0001: degenerate feature" in err
+
+
+@pytest.mark.parametrize("field", ["coordinate", "fov_side"])
+def test_huge_integer_is_one_error_line(tmp_path, field):
+    rec = frame_to_record(random_frame(np.random.default_rng(5), "frame_0", n_features=2))
+    if field == "fov_side":
+        rec["fov_side"] = 10**400
+    else:
+        rec["features"][1]["points"][0][0] = 10**400
+    src = tmp_path / "huge.jsonl"
+    src.write_text(json.dumps(rec) + "\n")
+    done = subprocess.run([sys.executable, "-m", "priormap.cli", "render", "--scenes", str(src),
+                           "--out-dir", str(tmp_path / "svg")],
+                          env=_child_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    (line,) = done.stderr.splitlines()
+    path = "fov_side" if field == "fov_side" else "features[1].points[0][0]"
+    assert line == f"error: {src}: line 1: frame 'frame_0'.{path}: must be finite"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from priormap import (
     write_scenes,
     write_trajectory,
 )
+from priormap import scene_io as sio
 
 
 class TestSceneRoundTrip:
@@ -257,3 +259,260 @@ class TestTrajectoryFile:
         path.write_text('{"x":0.0,"y":0.0,"yaw":0.0}\n')
         with pytest.raises(SceneFormatError, match="missing field 't'"):
             read_trajectory(path)
+
+
+#: 401 digits: a JSON integer too large for a double.
+_HUGE = 10**400
+
+
+class TestHugeIntegers:
+    """An integer too large for a double is rejected like a non-finite number."""
+
+    def _read_error(self, tmp_path, record: dict, read=read_scenes) -> str:
+        path = tmp_path / "huge.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(SceneFormatError) as info:
+            read(path)
+        return str(info.value).removeprefix(f"{path}: line 1: ")
+
+    def _frame_record(self) -> dict:
+        frame = MapFrame("f", Pose2D(0, 0, 0), 90.0, (line_feature(n=3), line_feature(y=2, n=4)))
+        return sio.frame_to_record(frame)
+
+    def test_point_coordinate(self, tmp_path):
+        rec = self._frame_record()
+        rec["features"][1]["points"][2][0] = _HUGE
+        assert self._read_error(tmp_path, rec) == (
+            "frame 'f'.features[1].points[2][0]: must be finite")
+
+    def test_fov_side(self, tmp_path):
+        rec = self._frame_record()
+        rec["fov_side"] = _HUGE
+        assert self._read_error(tmp_path, rec) == "frame 'f'.fov_side: must be finite"
+
+    def test_confidence(self, tmp_path):
+        rec = self._frame_record()
+        rec["features"][0]["confidence"] = -_HUGE
+        assert self._read_error(tmp_path, rec) == (
+            "frame 'f'.features[0].confidence: must be finite")
+
+    def test_trajectory_timestamp(self, tmp_path):
+        rec = {"t": _HUGE, "x": 0.0, "y": 0.0, "yaw": 0.0}
+        assert self._read_error(tmp_path, rec, read_trajectory) == "pose.t: must be finite"
+
+    def test_map_version_coordinate(self, tmp_path):
+        path = tmp_path / "map.jsonl"
+        write_map_version("v", [line_feature(n=3)], path)
+        rec = sio.feature_to_record(line_feature(y=1, n=3))
+        rec["points"][0][1] = _HUGE
+        with open(path, "a") as fh:
+            fh.write(json.dumps(rec) + "\n")
+        with pytest.raises(SceneFormatError) as info:
+            read_map_version(path)
+        assert str(info.value) == f"{path}: line 3: feature[1].points[0][1]: must be finite"
+
+    def test_large_integer_that_fits_is_read_exactly(self, tmp_path):
+        rec = self._frame_record()
+        rec["features"][1]["points"][2] = [10**300 + 1, -(2**53 + 1)]
+        path = tmp_path / "big.jsonl"
+        path.write_text(json.dumps(rec) + "\n")
+        (frame,) = read_scenes(path)
+        assert frame.features[1].points[2].tolist() == [float(10**300 + 1), float(-(2**53 + 1))]
+
+
+def test_json_errors_match_json_loads():
+    for text in ("\ufeff{}", "{not json", "", "[1,", '{"a": 1} x', '{"a": NaN}', "-Infinity"):
+        with pytest.raises(ValueError) as want:
+            json.loads(text, parse_constant=sio._reject_constant)
+        with pytest.raises(ValueError) as got:
+            sio._decode(text)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+    assert sio._decode('{"a": [1, 2.5, -0.0]}') == {"a": [1, 2.5, -0.0]}
+
+
+# The bulk point check against the per-feature validator. With
+# `_bulk_points` patched to return None, every frame is read through the
+# per-feature validator alone: that read is the oracle for the result and
+# for every error message.
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except SceneFormatError as exc:
+        return f"error: {exc}"
+
+
+def _bulk_and_oracle(read, path, monkeypatch):
+    """(outcome of the read, outcome of the oracle read, how many record
+    lists the bulk check accepted)."""
+    accepted = []
+    bulk_points = sio._bulk_points
+
+    def spy(records):
+        points = bulk_points(records)
+        accepted.append(points is not None)
+        return points
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sio, "_bulk_points", spy)
+        got = _outcome(read, path)
+    with monkeypatch.context() as patch:
+        patch.setattr(sio, "_bulk_points", lambda records: None)
+        want = _outcome(read, path)
+    return got, want, sum(accepted)
+
+
+def _with_integer_coordinates(record: dict, rng) -> dict:
+    """Write some coordinates as JSON integers, huge ones that fit a double
+    and negative zero among them."""
+    for feat in record["features"]:
+        for pair in feat["points"]:
+            if rng.random() < 0.3:
+                k = int(rng.integers(2))
+                pair[k] = rng.choice([0, -0, 7, -3, 2**53 + 1, -(10**30), 10**300])
+                pair[k] = int(pair[k])
+    return record
+
+
+def _assert_same_frames(got, want):
+    assert got == want
+    for a, b in zip(got, want):
+        for fa, fb in zip(a.features, b.features):
+            assert fa.points.tobytes() == fb.points.tobytes()
+            assert not fa.points.flags.writeable
+
+
+class TestBulkReaderMatchesValidator:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_frames(self, tmp_path, monkeypatch, seed):
+        rng = np.random.default_rng(900 + seed)
+        lines = []
+        for k in range(5):
+            frame = random_frame(rng, f"frame_{k}", n_features=int(rng.integers(0, 12)),
+                                 n_points=int(rng.integers(3, 25)))
+            features = [f.with_points(f.points * np.exp(rng.uniform(-30, 30)))
+                        for f in frame.features]
+            rec = sio.frame_to_record(frame.with_features(features))
+            lines.append(json.dumps(_with_integer_coordinates(rec, rng)))
+        path = tmp_path / "scenes.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        got, want, accepted = _bulk_and_oracle(read_scenes, path, monkeypatch)
+        assert accepted == 5
+        _assert_same_frames(got, want)
+
+    @pytest.mark.parametrize("with_ids", [False, True])
+    def test_random_map_versions(self, tmp_path, monkeypatch, with_ids):
+        rng = np.random.default_rng(950 + with_ids)
+        feats = [random_frame(rng, n_features=1, n_points=int(rng.integers(3, 25))).features[0]
+                 for _ in range(30)]
+        ids = [f"f{k}" for k in range(30)] if with_ids else None
+        path = tmp_path / "map.jsonl"
+        write_map_version("v", feats, path, feature_ids=ids)
+        got, want, accepted = _bulk_and_oracle(read_map_version, path, monkeypatch)
+        assert accepted == 30
+        assert got == want and got[1] == feats
+        for fa, fb in zip(got[1], want[1]):
+            assert fa.points.tobytes() == fb.points.tobytes()
+            assert not fa.points.flags.writeable
+
+
+def _raw(token: str) -> str:
+    """A JSON number token that json.dumps cannot write, such as 1e999."""
+    return f"@raw:{token}@"
+
+
+def _dumps_raw(record) -> str:
+    return re.sub(r'"@raw:([^@]*)@"', r"\1", json.dumps(record))
+
+
+def _last_point(value):
+    """Corrupt the last point's y coordinate."""
+    return lambda f: {**f, "points": [*f["points"][:-1], [f["points"][-1][0], value]]}
+
+
+def _last_pair(value):
+    return lambda f: {**f, "points": [*f["points"][:-1], value]}
+
+
+def _without(key):
+    return lambda f: {k: v for k, v in f.items() if k != key}
+
+
+def _polygon(points):
+    return lambda f: {**f, "invariance": "polygon", "points": points(f["points"])}
+
+
+#: (name, corruption of the last feature record, start of the validator's
+#: message after the feature's path). The corruption is always at the last
+#: feature, so a bulk check that stops early would pass it.
+_CORRUPTIONS = [
+    ("coordinate true", _last_point(True), ".points[5][1]: expected a number"),
+    ("coordinate string", _last_point("1"), ".points[5][1]: expected a number"),
+    ("coordinate null", _last_point(None), ".points[5][1]: expected a number"),
+    ("coordinate 1e999", _last_point(_raw("1e999")), ".points[5][1]: must be finite"),
+    ("coordinate 401 digits", _last_point(_HUGE), ".points[5][1]: must be finite"),
+    ("pair of 3", _last_pair([1.0, 2.0, 3.0]), ".points[5]: expected an [x, y] pair"),
+    ("pair of 1", _last_pair([1.0]), ".points[5]: expected an [x, y] pair"),
+    ("pair as object", _last_pair({"x": 1.0, "y": 2.0}), ".points[5]: expected an [x, y] pair"),
+    ("pair as number", _last_pair(1.0), ".points[5]: expected an [x, y] pair"),
+    ("one-point list", lambda f: {**f, "points": f["points"][:1]},
+     ": 'points' must be a list of at least 2"),
+    ("points null", lambda f: {**f, "points": None}, ": 'points' must be a list of at least 2"),
+    ("unknown key", lambda f: {**f, "colour": "red"}, ": unknown field(s): colour"),
+    ("missing points", _without("points"), ": missing field 'points'"),
+    ("missing confidence", _without("confidence"), ": missing field 'confidence'"),
+    ("non-object feature", lambda f: [f["points"]], ": expected an object"),
+    ("no_object class", lambda f: {**f, "class": "no_object"}, ".class: 'no_object' is not"),
+    ("unknown class", lambda f: {**f, "class": "bridge"}, ".class: unknown class 'bridge'"),
+    ("polygon of 2", _polygon(lambda p: p[:2]), ".points: polygons need at least 3"),
+    ("polygon closed", _polygon(lambda p: [*p[:3], p[0]]), ".points: polygons must not repeat"),
+    ("confidence 1.5", lambda f: {**f, "confidence": 1.5}, ".confidence: must lie in [0, 1]"),
+    ("confidence true", lambda f: {**f, "confidence": True}, ".confidence: expected a number"),
+    ("confidence string", lambda f: {**f, "confidence": "1"}, ".confidence: expected a number"),
+]
+
+
+class TestBulkReaderErrors:
+    def _frame_records(self) -> list[dict]:
+        rng = np.random.default_rng(31)
+        return [sio.frame_to_record(random_frame(rng, f"frame_{k}", n_features=6, n_points=6))
+                for k in range(3)]
+
+    @pytest.mark.parametrize("name, corrupt, message", _CORRUPTIONS,
+                             ids=[c[0] for c in _CORRUPTIONS])
+    def test_scene_corruption(self, tmp_path, monkeypatch, name, corrupt, message):
+        records = self._frame_records()
+        records[1]["features"][-1] = corrupt(records[1]["features"][-1])
+        path = tmp_path / "bad.jsonl"
+        path.write_text("".join(_dumps_raw(rec) + "\n" for rec in records))
+        got, want, accepted = _bulk_and_oracle(read_scenes, path, monkeypatch)
+        assert got == want
+        assert got.startswith(f"error: {path}: line 2: frame 'frame_1'.features[5]{message}")
+        assert accepted >= 1  # the frame before the corrupt one
+
+    @pytest.mark.parametrize("name, corrupt, message", _CORRUPTIONS,
+                             ids=[c[0] for c in _CORRUPTIONS])
+    def test_map_version_corruption(self, tmp_path, monkeypatch, name, corrupt, message):
+        frame = random_frame(np.random.default_rng(32), n_features=3, n_points=6)
+        records = [sio.feature_to_record(f) for f in frame.features]
+        records[-1] = corrupt(records[-1])
+        path = tmp_path / "map.jsonl"
+        path.write_text(f'{{"version_id":"v"}}\n' + "".join(_dumps_raw(r) + "\n" for r in records))
+        got, want, accepted = _bulk_and_oracle(read_map_version, path, monkeypatch)
+        assert got == want
+        if name == "non-object feature":
+            assert got == f"error: {path}: line 4: record must be a JSON object"
+        else:
+            assert got.startswith(f"error: {path}: line 4: feature[2]{message}")
+        assert accepted >= 2  # the features before the corrupt one
+
+    def test_empty_feature_list(self, tmp_path, monkeypatch):
+        records = self._frame_records()
+        records[2]["features"] = []
+        path = tmp_path / "scenes.jsonl"
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        got, want, accepted = _bulk_and_oracle(read_scenes, path, monkeypatch)
+        _assert_same_frames(got, want)
+        assert got[2].features == ()
+        assert accepted == 3
