@@ -104,7 +104,11 @@ class MapFeature:
         return float(mn[0]), float(mn[1]), float(mx[0]), float(mx[1])
 
     def with_points(self, points: np.ndarray) -> "MapFeature":
-        return replace(self, points=points)
+        """A copy with new points. Only the points are checked (as_points);
+        the other fields are copied as they are, already valid."""
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__, points=as_points(points))
+        return new
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MapFeature):

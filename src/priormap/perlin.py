@@ -7,13 +7,27 @@ dense grid spanning the field of view, then scaled by the requested
 displacement magnitude, so the magnitude parameter reads directly as the
 displacement standard deviation in meters.
 
-All octaves of both axis fields are evaluated in one batched pass over a
-128x128 normalization grid, which keeps field construction cheap enough
-for Monte-Carlo use while sampling well above the finest default octave's
-wavelength.
+The normalization grid is 128x128 points, which samples well above the
+finest default octave's wavelength. It is separable: the lattice
+coordinate, floor, fraction, fade weight and first hash of a grid point
+depend on one axis only, so the noise kernel computes them on the 128
+axis values per octave row and broadcasts only the second hash level, the
+gradient dot products and the interpolation over the grid. Every value is
+the same floating-point operation on the same operands as at a listed
+point, so the grid, and the mean and standard deviation taken over it, is
+bit-identical to evaluating the 16,384 grid points one by one.
+
+Memory is laid out so that building and sampling fields touches the same
+pages every time, whatever the state of the heap: the broadcast work and
+the grid itself run in per-thread scratch arrays that are allocated once
+and reused, and every other temporary stays at 8 KB or less (lists of
+points are evaluated 1,024 kernel cells at a time).
 """
 from __future__ import annotations
 
+import math
+import numbers
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +40,25 @@ _TABLE = 256
 _MASK = _TABLE - 1
 #: Renormalization grid resolution per axis.
 _NORM_GRID = 128
+#: Kernel cells (octave rows x points) per pass: at most this many per
+#: single-axis array (8 KB of float64), and at most _GRID_CELLS per
+#: broadcast array, which live in the scratch arrays (64 KB each).
+_AXIS_CELLS = 1024
+_GRID_CELLS = 8192
+
+_local = threading.local()
+
+
+def _scratch(name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    """A view at shape of this thread's scratch array called name. It grows
+    to the largest shape asked for and is overwritten by the next caller on
+    the thread, so a view is valid only until then."""
+    held = _local.__dict__.setdefault("arrays", {})
+    cells = math.prod(shape)
+    arr = held.get(name)
+    if arr is None or arr.size < cells:
+        arr = held[name] = np.empty(cells, dtype=dtype)
+    return arr[:cells].reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -43,14 +76,14 @@ class PerlinParams:
     lacunarity: float = 2.0
 
     def __post_init__(self) -> None:
-        if not self.grid_scale > 0:
-            raise ValueError("grid_scale must be positive")
-        if self.octaves < 1:
-            raise ValueError("octaves must be at least 1")
-        if not self.persistence > 0:
-            raise ValueError("persistence must be positive")
-        if not self.lacunarity > 0:
-            raise ValueError("lacunarity must be positive")
+        for name in ("grid_scale", "persistence", "lacunarity"):
+            value = getattr(self, name)
+            number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (number and math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+        octaves = self.octaves
+        if isinstance(octaves, bool) or not isinstance(octaves, numbers.Integral) or octaves < 1:
+            raise ValueError(f"octaves must be an integer of at least 1, got {octaves!r}")
 
 
 class WarpField:
@@ -69,8 +102,8 @@ class WarpField:
         seed: int,
         fov_side: float = 90.0,
     ):
-        if sigma < 0:
-            raise ValueError("sigma must be non-negative")
+        if not (math.isfinite(sigma) and sigma >= 0):
+            raise ValueError(f"sigma must be non-negative and finite, got {sigma!r}")
         self.params = params
         self.sigma = float(sigma)
         self.fov_side = float(fov_side)
@@ -87,27 +120,53 @@ class WarpField:
             gy[r] = np.sin(angles)
             offsets[r] = rng.uniform(0.0, float(_TABLE), 2)
         octave = np.tile(np.arange(params.octaves), 2)
-        self._freq = (params.lacunarity**octave / params.grid_scale)[:, None]
-        self._amp = (params.persistence**octave)[:, None]
-        self._off_x = offsets[:, 0][:, None]
-        self._off_y = offsets[:, 1][:, None]
-        self._row_base = (np.arange(rows, dtype=np.intp) * _TABLE)[:, None]
-        self._perm_flat = perm.ravel()
-        self._gx_flat = gx.ravel()
-        self._gy_flat = gy.ravel()
+        shape = (rows, 1, 1)  # kernel arrays are (row, line, point)
+        self._freq = (params.lacunarity**octave / params.grid_scale).reshape(shape)
+        self._amp = (params.persistence**octave).reshape(shape)
+        self._off_x = offsets[:, 0].reshape(shape)
+        self._off_y = offsets[:, 1].reshape(shape)
+        row = np.arange(rows, dtype=np.intp)[:, None]
+        self._row_base = (row * _TABLE).reshape(shape)
+        # The first hash level already offset into its row of the corner
+        # tables. Those hold each row's permuted gradients twice over, so
+        # first hash + lattice y (+ 1), at most 2 * _TABLE - 1, indexes the
+        # second hash level's gradient without a wrap or a second lookup.
+        self._perm_flat = (perm + row * (2 * _TABLE)).ravel()
+        self._gx = np.tile(np.take_along_axis(gx, perm, axis=1), 2).ravel()
+        self._gy = np.tile(np.take_along_axis(gy, perm, axis=1), 2).ravel()
 
+        raw = self._grid_raw()
+        self._mean = raw.mean(axis=0)
+        # raw.std(axis=0), step for step as numpy takes it, but in place
+        # rather than through a grid-sized temporary.
+        raw -= self._mean
+        np.square(raw, out=raw)
+        self._std = np.sqrt(raw.sum(axis=0) / raw.shape[0])
+
+    def _grid_raw(self) -> np.ndarray:
+        """Raw noise on the normalization grid, C-contiguous (16384, 2) in
+        meshgrid point order (x varies fastest), in this thread's scratch."""
         half = self.fov_side / 2.0
         axis = np.linspace(-half, half, _NORM_GRID)
-        mesh_x, mesh_y = np.meshgrid(axis, axis)
-        grid = np.column_stack([mesh_x.ravel(), mesh_y.ravel()])
-        raw = self._raw(grid)
-        self._mean = raw.mean(axis=0)
-        self._std = raw.std(axis=0)
+        rows = 2 * self.params.octaves
+        lines = max(1, _GRID_CELLS // (rows * _NORM_GRID))
+        raw = _scratch("grid", (_NORM_GRID * _NORM_GRID, 2))
+        for i in range(0, _NORM_GRID, lines):
+            block = self._raw_chunk(axis[None, :], axis[i : i + lines, None])
+            raw[i * _NORM_GRID : i * _NORM_GRID + len(block)] = block
+        return raw
 
-    def _raw_chunk(self, pts: np.ndarray) -> np.ndarray:
-        """Unnormalized octave-summed noise per axis for one chunk."""
-        cx = pts[:, 0][None, :] * self._freq + self._off_x
-        cy = pts[:, 1][None, :] * self._freq + self._off_y
+    def _raw_chunk(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Unnormalized octave-summed noise per axis at the points (x, y).
+
+        x and y are 2-D and broadcast against each other: (1, n) each for a
+        list of points, (1, k) and (l, 1) for a grid of l lines of k points.
+        Everything that depends on one coordinate is computed at that
+        coordinate's shape; the broadcast work runs in this thread's
+        scratch arrays. Returns (points, 2) in C order of the broadcast.
+        """
+        cx = x * self._freq + self._off_x
+        cy = y * self._freq + self._off_y
         xi = np.floor(cx)
         yi = np.floor(cy)
         xf = cx
@@ -120,28 +179,39 @@ class WarpField:
         iy &= _MASK
         base = self._row_base
         p = self._perm_flat
-        pix = p[base + ix]
+        px0 = p[base + ix]
         ix += 1
         ix &= _MASK
-        pix1 = p[base + ix]
-        pix += iy
-        pix1 += iy
-        h00 = base + p[base + (pix & _MASK)]
-        h10 = base + p[base + (pix1 & _MASK)]
-        pix += 1
-        pix1 += 1
-        h01 = base + p[base + (pix & _MASK)]
-        h11 = base + p[base + (pix1 & _MASK)]
-        gx = self._gx_flat
-        gy = self._gy_flat
+        px1 = p[base + ix]
         xm = xf - 1.0
         ym = yf - 1.0
-        n00 = gx[h00] * xf + gy[h00] * yf
-        n10 = gx[h10] * xm + gy[h10] * yf
-        n01 = gx[h01] * xf + gy[h01] * ym
-        n11 = gx[h11] * xm + gy[h11] * ym
         u = xf * xf * xf * (xf * (xf * 6.0 - 15.0) + 10.0)
         v = yf * yf * yf * (yf * (yf * 6.0 - 15.0) + 10.0)
+
+        shape = np.broadcast_shapes(cx.shape, cy.shape)  # (rows, lines, points)
+        h = _scratch("hash", shape, np.intp)
+        t, n00, n10, n01, n11 = (_scratch(k, shape) for k in ("t", "n00", "n10", "n01", "n11"))
+        gx = self._gx
+        gy = self._gy
+
+        def corner(dx: np.ndarray, dy: np.ndarray, out: np.ndarray) -> None:
+            """out = gx[h] * dx + gy[h] * dy, the corner's gradient dot. The
+            hashes are always in range; mode="clip" only spares the copy
+            take's default mode makes when given out."""
+            gx.take(h, out=t, mode="clip")
+            np.multiply(t, dx, out=t)
+            gy.take(h, out=out, mode="clip")
+            out *= dy
+            out += t
+
+        np.add(px0, iy, out=h)
+        corner(xf, yf, n00)
+        h += 1
+        corner(xf, ym, n01)
+        np.add(px1, iy, out=h)
+        corner(xm, yf, n10)
+        h += 1
+        corner(xm, ym, n11)
         n10 -= n00
         n10 *= u
         n10 += n00  # nx0
@@ -151,19 +221,18 @@ class WarpField:
         n11 -= n10
         n11 *= v
         n11 += n10
-        n11 *= self._amp  # (rows, n)
+        n11 *= self._amp
         octaves = self.params.octaves
         return n11.reshape(2, octaves, -1).sum(axis=1).T
 
     def _raw(self, pts: np.ndarray) -> np.ndarray:
-        # Chunk so the pipeline's temporaries stay cache-resident; the
-        # evaluation is memory-bound otherwise.
-        chunk = 8192
-        if pts.shape[0] <= chunk:
-            return self._raw_chunk(pts)
+        step = max(1, _AXIS_CELLS // (2 * self.params.octaves))
+        if pts.shape[0] <= step:
+            return self._raw_chunk(pts[None, :, 0], pts[None, :, 1])
         out = np.empty((pts.shape[0], 2), dtype=np.float64)
-        for start in range(0, pts.shape[0], chunk):
-            out[start : start + chunk] = self._raw_chunk(pts[start : start + chunk])
+        for start in range(0, pts.shape[0], step):
+            chunk = pts[start : start + step]
+            out[start : start + step] = self._raw_chunk(chunk[None, :, 0], chunk[None, :, 1])
         return out
 
     def __call__(self, pts) -> np.ndarray:

@@ -10,9 +10,12 @@ bit-identically.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
+
+import numpy as np
 
 from .model import (
     DEFAULT_DIMS,
@@ -45,6 +48,12 @@ _DISCRETE = {
 }
 
 
+#: Ceiling on sigma (meters) and sigma_yaw_deg (degrees): far beyond any
+#: field of view, and small enough that no Gaussian draw times it, added to
+#: a coordinate, overflows a double.
+MAX_SIGMA = 1e6
+
+
 @dataclass(frozen=True)
 class MutationSpec:
     """One mutation with exactly the parameters its kind needs."""
@@ -71,12 +80,20 @@ class MutationSpec:
         for name in stray:
             if getattr(self, name) is not None:
                 raise ValueError(f"{kind.value}: parameter '{name}' does not apply")
-        if self.p is not None and not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"{kind.value}: p must lie in [0, 1]")
-        if self.sigma is not None and self.sigma < 0.0:
-            raise ValueError(f"{kind.value}: sigma must be non-negative")
-        if self.sigma_yaw_deg is not None and self.sigma_yaw_deg < 0.0:
-            raise ValueError(f"{kind.value}: sigma_yaw_deg must be non-negative")
+        for name in ("p", "sigma", "sigma_yaw_deg"):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (number and math.isfinite(value)):
+                raise ValueError(f"{kind.value}: {name} must be a finite number, got {value!r}")
+            if name == "p":
+                if not 0.0 <= value <= 1.0:
+                    raise ValueError(f"{kind.value}: p must lie in [0, 1]")
+            elif value < 0.0:
+                raise ValueError(f"{kind.value}: {name} must be non-negative")
+            elif value > MAX_SIGMA:
+                raise ValueError(f"{kind.value}: {name} must be at most {MAX_SIGMA:g}")
         if kind is MutationKind.PERLIN_WARP and self.perlin is None:
             object.__setattr__(self, "perlin", PerlinParams())
 
@@ -128,7 +145,10 @@ def recipe_from_dict(raw: Mapping) -> PerturbRecipe:
             kwargs = {k: praw.pop(k) for k in _PERLIN_KEYS if k in praw}
             if praw:
                 raise ValueError(f"{where}.perlin: unknown key(s): {', '.join(sorted(praw))}")
-            perlin = PerlinParams(**kwargs)
+            try:
+                perlin = PerlinParams(**kwargs)
+            except ValueError as exc:
+                raise ValueError(f"{where}.perlin: {exc}") from None
         known = {k: m.pop(k) for k in ("p", "sigma", "sigma_yaw_deg") if k in m}
         if m:
             raise ValueError(f"{where}: unknown key(s): {', '.join(sorted(m))}")
@@ -278,13 +298,16 @@ def perlin_warp(
     frame: MapFrame, sigma: float, params: PerlinParams, stream: MutationStream
 ) -> MapFrame:
     """Displace every control point by a frame-wide coherent warp field
-    sampled at the point's coordinates."""
+    sampled at the point's coordinates, all of the frame's points in one
+    call."""
     if sigma == 0.0 or not frame.features:
         return frame
     seed = int(stream.frame().integers(0, 1 << 62))
     warp = WarpField(params, sigma, seed, fov_side=frame.fov_side)
-    out = [f.with_points(f.points + warp(f.points)) for f in frame.features]
-    return frame.with_features(out)
+    moved = np.concatenate([f.points for f in frame.features])
+    moved += warp(moved)
+    pieces = np.split(moved, np.cumsum([f.n_points for f in frame.features[:-1]]))
+    return frame.with_features(f.with_points(q) for f, q in zip(frame.features, pieces))
 
 
 def _apply_one(

@@ -67,13 +67,43 @@ class TestPerturbCommand:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_jobs_do_not_change_output(self, tmp_path, scene_file, recipe_file):
+        # Threads share nothing random: every worker resets its own stream,
+        # and the Perlin warp draws its tables from one as well.
         src, _ = scene_file
-        out1, out8 = tmp_path / "j1.jsonl", tmp_path / "j8.jsonl"
-        assert main(["perturb", "--scenes", str(src), "--recipe", str(recipe_file),
-                     "--out", str(out1), "--jobs", "1"]) == 0
-        assert main(["perturb", "--scenes", str(src), "--recipe", str(recipe_file),
-                     "--out", str(out8), "--jobs", "8"]) == 0
-        assert out1.read_bytes() == out8.read_bytes()
+        warp = tmp_path / "warp.json"
+        raw = json.loads(recipe_file.read_text())
+        raw["mutations"].append({"kind": "perlin_warp", "sigma": 1.0})
+        warp.write_text(json.dumps(raw))
+        for recipe in (recipe_file, warp):
+            outs = []
+            for jobs in ("1", "2", "8"):
+                out = tmp_path / f"{recipe.stem}-j{jobs}.jsonl"
+                assert main(["perturb", "--scenes", str(src), "--recipe", str(recipe),
+                             "--out", str(out), "--jobs", jobs]) == 0
+                outs.append(out.read_bytes())
+            assert outs[0] == outs[1] == outs[2]
+        assert outs[0] != (tmp_path / "recipe-j1.jsonl").read_bytes()
+
+    def test_warp_output_matches_pinned_digest(self, tmp_path):
+        # A pinned sha256 of what perturb writes for two warps over a
+        # duplicated, jittered frame: any change to those bytes shows here.
+        rng = np.random.default_rng(2024)
+        frames = [random_frame(rng, f"frame_{i}", n_features=7) for i in range(5)]
+        src, recipe = tmp_path / "scenes.jsonl", tmp_path / "recipe.json"
+        write_scenes(frames, src)
+        recipe.write_text(json.dumps({"master_seed": 11, "mutations": [
+            {"kind": "duplicate_features", "p": 0.3},
+            {"kind": "jitter_control_points", "sigma": 0.2},
+            {"kind": "perlin_warp", "sigma": 1.5},
+            {"kind": "perlin_warp", "sigma": 0.8,
+             "perlin": {"grid_scale": 7.5, "octaves": 3, "persistence": 0.5, "lacunarity": 2.5}},
+        ]}))
+        for jobs in ("1", "3"):
+            out = tmp_path / f"out{jobs}.jsonl"
+            assert main(["perturb", "--scenes", str(src), "--recipe", str(recipe),
+                         "--out", str(out), "--jobs", jobs]) == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+                "c59a61f3c9382106771f4926cd6086d4b629268d5f39fbd1d56c08aab253cc4d")
 
     def test_seed_override_changes_output(self, tmp_path, scene_file, recipe_file):
         src, _ = scene_file
@@ -480,15 +510,33 @@ def _zero_length_line(x: float, y: float):
     return line_feature(y=0.0).with_points(np.zeros((20, 2)) + [x, y])
 
 
-def test_perturb_error_names_file_and_frame(tmp_path, scene_file, capsys):
+def test_perturb_error_names_file_and_frame(tmp_path, scene_file, capsys, monkeypatch):
+    # A recipe's bounds are checked at load time, so no recipe makes a frame
+    # fail; a mutation that moves points to infinity stands in for one.
+    def to_infinity(frame, sigma, stream):
+        return frame.with_features(f.with_points(f.points + np.inf) for f in frame.features)
+
+    monkeypatch.setattr(priormap.perturb, "jitter_control_points", to_infinity)
     src, _ = scene_file
     recipe = tmp_path / "recipe.json"
     recipe.write_text(json.dumps(
-        {"master_seed": 1, "mutations": [{"kind": "jitter_control_points", "sigma": 1e308}]}))
-    with np.errstate(over="ignore"):
-        err = _error_of(["perturb", "--scenes", str(src), "--recipe", str(recipe),
-                         "--out", str(tmp_path / "out.jsonl")], capsys)
+        {"master_seed": 1, "mutations": [{"kind": "jitter_control_points", "sigma": 0.1}]}))
+    err = _error_of(["perturb", "--scenes", str(src), "--recipe", str(recipe),
+                     "--out", str(tmp_path / "out.jsonl")], capsys)
     assert f"{src}, frame frame_0: points must be finite" in err
+
+
+def test_perturb_rejects_out_of_bounds_recipe_at_load(tmp_path, scene_file, capsys):
+    src, _ = scene_file
+    recipe = tmp_path / "recipe.json"
+    recipe.write_text(json.dumps(
+        {"master_seed": 1, "mutations": [{"kind": "drop_features", "p": 0.1},
+                                         {"kind": "jitter_control_points", "sigma": 1e308}]}))
+    out = tmp_path / "out.jsonl"
+    err = _error_of(["perturb", "--scenes", str(src), "--recipe", str(recipe),
+                     "--out", str(out)], capsys)
+    assert err == "error: recipe.mutations[1]: jitter_control_points: sigma must be at most 1e+06\n"
+    assert not out.exists()
 
 
 def test_eval_error_names_files_and_frame(tmp_path, scene_file, capsys):

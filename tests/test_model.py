@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import line_feature, random_frame, ring_feature
+from conftest import line_feature, random_feature, random_frame, ring_feature
 from priormap import (
     DegenerateFeatureError,
     FeatureClass,
@@ -171,6 +172,50 @@ class TestRigidTransform:
         db = np.linalg.norm(before[:, None] - before[None, :], axis=2)
         da = np.linalg.norm(after[:, None] - after[None, :], axis=2)
         np.testing.assert_allclose(da, db, atol=1e-9)
+
+
+class TestWithPoints:
+    """with_points against its slow form, dataclasses.replace, which re-runs
+    every check of the constructor."""
+
+    @staticmethod
+    def _same(a: MapFeature, b: MapFeature) -> bool:
+        return (
+            type(a) is type(b)
+            and vars(a).keys() == vars(b).keys()
+            and a == b
+            and a.points.tobytes() == b.points.tobytes()
+            and a.points.dtype == b.points.dtype
+            and a.points.flags.c_contiguous
+            and not a.points.flags.writeable
+            and repr(a) == repr(b)
+        )
+
+    def test_matches_replace(self):
+        rng = np.random.default_rng(31)
+        for k in range(200):
+            feat = random_feature(rng, n=int(rng.integers(2, 30)), confidence=float(rng.uniform()))
+            new = rng.normal(0.0, 50.0, (int(rng.integers(1, 30)), 2))
+            before = feat.points.copy()
+            for points in (new, new.tolist(), new.astype(np.float32), np.asfortranarray(new),
+                           new[::-1], new.astype(np.int64)):
+                got = feat.with_points(points)
+                assert self._same(got, dataclasses.replace(feat, points=points)), k
+                assert got.feature_class is feat.feature_class
+                assert got.confidence == feat.confidence
+            assert feat.points.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("points", [
+        np.zeros((3, 3)), np.zeros(4), np.zeros((0, 2, 1)), [[0.0, float("nan")]],
+        [[float("inf"), 1.0], [2.0, 3.0]], [[1.0, 2.0], [3.0]], "ab",
+    ])
+    def test_errors_match_replace(self, points):
+        feat = line_feature(n=4)
+        with pytest.raises(Exception) as slow:
+            dataclasses.replace(feat, points=points)
+        with pytest.raises(type(slow.value)) as fast:
+            feat.with_points(points)
+        assert str(fast.value) == str(slow.value)
 
 
 class TestPadding:

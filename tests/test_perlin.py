@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from priormap import PerlinParams, WarpField
+from priormap import PerlinParams, WarpField, philox_stream
 
 
 def _norm_grid(fov_side: float = 90.0, n: int = 128) -> np.ndarray:
@@ -69,3 +73,108 @@ def test_param_validation():
         PerlinParams(octaves=0)
     with pytest.raises(ValueError):
         WarpField(PerlinParams(), sigma=-1.0, seed=0)
+
+
+def _reference_raw(params: PerlinParams, seed: int, pts: np.ndarray) -> np.ndarray:
+    """The warp kernel's slow form: per-octave-row tables drawn as the field
+    draws them, and the textbook two-level hash with a wrap per level,
+    evaluated at a list of points."""
+    rng = philox_stream(seed)
+    rows = 2 * params.octaves
+    perm = np.empty((rows, 256), dtype=np.intp)
+    gx = np.empty((rows, 256))
+    gy = np.empty((rows, 256))
+    offsets = np.empty((rows, 2))
+    for r in range(rows):
+        perm[r] = rng.permutation(256)
+        angles = rng.uniform(0.0, 2.0 * np.pi, 256)
+        gx[r] = np.cos(angles)
+        gy[r] = np.sin(angles)
+        offsets[r] = rng.uniform(0.0, 256.0, 2)
+    octave = np.tile(np.arange(params.octaves), 2)
+    freq = (params.lacunarity**octave / params.grid_scale)[:, None]
+    amp = (params.persistence**octave)[:, None]
+    row = np.arange(rows)[:, None]
+    cx = pts[:, 0][None, :] * freq + offsets[:, 0][:, None]
+    cy = pts[:, 1][None, :] * freq + offsets[:, 1][:, None]
+    xi, yi = np.floor(cx), np.floor(cy)
+    xf, yf = cx - xi, cy - yi
+    ix, iy = xi.astype(np.intp) & 255, yi.astype(np.intp) & 255
+
+    def corner(dx, dy):
+        h = perm[row, (perm[row, (ix + dx) & 255] + iy + dy) & 255]
+        return gx[row, h] * (xf - dx) + gy[row, h] * (yf - dy)
+
+    u = xf * xf * xf * (xf * (xf * 6.0 - 15.0) + 10.0)
+    v = yf * yf * yf * (yf * (yf * 6.0 - 15.0) + 10.0)
+    n00, n10, n01, n11 = corner(0, 0), corner(1, 0), corner(0, 1), corner(1, 1)
+    nx0 = (n10 - n00) * u + n00
+    nx1 = (n11 - n01) * u + n01
+    noise = ((nx1 - nx0) * v + nx0) * amp
+    return noise.reshape(2, params.octaves, -1).sum(axis=1).T
+
+
+_params = st.builds(
+    PerlinParams,
+    grid_scale=st.floats(0.5, 200.0),
+    octaves=st.integers(1, 9),
+    persistence=st.floats(0.05, 1.5),
+    lacunarity=st.floats(1.1, 4.0),
+)
+
+
+@given(_params, st.floats(1.0, 400.0), st.integers(0, (1 << 62) - 1))
+@settings(max_examples=60, deadline=None)
+def test_separable_grid_matches_point_list_bit_for_bit(params, fov_side, seed):
+    field = WarpField(params, 1.0, seed, fov_side=fov_side)
+    mesh = _norm_grid(fov_side)
+    grid = field._grid_raw()
+    assert grid.flags.c_contiguous and grid.shape == (128 * 128, 2)
+    listed = field._raw(mesh)
+    assert grid.tobytes() == np.ascontiguousarray(listed).tobytes()
+    assert grid.tobytes() == np.ascontiguousarray(_reference_raw(params, seed, mesh)).tobytes()
+    assert field._mean.tobytes() == listed.mean(axis=0).tobytes()
+    assert field._std.tobytes() == listed.std(axis=0).tobytes()
+
+
+@given(_params, st.integers(0, (1 << 62) - 1), st.integers(1, 3000), st.floats(1.0, 1e4))
+@settings(max_examples=60, deadline=None)
+def test_kernel_matches_reference_at_any_points(params, seed, n, spread):
+    pts = np.random.default_rng(seed % 1000).uniform(-spread, spread, (n, 2))
+    field = WarpField(params, 1.0, seed)
+    got = np.ascontiguousarray(field._raw(pts))
+    assert got.tobytes() == np.ascontiguousarray(_reference_raw(params, seed, pts)).tobytes()
+
+
+@pytest.mark.parametrize("bad", [
+    {"grid_scale": float("inf")}, {"grid_scale": float("nan")}, {"persistence": float("inf")},
+    {"lacunarity": float("nan")}, {"lacunarity": -1.0}, {"octaves": 2.5}, {"octaves": True},
+    {"grid_scale": "15"},
+])
+def test_params_reject_non_finite_and_non_numbers(bad):
+    with pytest.raises(ValueError):
+        PerlinParams(**bad)
+
+
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+def test_field_rejects_non_finite_sigma(sigma):
+    with pytest.raises(ValueError, match="sigma must be non-negative and finite"):
+        WarpField(PerlinParams(), sigma=sigma, seed=0)
+
+
+def test_fields_built_on_threads_match_serial():
+    # Each thread builds and samples fields in its own scratch arrays.
+    pts = np.random.default_rng(3).uniform(-50, 50, (300, 2))
+    params = PerlinParams(octaves=3)
+
+    def work(first: int) -> list[bytes]:
+        out = []
+        for seed in range(first, first + 12):
+            field = WarpField(params, 1.0, seed)
+            out.append(field._mean.tobytes() + field._std.tobytes() + field(pts).tobytes())
+        return out
+
+    serial = [work(12 * k) for k in range(4)]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        threaded = list(pool.map(work, [12 * k for k in range(4)]))
+    assert threaded == serial

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import line_feature, random_frame, ring_feature
+from conftest import line_feature, random_feature, random_frame, ring_feature
 from priormap import (
     DEFAULT_INVARIANCE,
     FeatureClass,
@@ -18,6 +18,7 @@ from priormap import (
     PerlinParams,
     PerturbRecipe,
     Pose2D,
+    WarpField,
     apply_recipe,
     apply_rigid_transform,
     corrupt_class,
@@ -32,6 +33,7 @@ from priormap import (
     shift_features,
     stable_key,
 )
+from priormap.perturb import MAX_SIGMA
 
 
 def _stream(seed=1, frame="f", index=0) -> MutationStream:
@@ -224,6 +226,28 @@ class TestPerlinWarp:
         b = perlin_warp(frame, 1.0, PerlinParams(), _stream(seed=14))
         assert a == b
 
+    @pytest.mark.parametrize("octaves", [1, 4, 9])
+    def test_one_stacked_sample_matches_per_feature_sampling(self, octaves):
+        # The slow form: one field call per feature. Frames of 1 to 90
+        # features of 2 to 40 points, so a frame's stack also crosses the
+        # kernel's chunk boundary.
+        rng = np.random.default_rng(octaves)
+        params = PerlinParams(grid_scale=9.0, octaves=octaves)
+        for k in range(12):
+            n = int(rng.integers(1, 91))
+            feats = [random_feature(rng, n=int(rng.integers(3, 41)), span=60.0) for _ in range(n)]
+            feats[0] = feats[0].with_points(feats[0].points[:2])
+            frame = MapFrame(f"w{k}", Pose2D(0, 0, 0), 60.0, tuple(feats))
+            stream = _stream(seed=k, frame=frame.frame_id, index=2)
+            got = perlin_warp(frame, 1.7, params, stream)
+            seed = int(stream.frame().integers(0, 1 << 62))
+            warp = WarpField(params, 1.7, seed, fov_side=frame.fov_side)
+            want = frame.with_features(f.with_points(f.points + warp(f.points)) for f in frame.features)
+            assert got == want
+            for a, b in zip(got.features, want.features):
+                assert a.points.tobytes() == b.points.tobytes()
+                assert not a.points.flags.writeable
+
 
 class TestRecipe:
     def test_empty_recipe_identity_on_conforming_frame(self):
@@ -332,6 +356,39 @@ class TestRecipeConfig:
             MutationSpec(MutationKind.DROP_FEATURES, p=1.5)
         with pytest.raises(ValueError, match="sigma must be non-negative"):
             MutationSpec(MutationKind.JITTER_CONTROL_POINTS, sigma=-0.1)
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"kind": "jitter_control_points", "sigma": float("nan")}, "sigma must be a finite number"),
+        ({"kind": "shift_features", "sigma": float("inf")}, "sigma must be a finite number"),
+        ({"kind": "localization_noise", "sigma": 0.1, "sigma_yaw_deg": float("nan")},
+         "sigma_yaw_deg must be a finite number"),
+        ({"kind": "localization_noise", "sigma": 0.1, "sigma_yaw_deg": 1e7},
+         "sigma_yaw_deg must be at most 1e\\+06"),
+        ({"kind": "jitter_control_points", "sigma": 1e308}, "sigma must be at most 1e\\+06"),
+        ({"kind": "perlin_warp", "sigma": 1e6 * (1 + 1e-15)}, "sigma must be at most"),
+        ({"kind": "drop_features", "p": float("nan")}, "p must be a finite number"),
+        ({"kind": "wrong_class", "p": float("-inf")}, "p must be a finite number"),
+        ({"kind": "drop_features", "p": True}, "p must be a finite number"),
+        ({"kind": "shift_features", "sigma": "0.1"}, "sigma must be a finite number"),
+        ({"kind": "perlin_warp", "sigma": 1.0, "perlin": {"grid_scale": float("inf")}},
+         r"\.perlin: grid_scale must be a positive finite number"),
+        ({"kind": "perlin_warp", "sigma": 1.0, "perlin": {"octaves": 0}},
+         r"\.perlin: octaves must be an integer of at least 1"),
+        ({"kind": "perlin_warp", "sigma": 1.0, "perlin": {"lacunarity": float("nan")}},
+         r"\.perlin: lacunarity must be a positive finite number"),
+    ])
+    def test_bounds_checked_at_load_and_named(self, entry, message):
+        raw = {"master_seed": 1,
+               "mutations": [{"kind": "drop_features", "p": 0.1}, entry]}
+        with pytest.raises(ValueError, match=r"^recipe\.mutations\[1\]" + f".*{message}"):
+            recipe_from_dict(raw)
+
+    def test_sigma_ceiling_is_inclusive(self):
+        spec = MutationSpec(MutationKind.JITTER_CONTROL_POINTS, sigma=MAX_SIGMA)
+        assert spec.sigma == 1e6
+        frame = random_frame(np.random.default_rng(4), n_features=3)
+        out = jitter_control_points(frame, MAX_SIGMA, _stream())
+        assert all(np.isfinite(f.points).all() for f in out.features)
 
     def test_perlin_defaults_filled(self):
         spec = MutationSpec(MutationKind.PERLIN_WARP, sigma=0.5)
