@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -50,27 +50,6 @@ class Box:
 
     def contains_point(self, x: float, y: float) -> bool:
         return self.min_x <= x <= self.max_x and self.min_y <= y <= self.max_y
-
-    def union(self, other: "Box") -> "Box":
-        return Box(
-            min(self.min_x, other.min_x),
-            min(self.min_y, other.min_y),
-            max(self.max_x, other.max_x),
-            max(self.max_y, other.max_y),
-        )
-
-    def expanded(self, margin: float) -> "Box":
-        return Box(
-            self.min_x - margin, self.min_y - margin, self.max_x + margin, self.max_y + margin
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "min_x": self.min_x,
-            "min_y": self.min_y,
-            "max_x": self.max_x,
-            "max_y": self.max_y,
-        }
 
 
 @dataclass(frozen=True)
@@ -111,20 +90,17 @@ class MapVersion:
         )
         return cls(version_id, feats, ids, has_ids, extent, boxes)
 
-    def box(self, i: int) -> Box:
-        return Box(*self.boxes[i].tolist())
-
 
 @dataclass(frozen=True)
 class ChangeReport:
-    """Diff between two map versions. change_bounds carries one box per
-    change (old and new geometry unioned for modifications) so regions can
-    be derived without the source maps."""
+    """Diff between two map versions. The read-only (k, 4) change_bounds
+    array holds one box per change, removed then added then modified (old
+    and new geometry unioned), so regions need not read the source maps."""
 
     added: tuple[str, ...]
     removed: tuple[str, ...]
     modified: tuple[tuple[str, str, float], ...]
-    change_bounds: tuple[Box, ...]
+    change_bounds: np.ndarray = field(repr=False, compare=False)
     regions: tuple[Box, ...] = ()
 
     @property
@@ -138,27 +114,30 @@ class ChangeReport:
             "modified": [
                 {"old_id": o, "new_id": n, "chamfer": c} for o, n, c in self.modified
             ],
-            "regions": [b.to_dict() for b in self.regions],
+            "regions": [asdict(b) for b in self.regions],
         }
 
 
-def _diff_by_ids(
-    old: MapVersion, new: MapVersion, modify_tol: float
-) -> tuple[list[str], list[str], list[tuple[str, str, float]], list[Box]]:
-    old_at = {fid: i for i, fid in enumerate(old.feature_ids)}
-    new_at = {fid: j for j, fid in enumerate(new.feature_ids)}
-    removed = sorted(set(old_at) - set(new_at))
-    added = sorted(set(new_at) - set(old_at))
-    modified: list[tuple[str, str, float]] = []
-    bounds = [old.box(old_at[fid]) for fid in removed]
-    bounds += [new.box(new_at[fid]) for fid in added]
-    for fid in sorted(set(old_at) & set(new_at)):
-        i, j = old_at[fid], new_at[fid]
-        d = chamfer_distance(old.features[i], new.features[j])
-        if d > modify_tol:
-            modified.append((fid, fid, d))
-            bounds.append(old.box(i).union(new.box(j)))
-    return added, removed, modified, bounds
+def _report(
+    old: MapVersion, new: MapVersion, removed: list[int], added: list[int],
+    matched: list[tuple[int, int, float]], modify_tol: float,
+) -> ChangeReport:
+    """The report of removed old rows, added new rows and matched (old row,
+    new row, chamfer) triples, each in output order; a matched pair above
+    modify_tol is modified."""
+    modified = [(i, j, d) for i, j, d in matched if d > modify_tol]
+    i_mod = [i for i, _, _ in modified]
+    j_mod = [j for _, j, _ in modified]
+    unions = np.hstack([np.minimum(old.boxes[i_mod, :2], new.boxes[j_mod, :2]),
+                        np.maximum(old.boxes[i_mod, 2:], new.boxes[j_mod, 2:])])
+    bounds = np.concatenate([old.boxes[removed], new.boxes[added], unions])
+    bounds.flags.writeable = False
+    return ChangeReport(
+        added=tuple(new.feature_ids[j] for j in added),
+        removed=tuple(old.feature_ids[i] for i in removed),
+        modified=tuple((old.feature_ids[i], new.feature_ids[j], d) for i, j, d in modified),
+        change_bounds=bounds,
+    )
 
 
 def diff_maps(
@@ -169,30 +148,32 @@ def diff_maps(
 ) -> ChangeReport:
     """Diff two map versions into added, removed, and modified features.
 
-    Without ids on both sides, each class is matched by one assignment:
-    it pairs as many features as it can within the max_match_dist Chamfer
-    gate, then takes the least total Chamfer distance. A feature left
-    unpaired is a removal or an addition, so a feature moved beyond the gate
-    shows as one of each. Matched pairs within modify_tol are unchanged;
-    pairs above it are modified.
+    With ids on both sides, features are joined on their ids. Without,
+    each class is matched by one assignment: it pairs as many features as it
+    can within the max_match_dist Chamfer gate, then takes the least total
+    Chamfer distance. A feature left unpaired is a removal or an addition,
+    so a feature moved beyond the gate shows as one of each. Matched pairs
+    within modify_tol are unchanged; pairs above it are modified.
     """
     if not max_match_dist >= 0.0:
         raise ValueError(f"max_match_dist must be a non-negative distance, got {max_match_dist}")
     if old.has_ids and new.has_ids:
-        added, removed, modified, bounds = _diff_by_ids(old, new, modify_tol)
-        return ChangeReport(tuple(added), tuple(removed), tuple(modified), tuple(bounds))
+        old_at = {fid: i for i, fid in enumerate(old.feature_ids)}
+        new_at = {fid: j for j, fid in enumerate(new.feature_ids)}
+        removed = [old_at[fid] for fid in sorted(old_at.keys() - new_at.keys())]
+        added = [new_at[fid] for fid in sorted(new_at.keys() - old_at.keys())]
+        pairs = [(old_at[fid], new_at[fid]) for fid in sorted(old_at.keys() & new_at.keys())]
+        matched = [(i, j, chamfer_distance(old.features[i], new.features[j])) for i, j in pairs]
+        return _report(old, new, removed, added, matched, modify_tol)
 
-    added: list[str] = []
-    removed: list[str] = []
-    modified: list[tuple[str, str, float]] = []
-    bounds: list[Box] = []
+    removed, added, matched = [], [], []
     classes = sorted(
         {f.feature_class for f in old.features} | {f.feature_class for f in new.features},
         key=lambda c: c.value,
     )
     for cls in classes:
-        old_idx = [i for i, f in enumerate(old.features) if f.feature_class is cls]
-        new_idx = [j for j, f in enumerate(new.features) if f.feature_class is cls]
+        old_idx = np.flatnonzero([f.feature_class is cls for f in old.features])
+        new_idx = np.flatnonzero([f.feature_class is cls for f in new.features])
         # Chamfer distance is never below the gap between two bounding boxes,
         # so only pairs whose boxes lie within the gate can match.
         box_old = old.boxes[old_idx].reshape(-1, 1, 4)
@@ -209,47 +190,50 @@ def diff_maps(
         # costs away in the solver's sums once a forbidden pair is forced in.
         forbidden = max_match_dist * min(len(old_idx), len(new_idx)) + 1.0
         rows, cols = linear_sum_assignment(np.where(gated, cost, forbidden))
-        matched_old = set()
-        matched_new = set()
-        for a, b in zip(rows, cols):
-            if not gated[a, b]:
-                continue
-            matched_old.add(a)
-            matched_new.add(b)
-            d = float(cost[a, b])
-            if d > modify_tol:
-                i, j = old_idx[a], new_idx[b]
-                modified.append((old.feature_ids[i], new.feature_ids[j], d))
-                bounds.append(old.box(i).union(new.box(j)))
-        for a, i in enumerate(old_idx):
-            if a not in matched_old:
-                removed.append(old.feature_ids[i])
-                bounds.append(old.box(i))
-        for b, j in enumerate(new_idx):
-            if b not in matched_new:
-                added.append(new.feature_ids[j])
-                bounds.append(new.box(j))
-    return ChangeReport(tuple(added), tuple(removed), tuple(modified), tuple(bounds))
+        keep = gated[rows, cols]
+        rows, cols = rows[keep], cols[keep]
+        matched += zip(old_idx[rows].tolist(), new_idx[cols].tolist(), cost[rows, cols].tolist())
+        removed += np.delete(old_idx, rows).tolist()
+        added += np.delete(new_idx, cols).tolist()
+    return _report(old, new, removed, added, matched, modify_tol)
+
+
+def _overlaps(lo: np.ndarray, hi: np.ndarray, boxes: np.ndarray) -> np.ndarray:
+    """(k, r) closed-overlap test, as Box.intersects, between the boxes with
+    corners lo[i], hi[i] and the (r, 4) boxes."""
+    return (
+        (lo[:, None, 0] <= boxes[:, 2])
+        & (boxes[:, 0] <= hi[:, None, 0])
+        & (lo[:, None, 1] <= boxes[:, 3])
+        & (boxes[:, 1] <= hi[:, None, 1])
+    )
 
 
 def change_regions(report: ChangeReport, buffer: float = 20.0) -> tuple[Box, ...]:
     """Buffer each change's bounding box and merge overlapping boxes until
-    stable; regions come back sorted by (min_x, min_y)."""
-    boxes = [b.expanded(buffer) for b in report.change_bounds]
+    no two overlap; regions come back sorted by (min_x, min_y, max_x, max_y).
+
+    The regions are the finest grouping of the buffered boxes whose group
+    boxes are pairwise disjoint. Every merge is forced in any such grouping,
+    so it is unique and does not depend on the order of the changes.
+    """
+    boxes = report.change_bounds + np.array([-buffer, -buffer, buffer, buffer])
     merged = True
     while merged:
-        merged = False
-        out: list[Box] = []
+        out = np.empty_like(boxes)
+        k = 0
         for box in boxes:
-            for k, existing in enumerate(out):
-                if existing.intersects(box):
-                    out[k] = existing.union(box)
-                    merged = True
-                    break
+            hit = np.flatnonzero(_overlaps(box[None, :2], box[None, 2:], out[:k])[0])
+            if hit.size:
+                j = hit[0]
+                out[j, :2] = np.minimum(out[j, :2], box[:2])
+                out[j, 2:] = np.maximum(out[j, 2:], box[2:])
             else:
-                out.append(box)
-        boxes = out
-    return tuple(sorted(boxes, key=lambda b: (b.min_x, b.min_y, b.max_x, b.max_y)))
+                out[k] = box
+                k += 1
+        merged = k < len(boxes)
+        boxes = out[:k]
+    return tuple(Box(*b) for b in sorted(boxes.tolist()))
 
 
 @dataclass(frozen=True)
@@ -265,17 +249,6 @@ class SceneWindow:
 
 #: Poses tested against the regions per array comparison in mine_frames.
 _POSE_CHUNK = 4096
-
-
-def _overlaps(lo: np.ndarray, hi: np.ndarray, boxes: np.ndarray) -> np.ndarray:
-    """(k, r) closed-overlap test, as Box.intersects, between the boxes with
-    corners lo[i], hi[i] and the (r, 4) boxes."""
-    return (
-        (lo[:, None, 0] <= boxes[:, 2])
-        & (boxes[:, 0] <= hi[:, None, 0])
-        & (lo[:, None, 1] <= boxes[:, 3])
-        & (boxes[:, 1] <= hi[:, None, 1])
-    )
 
 
 def mine_frames(

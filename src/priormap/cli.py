@@ -19,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from . import __version__
 from .changes import (
@@ -120,6 +120,15 @@ def _naming(where: str) -> Iterator[None]:
         raise ValueError(f"{where}: {exc}") from exc
 
 
+T = TypeVar("T")
+
+
+def _load_config(path: str, parse: Callable[[dict], T]) -> T:
+    """Load a JSON config file and parse it; any error names the file once."""
+    with _naming(path):
+        return parse(load_json_config(path))
+
+
 def _dims_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n-points", type=int, default=DEFAULT_DIMS.n_points,
                         help="control points per feature")
@@ -158,7 +167,7 @@ def _write_svgs(
 
 
 def cmd_perturb(args: argparse.Namespace) -> Run:
-    recipe = recipe_from_dict(load_json_config(args.recipe))
+    recipe = _load_config(args.recipe, recipe_from_dict)
     if args.seed is not None:
         recipe = replace(recipe, master_seed=args.seed)
     dims = _dims_from(args)
@@ -180,11 +189,7 @@ _LOSS_TERMS = ("total", "positional", "classification", "cosine")
 
 
 def cmd_loss(args: argparse.Namespace) -> Run:
-    weights = (
-        LossWeights.from_dict(load_json_config(args.weights))
-        if args.weights
-        else LossWeights()
-    )
+    weights = _load_config(args.weights, LossWeights.from_dict) if args.weights else LossWeights()
     dims = _dims_from(args)
     preds = read_scenes(args.pred)
     labels = read_scenes(args.labels)
@@ -233,7 +238,7 @@ def _print_eval_table(report) -> None:
 
 
 def cmd_eval(args: argparse.Namespace) -> Run:
-    config = EvalConfig.from_dict(load_json_config(args.config)) if args.config else EvalConfig()
+    config = _load_config(args.config, EvalConfig.from_dict) if args.config else EvalConfig()
     if args.thresholds:
         taus = tuple(float(t) for t in args.thresholds.split(","))
         config = replace(config, thresholds=taus)

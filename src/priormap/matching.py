@@ -29,6 +29,7 @@ from .model import (
     REAL_CLASSES,
     FeatureClass,
     InvarianceClass,
+    MapFeature,
     MapFrame,
     ModelDims,
     pad_to_fixed,
@@ -135,25 +136,24 @@ class LabelSet:
         return self.points.shape[0]
 
 
-def _frame_points(frame: MapFrame, dims: ModelDims) -> list[np.ndarray]:
-    pts = []
+def _padded(frame: MapFrame, dims: ModelDims) -> tuple[tuple[MapFeature, ...], np.ndarray]:
+    """A frame's features resampled to dims.n_points and padded to dims.m
+    slots, with their stacked (m, n_points, 2) points."""
+    feats = []
     for feat in frame.features:
-        if feat.n_points == dims.n_points:
-            pts.append(feat.points)
-        else:
+        if feat.n_points != dims.n_points:
             closed = feat.invariance is InvarianceClass.POLYGON
-            pts.append(resample_polyline(feat.points, dims.n_points, closed=closed))
-    return pts
+            feat = feat.with_points(resample_polyline(feat.points, dims.n_points, closed=closed))
+        feats.append(feat)
+    padded = pad_to_fixed(feats, dims)
+    return padded, np.stack([f.points for f in padded])
 
 
 def label_set_from_frame(frame: MapFrame, dims: ModelDims = DEFAULT_DIMS) -> LabelSet:
     """Stack a frame's features into a padded label tensor."""
-    resampled = _frame_points(frame, dims)
-    padded = pad_to_fixed(
-        [f.with_points(p) for f, p in zip(frame.features, resampled)], dims
-    )
+    padded, points = _padded(frame, dims)
     return LabelSet(
-        points=np.stack([f.points for f in padded]),
+        points=points,
         classes=tuple(f.feature_class for f in padded),
         invariances=tuple(f.invariance for f in padded),
     )
@@ -165,10 +165,7 @@ def prediction_set_from_frame(frame: MapFrame, dims: ModelDims = DEFAULT_DIMS) -
     A feature's score vector puts its confidence on its class and the
     remaining mass on no-object; padded slots score no-object outright.
     """
-    resampled = _frame_points(frame, dims)
-    padded = pad_to_fixed(
-        [f.with_points(p) for f, p in zip(frame.features, resampled)], dims
-    )
+    padded, points = _padded(frame, dims)
     scores = np.zeros((dims.m, len(SCORE_CLASSES)), dtype=np.float64)
     for i, feat in enumerate(padded):
         if feat.feature_class is FeatureClass.NO_OBJECT:
@@ -176,7 +173,7 @@ def prediction_set_from_frame(frame: MapFrame, dims: ModelDims = DEFAULT_DIMS) -
         else:
             scores[i, _SCORE_INDEX[feat.feature_class]] = feat.confidence
             scores[i, _SCORE_INDEX[FeatureClass.NO_OBJECT]] = 1.0 - feat.confidence
-    return PredictionSet(points=np.stack([f.points for f in padded]), class_scores=scores)
+    return PredictionSet(points=points, class_scores=scores)
 
 
 @functools.lru_cache(maxsize=None)

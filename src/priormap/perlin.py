@@ -46,6 +46,14 @@ _NORM_GRID = 128
 _AXIS_CELLS = 1024
 _GRID_CELLS = 8192
 
+#: Most octaves a field stacks: up to it, one normalization-grid line of
+#: every octave row fits the _GRID_CELLS scratch budget.
+MAX_OCTAVES = _GRID_CELLS // (2 * _NORM_GRID)
+#: Ceiling on the highest octave frequency, in cycles per meter (a
+#: micrometer wavelength): below it, points within 1e9 m of the pose keep
+#: their lattice coordinates under 2**53, where floor and cast are exact.
+MAX_FREQUENCY = 1e6
+
 _local = threading.local()
 
 
@@ -84,6 +92,19 @@ class PerlinParams:
         octaves = self.octaves
         if isinstance(octaves, bool) or not isinstance(octaves, numbers.Integral) or octaves < 1:
             raise ValueError(f"octaves must be an integer of at least 1, got {octaves!r}")
+        if octaves > MAX_OCTAVES:
+            raise ValueError(f"octaves must be at most {MAX_OCTAVES}, got {octaves!r}")
+        # Octave k's frequency is lacunarity**k / grid_scale, so it peaks at
+        # the first or the last octave.
+        try:
+            frequency = max(1.0, float(self.lacunarity) ** (octaves - 1)) / self.grid_scale
+        except OverflowError:
+            frequency = math.inf
+        if not frequency <= MAX_FREQUENCY:
+            raise ValueError(
+                "the highest octave frequency, max(1, lacunarity**(octaves - 1)) / grid_scale, "
+                f"must be at most {MAX_FREQUENCY:g} per meter, got {frequency:g}"
+            )
 
 
 class WarpField:
@@ -149,7 +170,7 @@ class WarpField:
         half = self.fov_side / 2.0
         axis = np.linspace(-half, half, _NORM_GRID)
         rows = 2 * self.params.octaves
-        lines = max(1, _GRID_CELLS // (rows * _NORM_GRID))
+        lines = _GRID_CELLS // (rows * _NORM_GRID)
         raw = _scratch("grid", (_NORM_GRID * _NORM_GRID, 2))
         for i in range(0, _NORM_GRID, lines):
             block = self._raw_chunk(axis[None, :], axis[i : i + lines, None])
@@ -226,7 +247,7 @@ class WarpField:
         return n11.reshape(2, octaves, -1).sum(axis=1).T
 
     def _raw(self, pts: np.ndarray) -> np.ndarray:
-        step = max(1, _AXIS_CELLS // (2 * self.params.octaves))
+        step = _AXIS_CELLS // (2 * self.params.octaves)
         if pts.shape[0] <= step:
             return self._raw_chunk(pts[None, :, 0], pts[None, :, 1])
         out = np.empty((pts.shape[0], 2), dtype=np.float64)

@@ -321,12 +321,13 @@ def read_trajectory(path: str | Path) -> list[tuple[float, Pose2D]]:
 
 
 def load_json_config(path: str | Path) -> dict:
-    """Load a single-object JSON config file, rejecting non-finite numbers."""
+    """Load a single-object JSON config file, rejecting non-finite numbers.
+    Its errors leave naming the file to the caller, which names it once."""
     text = Path(path).read_text(encoding="utf-8")
     try:
         obj = _decode(text)
     except json.JSONDecodeError as exc:
-        raise SceneFormatError(f"{path}: invalid JSON ({exc.msg})") from None
+        raise SceneFormatError(f"invalid JSON ({exc.msg})") from None
     if not isinstance(obj, dict):
-        raise SceneFormatError(f"{path}: config must be a JSON object")
+        raise SceneFormatError("config must be a JSON object")
     return obj

@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import priormap.changes as changes
 from conftest import grid_world, line_feature, ring_feature
@@ -214,7 +217,61 @@ class TestDiffMaps:
         assert {(o, n) for o, n, _ in fwd.modified} == {(n, o) for o, n, _ in rev.modified}
 
 
+def oracle_regions(bounds, buffer):
+    """The pairwise merge-until-stable loop change_regions replaced: each
+    buffered box joins the first kept box it touches, and passes repeat
+    until one merges nothing."""
+    boxes = [Box(x0 - buffer, y0 - buffer, x1 + buffer, y1 + buffer) for x0, y0, x1, y1 in bounds]
+    merged = True
+    while merged:
+        merged = False
+        out = []
+        for box in boxes:
+            for k, existing in enumerate(out):
+                if existing.intersects(box):
+                    out[k] = Box(min(existing.min_x, box.min_x), min(existing.min_y, box.min_y),
+                                 max(existing.max_x, box.max_x), max(existing.max_y, box.max_y))
+                    merged = True
+                    break
+            else:
+                out.append(box)
+        boxes = out
+    return tuple(sorted(boxes, key=lambda b: (b.min_x, b.min_y, b.max_x, b.max_y)))
+
+
+# Integer corners on a small grid, so boxes often touch at an edge or a
+# corner, nest, or repeat exactly.
+_corner = st.integers(-12, 12)
+_size = st.integers(0, 6)
+_box_rows = st.lists(st.tuples(_corner, _corner, _size, _size).map(
+    lambda r: (float(r[0]), float(r[1]), float(r[0] + r[2]), float(r[1] + r[3]))), max_size=30)
+
+
+def _report_with_bounds(rows):
+    bounds = np.array(rows, dtype=np.float64).reshape(-1, 4)
+    empty = MapVersion.build("empty", [])
+    return replace(diff_maps(empty, empty), change_bounds=bounds)
+
+
 class TestChangeRegions:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=_box_rows, buffer=st.sampled_from([0.0, 0.5, 1.0, 3.0]))
+    def test_matches_merge_loop_oracle(self, rows, buffer):
+        regions = change_regions(_report_with_bounds(rows), buffer=buffer)
+        assert regions == oracle_regions(rows, buffer)
+        for a, b in itertools.combinations(regions, 2):
+            assert not a.intersects(b)
+        for x0, y0, x1, y1 in rows:
+            assert any(r.min_x <= x0 - buffer and r.min_y <= y0 - buffer
+                       and x1 + buffer <= r.max_x and y1 + buffer <= r.max_y for r in regions)
+
+    def test_merge_reaches_box_neither_part_touched(self):
+        # Boxes 1 and 2 touch at a corner and join into a box that reaches
+        # box 0, which neither touched alone, so one pass is not enough.
+        rows = [(3.0, 0.0, 4.0, 0.5), (0.0, 0.0, 1.0, 1.0), (1.0, 1.0, 5.0, 2.0)]
+        regions = change_regions(_report_with_bounds(rows), buffer=0.0)
+        assert regions == (Box(0.0, 0.0, 5.0, 2.0),) == oracle_regions(rows, 0.0)
+
     def test_no_changes_no_regions(self):
         report = diff_maps(
             MapVersion.build("a", [line_feature()]), MapVersion.build("b", [line_feature()])
@@ -428,6 +485,56 @@ class TestBuildScenePair:
         score_base = evaluate([base.prior], [base.ground_truth]).mean_ap
         score_rot = evaluate([rotated.prior], [rotated.ground_truth]).mean_ap
         assert score_rot == pytest.approx(score_base, abs=1e-9)
+
+
+class TestChangeBounds:
+    @staticmethod
+    def _union(a, b):
+        (ax0, ay0, ax1, ay1), (bx0, by0, bx1, by1) = a.bounds(), b.bounds()
+        return [min(ax0, bx0), min(ay0, by0), max(ax1, bx1), max(ay1, by1)]
+
+    def _assert_bounds(self, report, old, new):
+        old_at = dict(zip(old.feature_ids, old.features))
+        new_at = dict(zip(new.feature_ids, new.features))
+        want = ([list(old_at[i].bounds()) for i in report.removed]
+                + [list(new_at[j].bounds()) for j in report.added]
+                + [self._union(old_at[i], new_at[j]) for i, j, _ in report.modified])
+        assert report.change_bounds.shape == (len(want), 4)
+        assert report.change_bounds.tolist() == want
+
+    def _maps(self, seed):
+        rng = np.random.default_rng(seed)
+        old = [sloped_segment(rng, cls) for cls in (FeatureClass.LANE_CENTER,
+                                                     FeatureClass.ROAD_BOUNDARY) for _ in range(4)]
+        new = [f.with_points(f.points + rng.normal(0.0, 2.0, 2)) for f in old[1:]]
+        return old, new + [sloped_segment(rng)]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rows_are_feature_bound_unions_without_ids(self, seed):
+        old_feats, new_feats = self._maps(seed)
+        old, new = MapVersion.build("old", old_feats), MapVersion.build("new", new_feats)
+        report = diff_maps(old, new)
+        assert report.modified
+        self._assert_bounds(report, old, new)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rows_are_feature_bound_unions_with_ids(self, seed):
+        old_feats, new_feats = self._maps(seed)
+        old = MapVersion.build("old", old_feats, [f"f{k}" for k in range(len(old_feats))])
+        new = MapVersion.build("new", new_feats, [f"f{k}" for k in range(1, len(new_feats) + 1)])
+        report = diff_maps(old, new)
+        assert report.modified and report.added == ("f8",) and report.removed == ("f0",)
+        self._assert_bounds(report, old, new)
+
+    def test_read_only(self):
+        old = MapVersion.build("old", [line_feature(y=0.0)])
+        report = diff_maps(old, MapVersion.build("new", [line_feature(y=1.0)]))
+        with pytest.raises(ValueError, match="read-only"):
+            report.change_bounds[0, 0] = 1.0
+
+    def test_empty_diff_has_no_rows(self):
+        version = MapVersion.build("v", grid_world(n_blocks=2))
+        assert diff_maps(version, version).change_bounds.shape == (0, 4)
 
 
 class TestVersionBoxes:

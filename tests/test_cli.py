@@ -535,8 +535,31 @@ def test_perturb_rejects_out_of_bounds_recipe_at_load(tmp_path, scene_file, caps
     out = tmp_path / "out.jsonl"
     err = _error_of(["perturb", "--scenes", str(src), "--recipe", str(recipe),
                      "--out", str(out)], capsys)
-    assert err == "error: recipe.mutations[1]: jitter_control_points: sigma must be at most 1e+06\n"
+    assert err == (f"error: {recipe}: recipe.mutations[1]: jitter_control_points: "
+                   "sigma must be at most 1e+06\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("perturb", '{"master_seed": 1, "mutations": [{"kind": "shift_features", "sigma": NaN}]}',
+     "non-finite number 'NaN' is not allowed"),
+    ("perturb", '{"master_seed": 1,',
+     "invalid JSON (Expecting property name enclosed in double quotes)"),
+    ("loss", '{"bogus": 1}', "weights: unknown key(s): bogus"),
+    ("loss", "[1]", "config must be a JSON object"),
+    ("eval", '{"bogus": 1}', "eval config: unknown key(s): bogus"),
+])
+def test_config_error_names_the_file_once(tmp_path, scene_file, capsys, command, text, message):
+    src, _ = scene_file
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    argv = {
+        "perturb": ["perturb", "--scenes", str(src), "--recipe", str(config)],
+        "loss": ["loss", "--pred", str(src), "--labels", str(src), "--weights", str(config)],
+        "eval": ["eval", "--pred", str(src), "--gt", str(src), "--config", str(config)],
+    }[command]
+    err = _error_of([*argv, "--out", str(tmp_path / "out.json")], capsys)
+    assert err == f"error: {config}: {message}\n"
 
 
 def test_eval_error_names_files_and_frame(tmp_path, scene_file, capsys):

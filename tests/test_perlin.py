@@ -156,6 +156,26 @@ def test_params_reject_non_finite_and_non_numbers(bad):
         PerlinParams(**bad)
 
 
+@pytest.mark.parametrize("bad, message", [
+    ({"octaves": 10**9}, "octaves must be at most 32"),
+    ({"octaves": 33, "lacunarity": 1.01}, "octaves must be at most 32"),
+    ({"lacunarity": 1e200, "octaves": 3}, "highest octave frequency.*got inf"),
+    ({"grid_scale": 1e-310}, "highest octave frequency.*got inf"),
+    # With lacunarity below 1 the first octave is the highest.
+    ({"lacunarity": 0.5, "grid_scale": 1e-7}, "highest octave frequency.*got 1e\\+07"),
+    ({"lacunarity": 10.0, "octaves": 9, "grid_scale": 10.0}, "got 1e\\+07"),
+])
+def test_params_reject_octaves_and_frequency_beyond_bounds(bad, message):
+    with pytest.raises(ValueError, match=message):
+        PerlinParams(**bad)
+
+
+def test_params_accept_their_bounds():
+    # Each bound met with equality; 1e6**1 / 1.0 is exact.
+    assert PerlinParams(octaves=32, lacunarity=1.0).octaves == 32
+    assert PerlinParams(lacunarity=1e6, octaves=2, grid_scale=1.0).lacunarity == 1e6
+
+
 @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
 def test_field_rejects_non_finite_sigma(sigma):
     with pytest.raises(ValueError, match="sigma must be non-negative and finite"):

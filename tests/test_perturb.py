@@ -376,6 +376,10 @@ class TestRecipeConfig:
          r"\.perlin: octaves must be an integer of at least 1"),
         ({"kind": "perlin_warp", "sigma": 1.0, "perlin": {"lacunarity": float("nan")}},
          r"\.perlin: lacunarity must be a positive finite number"),
+        ({"kind": "perlin_warp", "sigma": 1.0, "perlin": {"octaves": 10**9}},
+         r"\.perlin: octaves must be at most 32"),
+        ({"kind": "perlin_warp", "sigma": 1.0, "perlin": {"lacunarity": 1e200, "octaves": 3}},
+         r"\.perlin: the highest octave frequency.* must be at most 1e\+06 per meter, got inf"),
     ])
     def test_bounds_checked_at_load_and_named(self, entry, message):
         raw = {"master_seed": 1,
