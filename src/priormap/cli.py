@@ -30,6 +30,7 @@ from .changes import (
     diff_maps,
     mine_frames,
 )
+from .config import read_config
 from .evaluation import EvalConfig, evaluate, pair_frames
 from .matching import (
     LossWeights,
@@ -123,10 +124,11 @@ def _naming(where: str) -> Iterator[None]:
 T = TypeVar("T")
 
 
-def _load_config(path: str, parse: Callable[[dict], T]) -> T:
-    """Load a JSON config file and parse it; any error names the file once."""
+def _load_config(path: str, cls: type[T], where: str) -> T:
+    """Read a JSON config file into the config dataclass cls; any error
+    names the file once."""
     with _naming(path):
-        return parse(load_json_config(path))
+        return read_config(cls, load_json_config(path), where)
 
 
 def _dims_args(parser: argparse.ArgumentParser) -> None:
@@ -167,7 +169,8 @@ def _write_svgs(
 
 
 def cmd_perturb(args: argparse.Namespace) -> Run:
-    recipe = _load_config(args.recipe, recipe_from_dict)
+    with _naming(args.recipe):
+        recipe = recipe_from_dict(load_json_config(args.recipe))
     if args.seed is not None:
         recipe = replace(recipe, master_seed=args.seed)
     dims = _dims_from(args)
@@ -189,7 +192,7 @@ _LOSS_TERMS = ("total", "positional", "classification", "cosine")
 
 
 def cmd_loss(args: argparse.Namespace) -> Run:
-    weights = _load_config(args.weights, LossWeights.from_dict) if args.weights else LossWeights()
+    weights = _load_config(args.weights, LossWeights, "weights") if args.weights else LossWeights()
     dims = _dims_from(args)
     preds = read_scenes(args.pred)
     labels = read_scenes(args.labels)
@@ -238,7 +241,7 @@ def _print_eval_table(report) -> None:
 
 
 def cmd_eval(args: argparse.Namespace) -> Run:
-    config = _load_config(args.config, EvalConfig.from_dict) if args.config else EvalConfig()
+    config = _load_config(args.config, EvalConfig, "eval config") if args.config else EvalConfig()
     if args.thresholds:
         taus = tuple(float(t) for t in args.thresholds.split(","))
         config = replace(config, thresholds=taus)
@@ -252,12 +255,7 @@ def cmd_eval(args: argparse.Namespace) -> Run:
         # evaluate has already paired the frames 1:1 by id.
         _write_svgs(Path(args.render_dir), gts, preds)
     _print_eval_table(report)
-    hashed = {
-        "thresholds": list(config.thresholds),
-        "classes": [c.value for c in config.classes],
-        "score_floor": config.score_floor,
-        "densify": config.densify,
-    }
+    hashed = {**asdict(config), "classes": [c.value for c in config.classes]}
     return out_path, hashed, [args.pred, args.gt], None
 
 

@@ -12,11 +12,13 @@ averages per-class AP over thresholds first, then over classes.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from .config import finite_number
 from .model import (
     REAL_CLASSES,
     FeatureClass,
@@ -25,8 +27,6 @@ from .model import (
     MapFrame,
     resample_polyline,
 )
-
-_CLASS_BY_VALUE = {c.value: c for c in FeatureClass}
 
 
 @dataclass(frozen=True)
@@ -42,30 +42,23 @@ class EvalConfig:
     densify: int = 0
 
     def __post_init__(self) -> None:
-        ts = tuple(float(t) for t in self.thresholds)
+        if not isinstance(self.thresholds, (list, tuple)):
+            raise ValueError(f"thresholds must be a list of numbers, got {self.thresholds!r}")
+        ts = tuple(float(finite_number(t, "thresholds")) for t in self.thresholds)
         if not ts or any(t <= 0 for t in ts) or any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValueError("thresholds must be positive and strictly increasing")
+        if not isinstance(self.classes, (list, tuple)):
+            raise ValueError(f"classes must be a list of class names, got {self.classes!r}")
+        try:
+            classes = tuple(map(FeatureClass, self.classes))
+        except ValueError as exc:
+            raise ValueError(f"classes: {exc}") from None
+        finite_number(self.score_floor, "score_floor")
+        densify = finite_number(self.densify, "densify")
+        if not (isinstance(densify, numbers.Integral) and (densify == 0 or densify >= 2)):
+            raise ValueError(f"densify must be 0 or an integer of at least 2, got {densify!r}")
         object.__setattr__(self, "thresholds", ts)
-        object.__setattr__(self, "classes", tuple(self.classes))
-
-    @classmethod
-    def from_dict(cls, raw: Mapping) -> "EvalConfig":
-        rec = dict(raw)
-        kwargs: dict = {}
-        if "thresholds" in rec:
-            kwargs["thresholds"] = tuple(rec.pop("thresholds"))
-        if "classes" in rec:
-            names = rec.pop("classes")
-            try:
-                kwargs["classes"] = tuple(_CLASS_BY_VALUE[n] for n in names)
-            except KeyError as exc:
-                raise ValueError(f"eval config: unknown class {exc.args[0]!r}") from None
-        for name in ("score_floor", "densify"):
-            if name in rec:
-                kwargs[name] = rec.pop(name)
-        if rec:
-            raise ValueError(f"eval config: unknown key(s): {', '.join(sorted(rec))}")
-        return cls(**kwargs)
+        object.__setattr__(self, "classes", classes)
 
 
 #: Most elements of the (rows, labels, na, nb) distance block that

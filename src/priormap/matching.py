@@ -19,11 +19,11 @@ import importlib.util
 import math
 import os
 import threading
-from dataclasses import dataclass, fields
-from typing import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
+from .config import finite_number
 from .model import (
     DEFAULT_DIMS,
     REAL_CLASSES,
@@ -64,16 +64,10 @@ class LossWeights:
 
     def __post_init__(self) -> None:
         for name in ("class_weight", "point_weight", "cosine_weight", "focal_alpha", "focal_gamma"):
-            if getattr(self, name) < 0:
+            if finite_number(getattr(self, name), name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-
-    @classmethod
-    def from_dict(cls, raw: Mapping) -> "LossWeights":
-        rec = dict(raw)
-        kwargs = {f.name: rec.pop(f.name) for f in fields(cls) if f.name in rec}
-        if rec:
-            raise ValueError(f"weights: unknown key(s): {', '.join(sorted(rec))}")
-        return cls(**kwargs)
+        if not isinstance(self.joint_cosine, bool):
+            raise ValueError(f"joint_cosine must be true or false, got {self.joint_cosine!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import finite_number
 from .rng import philox_stream
 
 #: Hash-table period in lattice cells; the noise tiles after this many
@@ -53,6 +54,9 @@ MAX_OCTAVES = _GRID_CELLS // (2 * _NORM_GRID)
 #: micrometer wavelength): below it, points within 1e9 m of the pose keep
 #: their lattice coordinates under 2**53, where floor and cast are exact.
 MAX_FREQUENCY = 1e6
+#: Ceiling on the largest octave amplitude: at 32 octaves of unit-scale
+#: noise, the squares the normalization sums over the grid stay finite.
+MAX_AMPLITUDE = 1e100
 
 _local = threading.local()
 
@@ -85,25 +89,27 @@ class PerlinParams:
 
     def __post_init__(self) -> None:
         for name in ("grid_scale", "persistence", "lacunarity"):
-            value = getattr(self, name)
-            number = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if not (number and math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+            finite_number(getattr(self, name), name, positive=True)
         octaves = self.octaves
         if isinstance(octaves, bool) or not isinstance(octaves, numbers.Integral) or octaves < 1:
             raise ValueError(f"octaves must be an integer of at least 1, got {octaves!r}")
         if octaves > MAX_OCTAVES:
             raise ValueError(f"octaves must be at most {MAX_OCTAVES}, got {octaves!r}")
-        # Octave k's frequency is lacunarity**k / grid_scale, so it peaks at
-        # the first or the last octave.
-        try:
-            frequency = max(1.0, float(self.lacunarity) ** (octaves - 1)) / self.grid_scale
-        except OverflowError:
-            frequency = math.inf
+        # Octave k's frequency is lacunarity**k / grid_scale and its
+        # amplitude persistence**k, so each peaks at the first or the last
+        # octave; a power that overflows counts as inf.
+        with np.errstate(over="ignore"):
+            frequency = max(1.0, np.float64(self.lacunarity) ** (octaves - 1)) / self.grid_scale
+            amplitude = max(1.0, np.float64(self.persistence) ** (octaves - 1))
         if not frequency <= MAX_FREQUENCY:
             raise ValueError(
                 "the highest octave frequency, max(1, lacunarity**(octaves - 1)) / grid_scale, "
                 f"must be at most {MAX_FREQUENCY:g} per meter, got {frequency:g}"
+            )
+        if not amplitude <= MAX_AMPLITUDE:
+            raise ValueError(
+                "the largest octave amplitude, max(1, persistence**(octaves - 1)), "
+                f"must be at most {MAX_AMPLITUDE:g}, got {amplitude:g}"
             )
 
 

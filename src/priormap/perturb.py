@@ -10,13 +10,13 @@ bit-identically.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Mapping
 
 import numpy as np
 
+from .config import finite_number, read_config
 from .model import (
     DEFAULT_DIMS,
     DEFAULT_INVARIANCE,
@@ -41,12 +41,17 @@ class MutationKind(Enum):
     PERLIN_WARP = "perlin_warp"
 
 
-_DISCRETE = {
-    MutationKind.DROP_FEATURES,
-    MutationKind.DUPLICATE_FEATURES,
-    MutationKind.WRONG_CLASS,
+#: The parameters each kind takes, in record order. perlin is optional and
+#: defaults to PerlinParams().
+_PARAMS = {
+    MutationKind.DROP_FEATURES: ("p",),
+    MutationKind.DUPLICATE_FEATURES: ("p",),
+    MutationKind.WRONG_CLASS: ("p",),
+    MutationKind.JITTER_CONTROL_POINTS: ("sigma",),
+    MutationKind.SHIFT_FEATURES: ("sigma",),
+    MutationKind.LOCALIZATION_NOISE: ("sigma", "sigma_yaw_deg"),
+    MutationKind.PERLIN_WARP: ("sigma", "perlin"),
 }
-
 
 #: Ceiling on sigma (meters) and sigma_yaw_deg (degrees): far beyond any
 #: field of view, and small enough that no Gaussian draw times it, added to
@@ -56,7 +61,8 @@ MAX_SIGMA = 1e6
 
 @dataclass(frozen=True)
 class MutationSpec:
-    """One mutation with exactly the parameters its kind needs."""
+    """One mutation with exactly the parameters its kind needs. kind may be
+    given by its name and perlin as a JSON object, as in a recipe record."""
 
     kind: MutationKind
     p: float | None = None
@@ -65,37 +71,30 @@ class MutationSpec:
     perlin: PerlinParams | None = None
 
     def __post_init__(self) -> None:
-        kind = self.kind
-        if kind in _DISCRETE:
-            wanted, stray = ("p",), ("sigma", "sigma_yaw_deg", "perlin")
-        elif kind in (MutationKind.JITTER_CONTROL_POINTS, MutationKind.SHIFT_FEATURES):
-            wanted, stray = ("sigma",), ("p", "sigma_yaw_deg", "perlin")
-        elif kind is MutationKind.LOCALIZATION_NOISE:
-            wanted, stray = ("sigma", "sigma_yaw_deg"), ("p", "perlin")
-        else:  # PERLIN_WARP; the perlin params block is optional
-            wanted, stray = ("sigma",), ("p", "sigma_yaw_deg")
-        for name in wanted:
-            if getattr(self, name) is None:
-                raise ValueError(f"{kind.value}: parameter '{name}' is required")
-        for name in stray:
-            if getattr(self, name) is not None:
-                raise ValueError(f"{kind.value}: parameter '{name}' does not apply")
-        for name in ("p", "sigma", "sigma_yaw_deg"):
+        try:
+            kind = MutationKind(self.kind)
+        except ValueError:
+            raise ValueError(f"unknown kind {self.kind!r}") from None
+        object.__setattr__(self, "kind", kind)
+        wanted = _PARAMS[kind]
+        for name in ("p", "sigma", "sigma_yaw_deg", "perlin"):
             value = getattr(self, name)
             if value is None:
-                continue
-            number = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if not (number and math.isfinite(value)):
-                raise ValueError(f"{kind.value}: {name} must be a finite number, got {value!r}")
-            if name == "p":
-                if not 0.0 <= value <= 1.0:
+                if name in wanted and name != "perlin":
+                    raise ValueError(f"{kind.value}: parameter '{name}' is required")
+            elif name not in wanted:
+                raise ValueError(f"{kind.value}: parameter '{name}' does not apply")
+            elif name == "p":
+                if not 0.0 <= finite_number(value, f"{kind.value}: p") <= 1.0:
                     raise ValueError(f"{kind.value}: p must lie in [0, 1]")
-            elif value < 0.0:
-                raise ValueError(f"{kind.value}: {name} must be non-negative")
-            elif value > MAX_SIGMA:
-                raise ValueError(f"{kind.value}: {name} must be at most {MAX_SIGMA:g}")
-        if kind is MutationKind.PERLIN_WARP and self.perlin is None:
-            object.__setattr__(self, "perlin", PerlinParams())
+            elif name != "perlin":
+                if finite_number(value, f"{kind.value}: {name}") < 0.0:
+                    raise ValueError(f"{kind.value}: {name} must be non-negative")
+                if value > MAX_SIGMA:
+                    raise ValueError(f"{kind.value}: {name} must be at most {MAX_SIGMA:g}")
+        if kind is MutationKind.PERLIN_WARP and not isinstance(self.perlin, PerlinParams):
+            raw = {} if self.perlin is None else self.perlin
+            object.__setattr__(self, "perlin", read_config(PerlinParams, raw, "perlin"))
 
 
 @dataclass(frozen=True)
@@ -108,10 +107,6 @@ class PerturbRecipe:
     def __post_init__(self) -> None:
         object.__setattr__(self, "mutations", tuple(self.mutations))
         object.__setattr__(self, "master_seed", int(self.master_seed))
-
-
-_KIND_BY_VALUE = {k.value: k for k in MutationKind}
-_PERLIN_KEYS = ("grid_scale", "octaves", "persistence", "lacunarity")
 
 
 def recipe_from_dict(raw: Mapping) -> PerturbRecipe:
@@ -130,54 +125,17 @@ def recipe_from_dict(raw: Mapping) -> PerturbRecipe:
     mutations = []
     for i, m in enumerate(raw_muts):
         where = f"recipe.mutations[{i}]"
-        if not isinstance(m, dict):
-            raise ValueError(f"{where}: expected an object")
-        m = dict(m)
-        kind_name = m.pop("kind", None)
-        if kind_name not in _KIND_BY_VALUE:
-            raise ValueError(f"{where}: unknown kind {kind_name!r}")
-        perlin = None
-        if "perlin" in m:
-            praw = m.pop("perlin")
-            if not isinstance(praw, dict):
-                raise ValueError(f"{where}.perlin: expected an object")
-            praw = dict(praw)
-            kwargs = {k: praw.pop(k) for k in _PERLIN_KEYS if k in praw}
-            if praw:
-                raise ValueError(f"{where}.perlin: unknown key(s): {', '.join(sorted(praw))}")
-            try:
-                perlin = PerlinParams(**kwargs)
-            except ValueError as exc:
-                raise ValueError(f"{where}.perlin: {exc}") from None
-        known = {k: m.pop(k) for k in ("p", "sigma", "sigma_yaw_deg") if k in m}
-        if m:
-            raise ValueError(f"{where}: unknown key(s): {', '.join(sorted(m))}")
-        try:
-            spec = MutationSpec(kind=_KIND_BY_VALUE[kind_name], perlin=perlin, **known)
-        except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from None
-        mutations.append(spec)
+        if isinstance(m, dict) and "perlin" in m:
+            m = {**m, "perlin": read_config(PerlinParams, m["perlin"], f"{where}.perlin")}
+        mutations.append(read_config(MutationSpec, m, where))
     return PerturbRecipe(mutations=tuple(mutations), master_seed=seed)
 
 
 def recipe_to_dict(recipe: PerturbRecipe) -> dict:
     muts = []
     for m in recipe.mutations:
-        rec: dict = {"kind": m.kind.value}
-        if m.p is not None:
-            rec["p"] = m.p
-        if m.sigma is not None:
-            rec["sigma"] = m.sigma
-        if m.sigma_yaw_deg is not None:
-            rec["sigma_yaw_deg"] = m.sigma_yaw_deg
-        if m.kind is MutationKind.PERLIN_WARP:
-            rec["perlin"] = {
-                "grid_scale": m.perlin.grid_scale,
-                "octaves": m.perlin.octaves,
-                "persistence": m.perlin.persistence,
-                "lacunarity": m.perlin.lacunarity,
-            }
-        muts.append(rec)
+        rec = asdict(m)
+        muts.append({"kind": m.kind.value, **{name: rec[name] for name in _PARAMS[m.kind]}})
     return {"master_seed": recipe.master_seed, "mutations": muts}
 
 

@@ -553,13 +553,60 @@ def test_config_error_names_the_file_once(tmp_path, scene_file, capsys, command,
     src, _ = scene_file
     config = tmp_path / "config.json"
     config.write_text(text)
-    argv = {
-        "perturb": ["perturb", "--scenes", str(src), "--recipe", str(config)],
-        "loss": ["loss", "--pred", str(src), "--labels", str(src), "--weights", str(config)],
-        "eval": ["eval", "--pred", str(src), "--gt", str(src), "--config", str(config)],
-    }[command]
+    argv = _config_argv(command, src, config)
     err = _error_of([*argv, "--out", str(tmp_path / "out.json")], capsys)
     assert err == f"error: {config}: {message}\n"
+
+
+def _config_argv(command: str, scenes: Path, config: Path) -> list[str]:
+    """command run on scenes with config as its config file, without --out."""
+    return {
+        "perturb": ["perturb", "--scenes", str(scenes), "--recipe", str(config)],
+        "loss": ["loss", "--pred", str(scenes), "--labels", str(scenes), "--weights", str(config)],
+        "eval": ["eval", "--pred", str(scenes), "--gt", str(scenes), "--config", str(config)],
+    }[command]
+
+
+_HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("loss", '{"class_weight": "x"}', "weights: class_weight must be a finite number, got 'x'"),
+    ("loss", '{"class_weight": 1e400}', "weights: class_weight must be a finite number, got inf"),
+    ("loss", '{"joint_cosine": "yes"}', "weights: joint_cosine must be true or false, got 'yes'"),
+    ("eval", '{"score_floor": "x"}', "eval config: score_floor must be a finite number, got 'x'"),
+    ("eval", '{"score_floor": 1e400}', "eval config: score_floor must be a finite number, got inf"),
+    ("eval", '{"densify": "x"}', "eval config: densify must be a finite number, got 'x'"),
+    ("eval", '{"densify": 2.5}', "eval config: densify must be 0 or an integer of at least 2, got 2.5"),
+    ("eval", '{"densify": 1}', "eval config: densify must be 0 or an integer of at least 2, got 1"),
+    ("eval", '{"thresholds": 5}', "eval config: thresholds must be a list of numbers, got 5"),
+    ("eval", '{"thresholds": [0.5, 1e400]}', "eval config: thresholds must be a finite number, got inf"),
+    ("eval", '{"classes": "lane_center"}',
+     "eval config: classes must be a list of class names, got 'lane_center'"),
+    ("perturb", '{"master_seed": 1, "mutations": [{"kind": "shift_features", "sigma": %s}]}' % _HUGE,
+     f"recipe.mutations[0]: shift_features: sigma must be a finite number, got {_HUGE}"),
+    ("perturb", '{"master_seed": 1, "mutations": [{"kind": "perlin_warp", "sigma": 1, '
+                '"perlin": {"persistence": 1e200, "octaves": 2}}]}',
+     "recipe.mutations[0].perlin: the largest octave amplitude, "
+     "max(1, persistence**(octaves - 1)), must be at most 1e+100, got 1e+200"),
+])
+def test_bad_config_value_is_one_error_line(tmp_path, scene_file, capsys, command, text, message):
+    src, _ = scene_file
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    out = tmp_path / "out.json"
+    argv = [*_config_argv(command, src, config), "--out", str(out)]
+    if _HUGE in text:
+        # A fresh interpreter, so that a traceback would show on stderr.
+        done = subprocess.run([sys.executable, "-m", "priormap.cli", *argv], env=_child_env(),
+                              capture_output=True, text=True, timeout=120)
+        code, err = done.returncode, done.stderr
+    else:
+        code, err = main(argv), capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    assert err.splitlines() == [f"error: {config}: {message}"]
+    assert not out.exists() and not out.with_name("out.json.manifest.json").exists()
 
 
 def test_eval_error_names_files_and_frame(tmp_path, scene_file, capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from priormap import PerlinParams, WarpField, philox_stream
+from priormap.perlin import MAX_AMPLITUDE
 
 
 def _norm_grid(fov_side: float = 90.0, n: int = 128) -> np.ndarray:
@@ -170,10 +172,24 @@ def test_params_reject_octaves_and_frequency_beyond_bounds(bad, message):
         PerlinParams(**bad)
 
 
+@pytest.mark.parametrize("bad, got", [
+    ({"persistence": 1e200, "octaves": 2}, "1e+200"),
+    ({"persistence": 1e11, "octaves": 32, "lacunarity": 1.0}, "inf"),  # the power overflows
+    ({"persistence": 1e50, "octaves": 3}, "1e+100"),  # 1e50**2 rounds to just above 1e100
+])
+def test_params_reject_amplitude_beyond_bound(bad, got):
+    # Only constructed: a field built from these would overflow its grid.
+    message = ("the largest octave amplitude, max(1, persistence**(octaves - 1)), "
+               f"must be at most 1e+100, got {got}")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PerlinParams(**bad)
+
+
 def test_params_accept_their_bounds():
     # Each bound met with equality; 1e6**1 / 1.0 is exact.
     assert PerlinParams(octaves=32, lacunarity=1.0).octaves == 32
     assert PerlinParams(lacunarity=1e6, octaves=2, grid_scale=1.0).lacunarity == 1e6
+    assert PerlinParams(persistence=MAX_AMPLITUDE, octaves=2).persistence == 1e100
 
 
 @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])

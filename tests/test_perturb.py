@@ -380,6 +380,8 @@ class TestRecipeConfig:
          r"\.perlin: octaves must be at most 32"),
         ({"kind": "perlin_warp", "sigma": 1.0, "perlin": {"lacunarity": 1e200, "octaves": 3}},
          r"\.perlin: the highest octave frequency.* must be at most 1e\+06 per meter, got inf"),
+        ({"kind": "perlin_warp", "sigma": 1.0, "perlin": {"persistence": 1e200, "octaves": 2}},
+         r"\.perlin: the largest octave amplitude.* must be at most 1e\+100, got 1e\+200"),
     ])
     def test_bounds_checked_at_load_and_named(self, entry, message):
         raw = {"master_seed": 1,
