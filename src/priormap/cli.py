@@ -15,7 +15,6 @@ import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -107,6 +106,10 @@ def _parallel_map(fn: Callable, items: Sequence, jobs: int) -> list:
     """Apply fn over items preserving input order; fn must be pure."""
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    # Imported here: concurrent.futures loads logging, which a run without
+    # worker threads need not pay for at start-up.
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items))
 
@@ -144,6 +147,18 @@ def _diff_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-match-dist", type=float, default=10.0,
                         help="Chamfer gate above which features are add/remove, not modified")
     parser.add_argument("--buffer", type=float, default=20.0, help="region buffer in meters")
+
+
+def _thresholds(text: str) -> tuple[float, ...]:
+    """The --thresholds option: comma-separated numbers; an empty value
+    leaves the config's thresholds as they are."""
+    if not text:
+        return ()
+    try:
+        return tuple(float(t) for t in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
 
 
 def _dims_from(args: argparse.Namespace) -> ModelDims:
@@ -243,8 +258,7 @@ def _print_eval_table(report) -> None:
 def cmd_eval(args: argparse.Namespace) -> Run:
     config = _load_config(args.config, EvalConfig, "eval config") if args.config else EvalConfig()
     if args.thresholds:
-        taus = tuple(float(t) for t in args.thresholds.split(","))
-        config = replace(config, thresholds=taus)
+        config = replace(config, thresholds=args.thresholds)
     preds = read_scenes(args.pred)
     gts = read_scenes(args.gt)
     with _naming(f"{args.pred} against {args.gt}"):
@@ -371,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True, help="prediction scene file")
     p.add_argument("--gt", required=True, help="ground truth scene file")
     p.add_argument("--config", default=None, help="eval config JSON")
-    p.add_argument("--thresholds", default=None,
+    p.add_argument("--thresholds", type=_thresholds, default=None,
                    help="comma-separated Chamfer thresholds in meters")
     p.add_argument("--out", required=True, help="output report JSON")
     p.add_argument("--render-dir", default=None, help="emit per-frame SVG overlays here")

@@ -29,12 +29,18 @@ from .model import (
 )
 
 
+#: Ceiling on densify: a pair of features densified to it is a 1000 x 1000
+#: block of point distances, 8 MB per float64 array that chamfer_matrix
+#: holds, while a value near 1e15 would ask numpy for petabytes.
+MAX_DENSIFY = 1000
+
+
 @dataclass(frozen=True)
 class EvalConfig:
     """Thresholds are meters of Chamfer distance, strictly increasing.
     Predictions classified no-object or scored below the floor are dropped
     before matching. densify > 0 resamples features to that many points
-    before the distance computation."""
+    (at most MAX_DENSIFY) before the distance computation."""
 
     thresholds: tuple[float, ...] = (0.5, 1.0, 1.5)
     classes: tuple[FeatureClass, ...] = REAL_CLASSES
@@ -57,6 +63,8 @@ class EvalConfig:
         densify = finite_number(self.densify, "densify")
         if not (isinstance(densify, numbers.Integral) and (densify == 0 or densify >= 2)):
             raise ValueError(f"densify must be 0 or an integer of at least 2, got {densify!r}")
+        if densify > MAX_DENSIFY:
+            raise ValueError(f"densify must be at most {MAX_DENSIFY}, got {densify!r}")
         object.__setattr__(self, "thresholds", ts)
         object.__setattr__(self, "classes", classes)
 

@@ -72,11 +72,25 @@ def as_points(points: Sequence | np.ndarray) -> np.ndarray:
     return pts
 
 
+def ring_fault(points: np.ndarray) -> str | None:
+    """Why points cannot be a polygon, or None: the polygon rule.
+
+    A polygon is stored as an open ring: at least 3 points, and the last
+    point is not the first one again, because closure is implied.
+    """
+    if len(points) < 3:
+        return "polygons need at least 3 points"
+    if points[0].tolist() == points[-1].tolist():
+        return "polygons must not repeat the closing vertex"
+    return None
+
+
 @dataclass(frozen=True, eq=False)
 class MapFeature:
     """One vectorized feature: a control-point sequence plus its classes.
 
-    Polygons are stored as an open ring (no repeated closing vertex);
+    Polygons are stored as an open ring of at least 3 points (no repeated
+    closing vertex), and the constructor refuses any other (ring_fault);
     closure is implied by the invariance class. Confidence is 1.0 for
     labels and priors, and a model score for predictions.
     """
@@ -92,6 +106,28 @@ class MapFeature:
         if not (0.0 <= conf <= 1.0):
             raise ValueError(f"confidence must lie in [0, 1], got {conf}")
         object.__setattr__(self, "confidence", conf)
+        if self.invariance is InvarianceClass.POLYGON:
+            fault = ring_fault(self.points)
+            if fault:
+                raise ValueError(fault)
+
+    @classmethod
+    def from_checked(
+        cls,
+        feature_class: FeatureClass,
+        invariance: InvarianceClass,
+        points: np.ndarray,
+        confidence: float,
+    ) -> "MapFeature":
+        """A feature from fields the caller has already checked: points a
+        read-only (n, 2) float64 array of finite values, confidence a float
+        in [0, 1]. It skips __post_init__ and so every check, the polygon
+        rule included."""
+        new = object.__new__(cls)
+        new.__dict__.update(
+            feature_class=feature_class, invariance=invariance, points=points, confidence=confidence
+        )
+        return new
 
     @property
     def n_points(self) -> int:
@@ -104,11 +140,11 @@ class MapFeature:
         return float(mn[0]), float(mn[1]), float(mx[0]), float(mx[1])
 
     def with_points(self, points: np.ndarray) -> "MapFeature":
-        """A copy with new points. Only the points are checked (as_points);
-        the other fields are copied as they are, already valid."""
-        new = object.__new__(type(self))
-        new.__dict__.update(self.__dict__, points=as_points(points))
-        return new
+        """A copy with new points. Only the points are checked (as_points),
+        not the polygon rule; the other fields are copied as they are,
+        already valid."""
+        return self.from_checked(self.feature_class, self.invariance, as_points(points),
+                                 self.confidence)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MapFeature):

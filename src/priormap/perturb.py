@@ -21,11 +21,13 @@ from .model import (
     DEFAULT_DIMS,
     DEFAULT_INVARIANCE,
     REAL_CLASSES,
+    InvarianceClass,
     MapFeature,
     MapFrame,
     ModelDims,
     apply_rigid_transform,
     clip_to_fov,
+    ring_fault,
 )
 from .perlin import PerlinParams, WarpField
 from .rng import MutationStream, stable_key
@@ -196,14 +198,18 @@ def corrupt_class(
 ) -> MapFrame:
     """Replace each feature's class, with probability p, by a uniformly
     random different real class; the invariance class follows
-    DEFAULT_INVARIANCE and geometry is untouched."""
+    DEFAULT_INVARIANCE and geometry is untouched. A feature whose points
+    break the polygon rule (fewer than 3, or a closed loop) is never given
+    a polygon class."""
     if p == 0.0 or not frame.features:
         return frame
     out: list[MapFeature] = []
     for i, feat in enumerate(frame.features):
         gen = stream.feature(i)
         if gen.uniform() < p:
-            others = [c for c in REAL_CLASSES if c is not feat.feature_class]
+            ring = ring_fault(feat.points) is None
+            others = [c for c in REAL_CLASSES if c is not feat.feature_class
+                      and (ring or DEFAULT_INVARIANCE[c] is not InvarianceClass.POLYGON)]
             new_class = others[int(gen.integers(len(others)))]
             feat = MapFeature(
                 feature_class=new_class,

@@ -35,17 +35,22 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _feature_element(feature, half: float, scale: float, dash: str, width: float) -> str:
+def _layer_svg(features, half: float, scale: float, dash: str, width: float) -> str:
+    """The SVG elements of one layer, one feature per line, in one
+    formatting pass: one transform over the layer's stacked points, one
+    tolist, and one '%' over a template of the whole layer ('%.2f' formats
+    a double exactly as '{:.2f}' does)."""
     # -y + half is half - y bit for bit, signed zeros included.
-    px = (feature.points * _FLIP_Y + half) * scale
-    pts = " ".join(["{:.2f},{:.2f}"] * len(px)).format(*px.ravel().tolist())
-    color = CLASS_COLORS[feature.feature_class]
-    tag = "polygon" if feature.invariance is InvarianceClass.POLYGON else "polyline"
+    px = (np.concatenate([f.points for f in features]) * _FLIP_Y + half) * scale
     dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-    return (
-        f'<{tag} points="{pts}" fill="none" stroke="{color}" '
-        f'stroke-width="{_fmt(width)}"{dash_attr} stroke-linecap="round"/>'
-    )
+    style = f'stroke-width="{_fmt(width)}"{dash_attr} stroke-linecap="round"/>'
+    template = []
+    for feature in features:
+        tag = "polygon" if feature.invariance is InvarianceClass.POLYGON else "polyline"
+        points = " ".join(["%.2f,%.2f"] * feature.n_points)
+        color = CLASS_COLORS[feature.feature_class]
+        template.append(f'<{tag} points="{points}" fill="none" stroke="{color}" {style}')
+    return "\n".join(template) % tuple(px.ravel().tolist())
 
 
 def frame_svg(layers: Sequence[tuple[str, MapFrame]]) -> str:
@@ -70,8 +75,8 @@ def frame_svg(layers: Sequence[tuple[str, MapFrame]]) -> str:
         dash = LAYER_DASH.get(name, "")
         width = 2.5 if k == 0 else 1.8
         parts.append(f"<g><!-- {name}: {frame.frame_id} -->")
-        for feat in frame.features:
-            parts.append(_feature_element(feat, half, scale, dash, width))
+        if frame.features:
+            parts.append(_layer_svg(frame.features, half, scale, dash, width))
         parts.append("</g>")
     # Ego marker at the origin.
     cx = cy = SIZE_PX / 2.0

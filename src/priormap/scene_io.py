@@ -4,25 +4,29 @@ Every record is one JSON object per line with fields emitted in a fixed
 order, so repeated runs produce diff-stable, byte-identical files.
 Coordinates round-trip bit-exactly because Python serializes doubles via
 their shortest exact decimal representation. Readers are strict: unknown
-keys, non-finite numbers, and malformed records are rejected with the
-offending line number and field path.
+keys, non-finite numbers, malformed records and features no stage can use
+(all points coincident, or a polygon that is no open ring) are rejected
+with the offending line number and field path.
 """
 from __future__ import annotations
 
 import json
 import math
 from itertools import accumulate, chain
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
 from .model import (
+    REAL_CLASSES,
     FeatureClass,
     InvarianceClass,
     MapFeature,
     MapFrame,
     Pose2D,
+    ring_fault,
 )
 
 
@@ -108,24 +112,45 @@ def _parse_points(raw, where: str) -> np.ndarray:
 
 _NUMBER_TYPES = {float, int}
 
+_FEATURE_FIELDS = itemgetter("class", "invariance", "confidence", "points")
 
-def _bulk_points(records: list) -> list[np.ndarray] | None:
-    """The points of every feature record, converted through one array.
+#: The classes a feature in a file may carry: no_object is refused.
+_INPUT_CLASS_BY_VALUE = {c.value: c for c in REAL_CLASSES}
 
-    Checks every record at once with C-level passes: each ``points`` is a
-    list of at least 2 pairs, each pair a list of 2 numbers (``bool`` is
-    not one), each number finite as a double. Returns None when any check
-    fails; the caller then runs the per-feature validator, which names the
+
+def _bulk_features(records: list) -> list[MapFeature] | None:
+    """The features of a list of feature records, checked and built in
+    passes over the whole list.
+
+    Checks what feature_from_record checks, with C-level passes: each
+    record is an object with exactly the four fields; its class (a real
+    one) and invariance are found by dict lookup; each confidence is a
+    number (``bool`` is not one) in [0, 1] as a double; each ``points`` is
+    a list of at least 2 pairs, each pair a list of 2 numbers, each number
+    finite as a double; no feature's points all coincide, and polygons keep
+    the polygon rule. The points go through one read-only array, of which
+    each feature holds a view. Returns None when any check fails; the
+    caller then runs feature_from_record on each record, which names the
     fault.
     """
+    if not records:
+        return []
+    if set(map(type, records)) - {dict} or set(map(len, records)) - {4}:
+        return None
     try:
-        raws = [rec["points"] for rec in records]
-    except (KeyError, TypeError):
+        names, inv_names, confs, raws = zip(*map(_FEATURE_FIELDS, records))
+        classes = list(map(_INPUT_CLASS_BY_VALUE.__getitem__, names))
+        invariances = list(map(_INVARIANCE_BY_VALUE.__getitem__, inv_names))
+    except (KeyError, TypeError):  # a missing field, unknown or unhashable name
+        return None
+    # Python compares an int with a float exactly, so the range check holds
+    # for the double each confidence becomes, and refuses inf.
+    if set(map(type, confs)) - _NUMBER_TYPES or not (min(confs) >= 0 and max(confs) <= 1):
         return None
     if set(map(type, raws)) - {list}:
         return None
     lens = list(map(len, raws))
-    if min(lens, default=2) < 2:
+    if min(lens) < 2:
         return None
     pairs = list(chain.from_iterable(raws))
     if set(map(type, pairs)) - {list} or set(map(len, pairs)) - {2}:
@@ -135,13 +160,26 @@ def _bulk_points(records: list) -> list[np.ndarray] | None:
         return None
     try:
         flat = np.array(values, dtype=np.float64)
-    except OverflowError:
+    except OverflowError:  # an integer too large for a double
         return None
     if not np.isfinite(flat).all():
         return None
+    flat.flags.writeable = False
     pts = flat.reshape(-1, 2)
     ends = list(accumulate(lens))
-    return [pts[a:b] for a, b in zip([0, *ends], ends)]
+    starts = [0, *ends[:-1]]
+    # A feature none of whose points moves off its first has zero arc length.
+    moved = (pts != np.repeat(pts[starts], lens, axis=0)).any(axis=1)
+    if not np.logical_or.reduceat(moved, starts).all():
+        return None
+    polygon = InvarianceClass.POLYGON
+    if any(ring_fault(pts[a:b]) for inv, a, b in zip(invariances, starts, ends) if inv is polygon):
+        return None
+    build = MapFeature.from_checked
+    return [
+        build(cls, inv, pts[a:b], float(c))
+        for cls, inv, a, b, c in zip(classes, invariances, starts, ends, confs)
+    ]
 
 
 def feature_to_record(feature: MapFeature) -> dict:
@@ -153,9 +191,8 @@ def feature_to_record(feature: MapFeature) -> dict:
     }
 
 
-def feature_from_record(record: dict, where: str, points: np.ndarray | None = None) -> MapFeature:
-    """Validate one feature record. ``points``, when given, is the record's
-    own points already checked and converted by ``_bulk_points``."""
+def feature_from_record(record: dict, where: str) -> MapFeature:
+    """Validate one feature record, naming the first fault in it."""
     if not isinstance(record, dict):
         raise SceneFormatError(f"{where}: expected an object")
     rec = dict(record)
@@ -172,16 +209,14 @@ def feature_from_record(record: dict, where: str, points: np.ndarray | None = No
     confidence = _as_float(_take(rec, "confidence", where), f"{where}.confidence")
     if not (0.0 <= confidence <= 1.0):
         raise SceneFormatError(f"{where}.confidence: must lie in [0, 1]")
-    raw = _take(rec, "points", where)
-    pts = _parse_points(raw, where) if points is None else points
+    pts = _parse_points(_take(rec, "points", where), where)
     _no_extras(rec, where)
     if invariance is InvarianceClass.POLYGON:
-        if pts.shape[0] < 3:
-            raise SceneFormatError(f"{where}.points: polygons need at least 3 points")
-        if np.array_equal(pts[0], pts[-1]):
-            raise SceneFormatError(
-                f"{where}.points: polygons must not repeat the closing vertex"
-            )
+        fault = ring_fault(pts)
+        if fault:
+            raise SceneFormatError(f"{where}.points: {fault}")
+    if (pts == pts[0]).all():
+        raise SceneFormatError(f"{where}.points: all points coincide (zero arc length)")
     return MapFeature(feature_class=cls, invariance=invariance, points=pts, confidence=confidence)
 
 
@@ -213,11 +248,10 @@ def frame_from_record(record: dict) -> MapFrame:
     if not isinstance(feats_rec, list):
         raise SceneFormatError(f"{where}.features: expected a list")
     _no_extras(rec, where)
-    points = _bulk_points(feats_rec) or [None] * len(feats_rec)
-    features = tuple(
-        feature_from_record(fr, f"{where}.features[{k}]", pts)
-        for k, (fr, pts) in enumerate(zip(feats_rec, points))
-    )
+    features = _bulk_features(feats_rec)
+    if features is None:
+        features = [feature_from_record(fr, f"{where}.features[{k}]")
+                    for k, fr in enumerate(feats_rec)]
     return MapFrame(frame_id=frame_id, ego_pose=pose, fov_side=fov_side, features=features)
 
 
@@ -271,10 +305,14 @@ def write_map_version(
             fh.write("\n")
 
 
-def read_map_version(path: str | Path) -> tuple[str, list[MapFeature], list[str] | None]:
-    """Read a map version file; returns (version_id, features, ids or None)."""
+def _map_version_lines(
+    path: str | Path, feature: Callable[[dict, str], _T] | None = None
+) -> tuple[str, list, list[str]]:
+    """The version id, the feature records and the feature ids of a map
+    version file, in line order; with feature given, each record is
+    replaced by feature(record, its path) as its line is read."""
     version_id: str | None = None
-    features: list[MapFeature] = []
+    items: list = []
     ids: list[str] = []
 
     def parse(rec: dict) -> None:
@@ -285,16 +323,32 @@ def read_map_version(path: str | Path) -> tuple[str, list[MapFeature], list[str]
             return
         has_id = "id" in rec
         # ids is non-empty exactly when the first feature carried an id.
-        if features and has_id != bool(ids):
+        if items and has_id != bool(ids):
             raise SceneFormatError("feature ids must be present on all features or none")
         if has_id:
             ids.append(_as_str(rec.pop("id"), "feature.id"))
-        (points,) = _bulk_points([rec]) or [None]
-        features.append(feature_from_record(rec, f"feature[{len(features)}]", points))
+        items.append(rec if feature is None else feature(rec, f"feature[{len(items)}]"))
 
     _read_records(path, parse)
     if version_id is None:
         raise SceneFormatError(f"{path}: missing version header line")
+    return version_id, items, ids
+
+
+def read_map_version(path: str | Path) -> tuple[str, list[MapFeature], list[str] | None]:
+    """Read a map version file; returns (version_id, features, ids or None).
+
+    The feature records of the whole file go through one _bulk_features
+    pass. When that or any other check fails, the file is read again with
+    each record through feature_from_record as its line comes, which names
+    the first fault in the file."""
+    try:
+        version_id, records, ids = _map_version_lines(path)
+        features = _bulk_features(records)
+    except SceneFormatError:
+        features = None
+    if features is None:
+        version_id, features, ids = _map_version_lines(path, feature_from_record)
     return version_id, features, (ids or None)
 
 

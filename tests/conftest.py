@@ -46,7 +46,8 @@ def random_feature(
     span: float = 80.0,
     confidence: float | None = None,
 ) -> MapFeature:
-    """A smooth random polyline (or ring) well inside a span x span box."""
+    """A smooth random polyline (or ring) well inside a span x span box. A
+    ring has at least 3 points, as a polygon must."""
     if cls is None:
         cls = REAL_CLASSES[int(rng.integers(len(REAL_CLASSES)))]
     inv = DEFAULT_INVARIANCE[cls]
@@ -54,7 +55,7 @@ def random_feature(
     if inv is InvarianceClass.POLYGON:
         cx, cy = rng.uniform(-half + 6, half - 6, 2)
         radius = rng.uniform(2.0, 5.0)
-        ang = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+        ang = np.linspace(0.0, 2.0 * np.pi, max(n, 3), endpoint=False)
         wobble = 1.0 + 0.2 * np.sin(ang * int(rng.integers(1, 4)))
         pts = np.column_stack(
             [cx + radius * wobble * np.cos(ang), cy + radius * wobble * np.sin(ang)]

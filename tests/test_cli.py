@@ -430,7 +430,8 @@ try:
 except SystemExit as exc:  # --help leaves through argparse
     rc = exc.code
 print(json.dumps({"rc": rc, "scipy_optimize": "scipy.optimize" in sys.modules,
-                  "solver": matching._solver is not None}))
+                  "solver": matching._solver is not None,
+                  "futures": "concurrent.futures" in sys.modules}))
 """
 
 
@@ -442,7 +443,8 @@ def _child_env() -> dict:
 
 def _fresh_process(argv: list[str]) -> dict:
     """Run main(argv) in a new interpreter; report its exit code, whether
-    scipy.optimize was loaded by the end and whether a solver was."""
+    scipy.optimize was loaded by the end, whether a solver was and whether
+    concurrent.futures (the worker-thread pool) was."""
     done = subprocess.run([sys.executable, "-c", _STARTUP_PROBE, *argv], env=_child_env(),
                           capture_output=True, text=True, timeout=120, check=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
@@ -466,7 +468,7 @@ def _startup_argv(command: str, tmp_path, scenes) -> list[str]:
 @pytest.mark.parametrize("command", ["--help", "perturb", "eval", "render"])
 def test_subcommands_without_assignment_start_without_scipy(tmp_path, scene_file, command):
     probe = _fresh_process(_startup_argv(command, tmp_path, scene_file[0]))
-    assert probe == {"rc": 0, "scipy_optimize": False, "solver": False}
+    assert probe == {"rc": 0, "scipy_optimize": False, "solver": False, "futures": False}
 
 
 def _solving_case(command: str, tmp_path, scenes) -> tuple[list[str], list[Path]]:
@@ -494,11 +496,27 @@ def test_solving_subcommands_load_only_the_compiled_kernel(tmp_path, scene_file,
     fresh_dir.mkdir()
     here_dir.mkdir()
     argv, fresh_outs = _solving_case(command, fresh_dir, scene_file[0])
-    assert _fresh_process(argv + extra) == {"rc": 0, "scipy_optimize": False, "solver": True}
+    # Only a run with worker threads loads the thread pool.
+    assert _fresh_process(argv + extra) == {"rc": 0, "scipy_optimize": False, "solver": True,
+                                            "futures": "--jobs" in extra}
     argv, here_outs = _solving_case(command, here_dir, scene_file[0])
     assert main(argv + extra) == 0
     for fresh, here in zip(fresh_outs, here_outs):
         assert fresh.read_bytes() == here.read_bytes()
+
+
+@pytest.mark.parametrize("value", ["abc", "0.5,x", "0.5,,1"])
+def test_thresholds_option_is_a_usage_error(tmp_path, scene_file, capsys, value):
+    src, _ = scene_file
+    out = tmp_path / "eval.json"
+    with pytest.raises(SystemExit) as info:
+        main(["eval", "--pred", str(src), "--gt", str(src), "--thresholds", value,
+              "--out", str(out)])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == (f"priormap eval: error: argument --thresholds: "
+                                    f"expected comma-separated numbers, got {value!r}")
+    assert not out.exists()
 
 
 def _error_of(argv: list[str], capsys) -> str:
@@ -506,8 +524,14 @@ def _error_of(argv: list[str], capsys) -> str:
     return capsys.readouterr().err
 
 
-def _zero_length_line(x: float, y: float):
-    return line_feature(y=0.0).with_points(np.zeros((20, 2)) + [x, y])
+def _underflowing_line(x: float):
+    """A 20-point line at (x, 0) whose last point lies the smallest
+    subnormal above the others. The readers take it, as its points do not
+    all coincide, but its arc length underflows to zero, so a stage that
+    resamples it fails."""
+    pts = np.zeros((20, 2)) + [x, 0.0]
+    pts[-1, 1] = 5e-324
+    return line_feature(y=0.0).with_points(pts)
 
 
 def test_perturb_error_names_file_and_frame(tmp_path, scene_file, capsys, monkeypatch):
@@ -579,6 +603,8 @@ _HUGE = "1" + "0" * 400
     ("eval", '{"densify": "x"}', "eval config: densify must be a finite number, got 'x'"),
     ("eval", '{"densify": 2.5}', "eval config: densify must be 0 or an integer of at least 2, got 2.5"),
     ("eval", '{"densify": 1}', "eval config: densify must be 0 or an integer of at least 2, got 1"),
+    ("eval", '{"densify": 1000000000000000}',
+     "eval config: densify must be at most 1000, got 1000000000000000"),
     ("eval", '{"thresholds": 5}', "eval config: thresholds must be a list of numbers, got 5"),
     ("eval", '{"thresholds": [0.5, 1e400]}', "eval config: thresholds must be a finite number, got inf"),
     ("eval", '{"classes": "lane_center"}',
@@ -611,7 +637,7 @@ def test_bad_config_value_is_one_error_line(tmp_path, scene_file, capsys, comman
 
 def test_eval_error_names_files_and_frame(tmp_path, scene_file, capsys):
     src, frames = scene_file
-    bad = frames[2].with_features([*frames[2].features, _zero_length_line(1.0, 2.0)])
+    bad = frames[2].with_features([*frames[2].features, _underflowing_line(1.0)])
     gt = tmp_path / "gt.jsonl"
     write_scenes([*frames[:2], bad, frames[3]], gt)
     config = tmp_path / "eval_config.json"
@@ -625,7 +651,7 @@ def test_mine_error_names_files_and_frame(tmp_path, capsys):
     world = grid_world(n_blocks=3)
     old, new = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
     write_map_version("v2020", world, old)
-    write_map_version("v2023", [*world, _zero_length_line(30.0, 1.0)], new)
+    write_map_version("v2023", [*world, _underflowing_line(30.0)], new)
     err = _error_of(["mine", "--old", str(old), "--new", str(new),
                      "--trajectory", str(_drive(tmp_path)), "--out-prior",
                      str(tmp_path / "prior.jsonl"), "--out-gt", str(tmp_path / "gt.jsonl"),

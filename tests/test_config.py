@@ -23,6 +23,7 @@ from priormap import (
 )
 from priormap.cli import _config_hash, main
 from priormap.config import finite_number, read_config
+from priormap.evaluation import MAX_DENSIFY
 from priormap.perturb import _PARAMS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -88,11 +89,11 @@ class TestDataclassChecks:
         with pytest.raises(ValueError, match="^classes: 'lane' is not a valid FeatureClass$"):
             EvalConfig(classes=["lane"])
 
-    @pytest.mark.parametrize("densify", [0, 2, 64])
+    @pytest.mark.parametrize("densify", [0, 2, 64, MAX_DENSIFY])
     def test_densify_accepted(self, densify):
         assert EvalConfig(densify=densify).densify == densify
 
-    @pytest.mark.parametrize("densify", [1, -2, 2.0, True, "4"])
+    @pytest.mark.parametrize("densify", [1, -2, 2.0, True, "4", MAX_DENSIFY + 1, 10**15])
     def test_densify_refused(self, densify):
         with pytest.raises(ValueError, match="^densify must be"):
             EvalConfig(densify=densify)

@@ -23,7 +23,7 @@ from priormap import (
     pad_to_fixed,
     resample_polyline,
 )
-from priormap.model import polyline_length
+from priormap.model import polyline_length, ring_fault
 
 
 def arc_position_oracle(polyline: np.ndarray, point: np.ndarray, closed: bool) -> float:
@@ -200,6 +200,11 @@ class TestWithPoints:
             for points in (new, new.tolist(), new.astype(np.float32), np.asfortranarray(new),
                            new[::-1], new.astype(np.int64)):
                 got = feat.with_points(points)
+                if feat.invariance is InvarianceClass.POLYGON and ring_fault(got.points):
+                    # with_points checks the points alone, not the polygon rule.
+                    with pytest.raises(ValueError, match=ring_fault(got.points)):
+                        dataclasses.replace(feat, points=points)
+                    continue
                 assert self._same(got, dataclasses.replace(feat, points=points)), k
                 assert got.feature_class is feat.feature_class
                 assert got.confidence == feat.confidence
@@ -425,7 +430,10 @@ def edge_case_feature(rng: np.random.Generator, half: float) -> tuple[str, MapFe
         pts = np.repeat(pts, rng.integers(1, 4, len(pts)), axis=0)
     if kind == "outside":
         pts = pts + rng.choice([-1.0, 1.0], 2) * (3.0 * half + np.abs(pts).max())
-    inv = InvarianceClass.POLYGON if cls is FeatureClass.DRIVEWAY else InvarianceClass.UNDIRECTED_POLYLINE
+    # A drawn driveway that breaks the polygon rule (2 points, or a last
+    # vertex snapped onto the first) is kept as a polyline.
+    polygon = cls is FeatureClass.DRIVEWAY and ring_fault(pts) is None
+    inv = InvarianceClass.POLYGON if polygon else InvarianceClass.UNDIRECTED_POLYLINE
     return kind, MapFeature(cls, inv, pts)
 
 
@@ -476,3 +484,20 @@ class TestClipMatchesOracle:
     def test_empty_frame(self):
         frame = MapFrame("f", Pose2D(0, 0, 0), 90.0, ())
         assert clip_to_fov(frame) == oracle_clip_to_fov(frame) == frame
+
+
+class TestPolygonRule:
+    @pytest.mark.parametrize("points, fault", [
+        (np.zeros((0, 2)), "polygons need at least 3 points"),
+        ([[0.0, 0.0]], "polygons need at least 3 points"),
+        ([[0.0, 0.0], [1.0, 0.0]], "polygons need at least 3 points"),
+        ([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]], "polygons must not repeat the closing vertex"),
+        ([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [-0.0, 0.0]],
+         "polygons must not repeat the closing vertex"),
+    ])
+    def test_map_feature_refuses(self, points, fault):
+        assert ring_fault(np.asarray(points, dtype=np.float64).reshape(-1, 2)) == fault
+        with pytest.raises(ValueError, match=f"^{fault}$"):
+            MapFeature(FeatureClass.DRIVEWAY, InvarianceClass.POLYGON, points)
+        if len(points) >= 2:  # a polyline may take the same points
+            MapFeature(FeatureClass.LANE_DIVIDER, InvarianceClass.UNDIRECTED_POLYLINE, points)

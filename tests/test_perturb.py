@@ -119,6 +119,17 @@ class TestWrongClass:
             assert after.invariance is DEFAULT_INVARIANCE[after.feature_class]
             np.testing.assert_array_equal(after.points, before.points)
 
+    def test_no_polygon_from_points_that_break_the_rule(self):
+        two = line_feature(n=2)
+        loop = line_feature(n=5).with_points([[0, 0], [4, 0], [4, 3], [0, 3], [0, 0]])
+        ring = line_feature(n=3).with_points([[0, 0], [4, 0], [4, 3]])
+        frame = MapFrame("f", Pose2D(0, 0, 0), 90.0, (two, loop, ring) * 40)
+        out = corrupt_class(frame, 1.0, _stream())
+        classes = [f.feature_class for f in out.features]
+        assert FeatureClass.DRIVEWAY not in classes[0::3] + classes[1::3]
+        assert FeatureClass.DRIVEWAY in classes[2::3]
+        assert all(f.feature_class is not FeatureClass.LANE_CENTER for f in out.features)
+
     def test_rate_within_binomial_bounds(self):
         n, p = 10_000, 0.5
         frame = _big_frame(n)
