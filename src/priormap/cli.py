@@ -16,7 +16,7 @@ import json
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Callable, Iterator, Sequence, TypeVar
 
@@ -50,16 +50,6 @@ from .scene_io import (
 )
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    config_hash: str
-    master_seed: int | None
-    input_digests: dict[str, str]
-    tool_version: str
-    wall_time_s: float
-
-
 def _sha256_file(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -86,16 +76,16 @@ def _write_manifest(
     master_seed: int | None,
     wall_time_s: float,
 ) -> None:
-    manifest = RunManifest(
-        command=command,
-        config_hash=_config_hash(config),
-        master_seed=master_seed,
-        input_digests={str(p): _sha256_file(p) for p in map(Path, inputs)},
-        tool_version=__version__,
-        wall_time_s=wall_time_s,
-    )
+    manifest = {
+        "command": command,
+        "config_hash": _config_hash(config),
+        "master_seed": master_seed,
+        "input_digests": {str(p): _sha256_file(p) for p in map(Path, inputs)},
+        "tool_version": __version__,
+        "wall_time_s": wall_time_s,
+    }
     path = out_path.with_name(out_path.name + ".manifest.json")
-    path.write_text(json.dumps(asdict(manifest), indent=2) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -159,6 +149,18 @@ def _thresholds(text: str) -> tuple[float, ...]:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated numbers, got {text!r}") from None
+
+
+def _polygon_points(text: str) -> int:
+    """mine's --n-points option: an integer of at least 3, since every
+    cropped feature, a polygon included, is resampled to it."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 3:
+        raise argparse.ArgumentTypeError(f"must be at least 3 (a polygon needs 3 points), got {n}")
+    return n
 
 
 def _dims_from(args: argparse.Namespace) -> ModelDims:
@@ -273,11 +275,6 @@ def cmd_eval(args: argparse.Namespace) -> Run:
     return out_path, hashed, [args.pred, args.gt], None
 
 
-def _load_version(path: str) -> MapVersion:
-    version_id, features, ids = read_map_version(path)
-    return MapVersion.build(version_id, features, ids)
-
-
 def _diff_config(args: argparse.Namespace) -> dict:
     return {"modify_tol": args.modify_tol, "buffer": args.buffer,
             "max_match_dist": args.max_match_dist}
@@ -285,8 +282,8 @@ def _diff_config(args: argparse.Namespace) -> dict:
 
 def _diff(args: argparse.Namespace) -> tuple[MapVersion, MapVersion, ChangeReport]:
     """Both map versions and their change report, regions included."""
-    old = _load_version(args.old)
-    new = _load_version(args.new)
+    old = MapVersion.build(*read_map_version(args.old))
+    new = MapVersion.build(*read_map_version(args.new))
     report = diff_maps(old, new, modify_tol=args.modify_tol, max_match_dist=args.max_match_dist)
     return old, new, replace(report, regions=change_regions(report, buffer=args.buffer))
 
@@ -405,8 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     _diff_args(p)
     p.add_argument("--fov", type=float, default=90.0, help="field-of-view side in meters")
     p.add_argument("--window", type=float, default=30.0, help="window duration in seconds")
-    p.add_argument("--n-points", type=int, default=DEFAULT_DIMS.n_points,
-                   help="control points per feature")
+    p.add_argument("--n-points", type=_polygon_points, default=DEFAULT_DIMS.n_points,
+                   help="control points per feature, at least 3")
     p.add_argument("--out-prior", required=True, help="output prior scene file")
     p.add_argument("--out-gt", required=True, help="output ground-truth scene file")
     p.add_argument("--report", default=None, help="optional windows report JSON")

@@ -22,10 +22,9 @@ from .config import finite_number
 from .model import (
     REAL_CLASSES,
     FeatureClass,
-    InvarianceClass,
     MapFeature,
     MapFrame,
-    resample_polyline,
+    resample_polyline,  # unused here; bench/tracing.py counts calls through it
 )
 
 
@@ -246,13 +245,6 @@ def _usable_predictions(frame: MapFrame, config: EvalConfig) -> list[MapFeature]
     ]
 
 
-def _densified(feature: MapFeature, config: EvalConfig) -> MapFeature:
-    if config.densify <= 0 or feature.n_points == config.densify:
-        return feature
-    closed = feature.invariance is InvarianceClass.POLYGON
-    return feature.with_points(resample_polyline(feature.points, config.densify, closed=closed))
-
-
 def pair_frames(
     pred_frames: Sequence[MapFrame], gt_frames: Sequence[MapFrame]
 ) -> list[tuple[MapFrame, MapFrame]]:
@@ -289,14 +281,16 @@ def evaluate(
     records: dict[FeatureClass, dict[float, list[tuple[float, bool]]]] = {
         cls: {tau: [] for tau in config.thresholds} for cls in config.classes
     }
-    tallies = {tau: [0, 0, 0] for tau in config.thresholds}  # tp, fp, fn
     n_gt: dict[FeatureClass, int] = {cls: 0 for cls in config.classes}
     for pred_frame, gt_frame in pairs:
-        try:
-            preds = [_densified(f, config) for f in _usable_predictions(pred_frame, config)]
-            gts = [_densified(f, config) for f in gt_frame.features]
-        except ValueError as exc:
-            raise ValueError(f"frame {gt_frame.frame_id}: {exc}") from exc
+        preds = _usable_predictions(pred_frame, config)
+        gts = gt_frame.features
+        if config.densify:
+            try:
+                preds = [f.resampled(config.densify) for f in preds]
+                gts = [f.resampled(config.densify) for f in gts]
+            except ValueError as exc:
+                raise ValueError(f"frame {gt_frame.frame_id}: {exc}") from exc
         for cls in config.classes:
             cls_preds = [f for f in preds if f.feature_class is cls]
             cls_gts = [f for f in gts if f.feature_class is cls]
@@ -307,11 +301,6 @@ def evaluate(
             for tau in config.thresholds:
                 hits = _greedy_hits(dist, order, len(cls_gts), tau)
                 records[cls][tau].extend(zip(confidences, hits))
-                n_tp = sum(hits)
-                tally = tallies[tau]
-                tally[0] += n_tp
-                tally[1] += len(hits) - n_tp
-                tally[2] += len(cls_gts) - n_tp
     ap: dict[FeatureClass, dict[float, float | None]] = {}
     class_mean: dict[FeatureClass, float | None] = {}
     for cls in config.classes:
@@ -322,5 +311,9 @@ def evaluate(
         class_mean[cls] = float(np.mean(vals)) if vals else None
     present = [v for v in class_mean.values() if v is not None]
     mean_ap = float(np.mean(present)) if present else None
-    counts = {tau: tuple(tally) for tau, tally in tallies.items()}
+    counts = {}
+    for tau in config.thresholds:
+        hits = [hit for cls in config.classes for _, hit in records[cls][tau]]
+        tp = sum(hits)
+        counts[tau] = (tp, len(hits) - tp, sum(n_gt.values()) - tp)
     return EvalReport(ap=ap, class_mean=class_mean, mean_ap=mean_ap, counts=counts, config=config)

@@ -33,7 +33,7 @@ from .model import (
     MapFrame,
     ModelDims,
     pad_to_fixed,
-    resample_polyline,
+    resample_polyline,  # unused here; bench/tracing.py counts calls through it
 )
 
 #: Column order of class-score vectors; the no-object score sits last.
@@ -133,13 +133,7 @@ class LabelSet:
 def _padded(frame: MapFrame, dims: ModelDims) -> tuple[tuple[MapFeature, ...], np.ndarray]:
     """A frame's features resampled to dims.n_points and padded to dims.m
     slots, with their stacked (m, n_points, 2) points."""
-    feats = []
-    for feat in frame.features:
-        if feat.n_points != dims.n_points:
-            closed = feat.invariance is InvarianceClass.POLYGON
-            feat = feat.with_points(resample_polyline(feat.points, dims.n_points, closed=closed))
-        feats.append(feat)
-    padded = pad_to_fixed(feats, dims)
+    padded = pad_to_fixed([f.resampled(dims.n_points) for f in frame.features], dims)
     return padded, np.stack([f.points for f in padded])
 
 
@@ -182,22 +176,14 @@ def valid_permutations(invariance: InvarianceClass, n_points: int) -> np.ndarray
     """
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
-    ident = np.arange(n_points)
+    ident = tuple(range(n_points))
     if invariance is InvarianceClass.DIRECTED_POLYLINE:
         rows = [ident]
     elif invariance is InvarianceClass.UNDIRECTED_POLYLINE:
         rows = [ident, ident[::-1]]
     else:
-        rows = [np.roll(ident, -s) for s in range(n_points)]
-        rows += [np.roll(ident[::-1], -s) for s in range(n_points)]
-    seen: set[tuple[int, ...]] = set()
-    unique = []
-    for row in rows:
-        key = tuple(int(v) for v in row)
-        if key not in seen:
-            seen.add(key)
-            unique.append(row)
-    perms = np.asarray(unique, dtype=np.intp)
+        rows = [ring[s:] + ring[:s] for ring in (ident, ident[::-1]) for s in range(n_points)]
+    perms = np.asarray(list(dict.fromkeys(rows)), dtype=np.intp)
     perms.flags.writeable = False
     return perms
 

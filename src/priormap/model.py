@@ -139,6 +139,15 @@ class MapFeature:
         mx = self.points.max(axis=0)
         return float(mn[0]), float(mn[1]), float(mx[0]), float(mx[1])
 
+    def resampled(self, n: int) -> "MapFeature":
+        """This feature with n points: itself when it has n already, else
+        its points resampled at equal arc-length spacing (as a closed ring
+        for a polygon)."""
+        if self.n_points == n:
+            return self
+        closed = self.invariance is InvarianceClass.POLYGON
+        return self.with_points(resample_polyline(self.points, n, closed=closed))
+
     def with_points(self, points: np.ndarray) -> "MapFeature":
         """A copy with new points. Only the points are checked (as_points),
         not the polygon rule; the other fields are copied as they are,
@@ -242,8 +251,10 @@ DEFAULT_DIMS = ModelDims()
 
 def _arc_lengths(pts: np.ndarray, closed: bool) -> tuple[np.ndarray, np.ndarray]:
     ring = np.vstack([pts, pts[:1]]) if closed else pts
-    seg = np.linalg.norm(np.diff(ring, axis=0), axis=1)
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
+    # A step or a square too large for a double counts as an infinite length.
+    with np.errstate(over="ignore"):
+        seg = np.linalg.norm(np.diff(ring, axis=0), axis=1)
+        cum = np.concatenate([[0.0], np.cumsum(seg)])
     return ring, cum
 
 
@@ -252,7 +263,9 @@ def resample_polyline(points: Sequence | np.ndarray, n: int, closed: bool = Fals
 
     Open polylines keep both endpoints exactly; closed rings are sampled at
     spacing L/n starting from the first vertex, without a repeated closing
-    vertex. Consecutive duplicate input points are tolerated.
+    vertex. Consecutive duplicate input points are tolerated. The length
+    must be positive and finite: a polyline with no step whose squared
+    length dx**2 + dy**2 is positive as a double has zero length.
     """
     pts = as_points(points)
     if pts.shape[0] < 2:
@@ -263,6 +276,8 @@ def resample_polyline(points: Sequence | np.ndarray, n: int, closed: bool = Fals
     total = float(cum[-1])
     if total <= 0.0:
         raise DegenerateFeatureError("degenerate feature: zero arc length")
+    if total == math.inf:
+        raise DegenerateFeatureError("degenerate feature: infinite arc length")
     if closed:
         targets = np.arange(n, dtype=np.float64) * (total / n)
     else:

@@ -249,8 +249,14 @@ class WarpField:
         n11 *= v
         n11 += n10
         n11 *= self._amp
-        octaves = self.params.octaves
-        return n11.reshape(2, octaves, -1).sum(axis=1).T
+        # The octaves are added one by one, in order: numpy's sum adds 8 or
+        # more pairwise when they are the contiguous axis (a chunk of one
+        # point), and a point's warp would then depend on the call it is in.
+        octaves = n11.reshape(2, self.params.octaves, -1)
+        total = octaves[:, 0].copy()
+        for k in range(1, octaves.shape[1]):
+            total += octaves[:, k]
+        return total.T
 
     def _raw(self, pts: np.ndarray) -> np.ndarray:
         step = _AXIS_CELLS // (2 * self.params.octaves)

@@ -5,7 +5,7 @@ order, so repeated runs produce diff-stable, byte-identical files.
 Coordinates round-trip bit-exactly because Python serializes doubles via
 their shortest exact decimal representation. Readers are strict: unknown
 keys, non-finite numbers, malformed records and features no stage can use
-(all points coincident, or a polygon that is no open ring) are rejected
+(zero arc length as a double, or a polygon that is no open ring) are rejected
 with the offending line number and field path.
 """
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .model import (
     MapFeature,
     MapFrame,
     Pose2D,
+    polyline_length,
     ring_fault,
 )
 
@@ -94,6 +95,14 @@ def _as_str(value, where: str) -> str:
     return value
 
 
+def _pose(rec: dict, where: str) -> Pose2D:
+    """The pose in the fields x, y and yaw of rec, which must hold no other
+    field; consumes rec."""
+    x, y, yaw = (_as_float(_take(rec, k, where), f"{where}.{k}") for k in ("x", "y", "yaw"))
+    _no_extras(rec, where)
+    return Pose2D(x=x, y=y, yaw=yaw)
+
+
 _CLASS_BY_VALUE = {c.value: c for c in FeatureClass}
 _INVARIANCE_BY_VALUE = {c.value: c for c in InvarianceClass}
 
@@ -127,11 +136,12 @@ def _bulk_features(records: list) -> list[MapFeature] | None:
     one) and invariance are found by dict lookup; each confidence is a
     number (``bool`` is not one) in [0, 1] as a double; each ``points`` is
     a list of at least 2 pairs, each pair a list of 2 numbers, each number
-    finite as a double; no feature's points all coincide, and polygons keep
-    the polygon rule. The points go through one read-only array, of which
-    each feature holds a view. Returns None when any check fails; the
-    caller then runs feature_from_record on each record, which names the
-    fault.
+    finite as a double; polygons keep the polygon rule, and every feature
+    has some step whose squared length dx**2 + dy**2 is positive as a
+    double, a polygon's closing step included (resample_polyline's rule).
+    The points go through one read-only array, of which each feature holds
+    a view. Returns None when any check fails; the caller then runs
+    feature_from_record on each record, which names the fault.
     """
     if not records:
         return []
@@ -168,12 +178,22 @@ def _bulk_features(records: list) -> list[MapFeature] | None:
     pts = flat.reshape(-1, 2)
     ends = list(accumulate(lens))
     starts = [0, *ends[:-1]]
-    # A feature none of whose points moves off its first has zero arc length.
-    moved = (pts != np.repeat(pts[starts], lens, axis=0)).any(axis=1)
-    if not np.logical_or.reduceat(moved, starts).all():
-        return None
     polygon = InvarianceClass.POLYGON
     if any(ring_fault(pts[a:b]) for inv, a, b in zip(invariances, starts, ends) if inv is polygon):
+        return None
+    # The step out of each point: to the next point of its feature, and out
+    # of a feature's last point back to its first, which counts for polygons
+    # only. A square too large for a double is inf, and still positive.
+    last = np.array(ends) - 1
+    step = np.empty_like(pts)
+    step[:-1] = pts[1:]
+    step[last] = pts[starts]
+    with np.errstate(over="ignore"):
+        step -= pts
+        step *= step
+        positive = step[:, 0] + step[:, 1] > 0.0
+    positive[last[[inv is not polygon for inv in invariances]]] = False
+    if not np.logical_or.reduceat(positive, starts).all():
         return None
     build = MapFeature.from_checked
     return [
@@ -215,8 +235,8 @@ def feature_from_record(record: dict, where: str) -> MapFeature:
         fault = ring_fault(pts)
         if fault:
             raise SceneFormatError(f"{where}.points: {fault}")
-    if (pts == pts[0]).all():
-        raise SceneFormatError(f"{where}.points: all points coincide (zero arc length)")
+    if not polyline_length(pts, closed=invariance is InvarianceClass.POLYGON) > 0.0:
+        raise SceneFormatError(f"{where}.points: zero arc length")
     return MapFeature(feature_class=cls, invariance=invariance, points=pts, confidence=confidence)
 
 
@@ -236,13 +256,7 @@ def frame_from_record(record: dict) -> MapFrame:
     pose_rec = _take(rec, "ego_pose", where)
     if not isinstance(pose_rec, dict):
         raise SceneFormatError(f"{where}.ego_pose: expected an object")
-    pose_rec = dict(pose_rec)
-    pose = Pose2D(
-        x=_as_float(_take(pose_rec, "x", f"{where}.ego_pose"), f"{where}.ego_pose.x"),
-        y=_as_float(_take(pose_rec, "y", f"{where}.ego_pose"), f"{where}.ego_pose.y"),
-        yaw=_as_float(_take(pose_rec, "yaw", f"{where}.ego_pose"), f"{where}.ego_pose.yaw"),
-    )
-    _no_extras(pose_rec, f"{where}.ego_pose")
+    pose = _pose(dict(pose_rec), f"{where}.ego_pose")
     fov_side = _as_float(_take(rec, "fov_side", where), f"{where}.fov_side")
     feats_rec = _take(rec, "features", where)
     if not isinstance(feats_rec, list):
@@ -361,13 +375,7 @@ def write_trajectory(poses: Sequence[tuple[float, Pose2D]], path: str | Path) ->
 
 def _timed_pose_from_record(rec: dict) -> tuple[float, Pose2D]:
     t = _as_float(_take(rec, "t", "pose"), "pose.t")
-    pose = Pose2D(
-        x=_as_float(_take(rec, "x", "pose"), "pose.x"),
-        y=_as_float(_take(rec, "y", "pose"), "pose.y"),
-        yaw=_as_float(_take(rec, "yaw", "pose"), "pose.yaw"),
-    )
-    _no_extras(rec, "pose")
-    return t, pose
+    return t, _pose(rec, "pose")
 
 
 def read_trajectory(path: str | Path) -> list[tuple[float, Pose2D]]:

@@ -14,6 +14,7 @@ import pytest
 import priormap
 from conftest import grid_world, line_feature, random_frame
 from priormap import (
+    DegenerateFeatureError,
     LossWeights,
     MapFrame,
     ModelDims,
@@ -524,16 +525,6 @@ def _error_of(argv: list[str], capsys) -> str:
     return capsys.readouterr().err
 
 
-def _underflowing_line(x: float):
-    """A 20-point line at (x, 0) whose last point lies the smallest
-    subnormal above the others. The readers take it, as its points do not
-    all coincide, but its arc length underflows to zero, so a stage that
-    resamples it fails."""
-    pts = np.zeros((20, 2)) + [x, 0.0]
-    pts[-1, 1] = 5e-324
-    return line_feature(y=0.0).with_points(pts)
-
-
 def test_perturb_error_names_file_and_frame(tmp_path, scene_file, capsys, monkeypatch):
     # A recipe's bounds are checked at load time, so no recipe makes a frame
     # fail; a mutation that moves points to infinity stands in for one.
@@ -635,9 +626,20 @@ def test_bad_config_value_is_one_error_line(tmp_path, scene_file, capsys, comman
     assert not out.exists() and not out.with_name("out.json.manifest.json").exists()
 
 
-def test_eval_error_names_files_and_frame(tmp_path, scene_file, capsys):
+def test_eval_error_names_files_and_frame(tmp_path, scene_file, capsys, monkeypatch):
+    # The readers refuse every feature of zero arc length, the one densify
+    # would fail on; a resample that fails on one marked feature of frame_2
+    # stands in for such a feature.
+    resample = priormap.model.resample_polyline
+
+    def fails_on_marked(points, n, closed=False):
+        if points[0].tolist() == [1.0, 0.0]:
+            raise DegenerateFeatureError("degenerate feature: zero arc length")
+        return resample(points, n, closed)
+
+    monkeypatch.setattr(priormap.model, "resample_polyline", fails_on_marked)
     src, frames = scene_file
-    bad = frames[2].with_features([*frames[2].features, _underflowing_line(1.0)])
+    bad = frames[2].with_features([*frames[2].features, line_feature(x0=1.0, x1=2.0)])
     gt = tmp_path / "gt.jsonl"
     write_scenes([*frames[:2], bad, frames[3]], gt)
     config = tmp_path / "eval_config.json"
@@ -647,16 +649,47 @@ def test_eval_error_names_files_and_frame(tmp_path, scene_file, capsys):
     assert f"{src} against {gt}: frame frame_2: degenerate feature" in err
 
 
-def test_mine_error_names_files_and_frame(tmp_path, capsys):
+def test_mine_error_names_files_and_frame(tmp_path, capsys, monkeypatch):
+    # As above, a crop that fails for one window stands in for a feature
+    # that the crop cannot resample.
+    build = priormap.cli.build_scene_pair
+
+    def fails_on_second_window(old, new, pose, **kwargs):
+        if kwargs["frame_id"] == "window_0001":
+            raise DegenerateFeatureError("degenerate feature: zero arc length")
+        return build(old, new, pose, **kwargs)
+
+    monkeypatch.setattr(priormap.cli, "build_scene_pair", fails_on_second_window)
     world = grid_world(n_blocks=3)
     old, new = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
     write_map_version("v2020", world, old)
-    write_map_version("v2023", [*world, _underflowing_line(30.0)], new)
+    write_map_version("v2023", [*world, line_feature(x0=30.0, x1=31.0)], new)
     err = _error_of(["mine", "--old", str(old), "--new", str(new),
                      "--trajectory", str(_drive(tmp_path)), "--out-prior",
                      str(tmp_path / "prior.jsonl"), "--out-gt", str(tmp_path / "gt.jsonl"),
                      "--window", "20"], capsys)
     assert f"{old} to {new}, frame window_0001: degenerate feature" in err
+
+
+@pytest.mark.parametrize("value, message", [
+    ("2", "must be at least 3 (a polygon needs 3 points), got 2"),
+    ("-1", "must be at least 3 (a polygon needs 3 points), got -1"),
+    ("x", "invalid int value: 'x'"),
+])
+def test_mine_n_points_below_3_is_a_usage_error(tmp_path, capsys, value, message):
+    world = grid_world(n_blocks=2)
+    old, new = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
+    write_map_version("a", world, old)
+    write_map_version("b", world[1:], new)
+    prior = tmp_path / "prior.jsonl"
+    with pytest.raises(SystemExit) as info:
+        main(["mine", "--old", str(old), "--new", str(new), "--trajectory", str(_drive(tmp_path)),
+              "--out-prior", str(prior), "--out-gt", str(tmp_path / "gt.jsonl"),
+              "--n-points", value])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"priormap mine: error: argument --n-points: {message}"
+    assert not prior.exists()
 
 
 @pytest.mark.parametrize("field", ["coordinate", "fov_side"])

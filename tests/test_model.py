@@ -76,6 +76,28 @@ class TestResample:
         with pytest.raises(DegenerateFeatureError, match="degenerate feature"):
             resample_polyline([[1.0, 1.0], [1.0, 1.0]], 4)
 
+    @pytest.mark.parametrize("feature, closed", [
+        (line_feature(n=7), False), (ring_feature(n=7), True),
+    ])
+    def test_feature_resampled(self, feature, closed):
+        assert feature.resampled(7) is feature
+        out = feature.resampled(12)
+        assert out.points.tobytes() == resample_polyline(feature.points, 12, closed).tobytes()
+        assert (out.feature_class, out.invariance, out.confidence) == (
+            feature.feature_class, feature.invariance, feature.confidence)
+        assert not out.points.flags.writeable
+
+    @pytest.mark.parametrize("points, closed, message", [
+        ([[0.0, 0.0], [0.0, 5e-324]], False, "zero arc length"),  # the square underflows
+        ([[0.0, 0.0], [5e-324, 0.0], [5e-324, 5e-324]], True, "zero arc length"),
+        ([[-1e200, 0.0], [1e200, 0.0]], False, "infinite arc length"),  # the square overflows
+        ([[-1.7e308, 0.0], [1.7e308, 0.0]], False, "infinite arc length"),  # so does the step
+        ([[0.0, 0.0], [1e308, 0.0], [1e308, 1e308]], True, "infinite arc length"),
+    ])
+    def test_length_must_be_positive_and_finite(self, points, closed, message):
+        with pytest.raises(DegenerateFeatureError, match=f"^degenerate feature: {message}$"):
+            resample_polyline(points, 5, closed=closed)
+
     def test_consecutive_duplicates_tolerated(self):
         pts = [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [2.0, 0.0]]
         out = resample_polyline(pts, 5)

@@ -5,7 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from priormap import PerlinParams, WarpField, philox_stream
@@ -113,7 +113,13 @@ def _reference_raw(params: PerlinParams, seed: int, pts: np.ndarray) -> np.ndarr
     nx0 = (n10 - n00) * u + n00
     nx1 = (n11 - n01) * u + n01
     noise = ((nx1 - nx0) * v + nx0) * amp
-    return noise.reshape(2, params.octaves, -1).sum(axis=1).T
+    # The octaves in order, one by one: a sum over the octave axis would add
+    # them pairwise for a single point.
+    octaves = noise.reshape(2, params.octaves, -1)
+    total = octaves[:, 0]
+    for k in range(1, params.octaves):
+        total = total + octaves[:, k]
+    return total.T
 
 
 _params = st.builds(
@@ -140,12 +146,30 @@ def test_separable_grid_matches_point_list_bit_for_bit(params, fov_side, seed):
 
 
 @given(_params, st.integers(0, (1 << 62) - 1), st.integers(1, 3000), st.floats(1.0, 1e4))
+@example(PerlinParams(grid_scale=1.0, octaves=9, persistence=1.0, lacunarity=2.0), 0, 57, 2.0)
 @settings(max_examples=60, deadline=None)
 def test_kernel_matches_reference_at_any_points(params, seed, n, spread):
     pts = np.random.default_rng(seed % 1000).uniform(-spread, spread, (n, 2))
     field = WarpField(params, 1.0, seed)
     got = np.ascontiguousarray(field._raw(pts))
     assert got.tobytes() == np.ascontiguousarray(_reference_raw(params, seed, pts)).tobytes()
+
+
+@given(
+    st.builds(PerlinParams, grid_scale=st.floats(0.5, 200.0), octaves=st.integers(1, 12),
+              persistence=st.floats(0.05, 1.5), lacunarity=st.floats(1.1, 2.5)),
+    st.integers(0, (1 << 62) - 1), st.integers(1, 120), st.floats(1.0, 1e3),
+)
+@example(PerlinParams(grid_scale=1.0, octaves=9, persistence=1.0, lacunarity=2.0), 0, 57, 2.0)
+@settings(max_examples=40, deadline=None)
+def test_warp_of_a_point_does_not_depend_on_the_call(params, seed, n, spread):
+    # A pure function of position: however many points a call holds, and
+    # however the kernel splits them into chunks, a point gets the same bits.
+    pts = np.random.default_rng(seed % 1000).uniform(-spread, spread, (n, 2))
+    field = WarpField(params, 1.0, seed)
+    whole = field(pts)
+    for k in range(n):
+        assert field(pts[k : k + 1])[0].tobytes() == whole[k].tobytes()
 
 
 @pytest.mark.parametrize("bad", [

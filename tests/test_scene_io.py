@@ -25,6 +25,7 @@ from priormap import (
     write_trajectory,
 )
 from priormap import scene_io as sio
+from priormap.model import polyline_length
 
 
 class TestSceneRoundTrip:
@@ -128,7 +129,8 @@ def _feature(draw):
     n = draw(st.integers(3 if invariance is InvarianceClass.POLYGON else 2, 6))
     pts = np.array(draw(st.lists(st.tuples(_finite, _finite), min_size=n, max_size=n)))
     assume(invariance is not InvarianceClass.POLYGON or not np.array_equal(pts[0], pts[-1]))
-    assume(not (pts == pts[0]).all())  # zero arc length: the readers refuse it
+    # zero arc length as a double: the readers refuse it
+    assume(polyline_length(pts, closed=invariance is InvarianceClass.POLYGON) > 0.0)
     return MapFeature(draw(st.sampled_from(REAL_CLASSES)), invariance, pts,
                       confidence=draw(st.floats(0.0, 1.0)))
 
@@ -287,6 +289,30 @@ class TestTrajectoryFile:
         path.write_text('{"x":0.0,"y":0.0,"yaw":0.0}\n')
         with pytest.raises(SceneFormatError, match="missing field 't'"):
             read_trajectory(path)
+
+
+@pytest.mark.parametrize("kind, pose, message", [
+    ("frame", {"x": 0.0, "y": 0.0}, "frame 'f'.ego_pose: missing field 'yaw'"),
+    ("frame", {"x": 0.0, "y": "1", "yaw": 0.0}, "frame 'f'.ego_pose.y: expected a number"),
+    ("frame", {"x": 0.0, "y": 0.0, "yaw": "@raw:1e999@"},
+     "frame 'f'.ego_pose.yaw: must be finite"),
+    ("frame", {"x": 0.0, "y": 0.0, "yaw": 0.0, "z": 1}, "frame 'f'.ego_pose: unknown field(s): z"),
+    ("frame", [0.0, 0.0, 0.0], "frame 'f'.ego_pose: expected an object"),
+    ("trajectory", {"y": 0.0, "yaw": 0.0}, "pose: missing field 'x'"),
+    ("trajectory", {"x": True, "y": 0.0, "yaw": 0.0}, "pose.x: expected a number"),
+    ("trajectory", {"x": 0.0, "y": 0.0, "yaw": 0.0, "z": 1}, "pose: unknown field(s): z"),
+])
+def test_pose_errors_name_the_field(tmp_path, kind, pose, message):
+    # Frame poses and trajectory lines share one pose parser.
+    if kind == "frame":
+        record = {"frame_id": "f", "ego_pose": pose, "fov_side": 90.0, "features": []}
+    else:
+        record = {"t": 0.0, **pose}
+    path = tmp_path / "poses.jsonl"
+    path.write_text(_dumps_raw(record) + "\n")
+    with pytest.raises(SceneFormatError) as info:
+        (read_scenes if kind == "frame" else read_trajectory)(path)
+    assert str(info.value) == f"{path}: line 1: {message}"
 
 
 #: 401 digits: a JSON integer too large for a double.
@@ -505,8 +531,30 @@ _CORRUPTIONS = [
     ("class number", lambda f: {**f, "class": 1}, ".class: expected a string"),
     ("class list", lambda f: {**f, "class": ["lane_center"]}, ".class: expected a string"),
     ("points coincide", lambda f: {**f, "points": [f["points"][0]] * len(f["points"])},
-     ".points: all points coincide (zero arc length)"),
+     ".points: zero arc length"),
+    # The points differ, but the square of every step underflows to 0.
+    ("subnormal step", lambda f: {**f, "points": [[0.0, 0.0]] * 5 + [[0.0, 5e-324]]},
+     ".points: zero arc length"),
+    # So do the open steps of this polyline; only the step from its last
+    # point back to its first, which counts for polygons alone, does not.
+    ("underflowing steps", lambda f: {**f, "class": "lane_divider",
+                                      "invariance": "undirected_polyline",
+                                      "points": [[k * 1e-162, 0.0] for k in range(6)]},
+     ".points: zero arc length"),
 ]
+
+
+def test_polygon_closing_step_counts(tmp_path, monkeypatch):
+    # The squares of this ring's open steps underflow, that of its closing
+    # step does not: a polygon of positive length, which both paths take.
+    ring = MapFeature(FeatureClass.DRIVEWAY, InvarianceClass.POLYGON,
+                      [[k * 1e-162, 0.0] for k in range(6)])
+    frame = MapFrame("f", Pose2D(0.0, 0.0, 0.0), 90.0, (ring,))
+    path = tmp_path / "scenes.jsonl"
+    write_scenes([frame], path)
+    got, want, accepted = _bulk_and_oracle(read_scenes, path, monkeypatch)
+    assert got == want == [frame]
+    assert accepted == 1
 
 
 class TestBulkReaderErrors:
