@@ -25,6 +25,7 @@ from .evaluation import (
     average_precision,
     chamfer_distance,
     chamfer_matrix,
+    chamfer_pairs,
     evaluate,
     match_predictions,
 )
@@ -36,7 +37,6 @@ from .matching import (
     MatchedLoss,
     PredictionSet,
     combined_cost_matrix,
-    edge_direction_penalty,
     focal_cost_matrix,
     hungarian_assign,
     label_set_from_frame,
@@ -62,6 +62,7 @@ from .model import (
     clip_to_fov,
     pad_to_fixed,
     resample_polyline,
+    resample_polylines,
 )
 from .perlin import PerlinParams, WarpField
 from .perturb import (

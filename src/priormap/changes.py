@@ -12,12 +12,15 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .evaluation import chamfer_distance
+from .evaluation import (
+    chamfer_distance,  # unused here; bench/tracing.py counts calls through it
+    chamfer_pairs,
+)
 from .matching import linear_sum_assignment
 from .model import (
     InvarianceClass,
@@ -25,7 +28,10 @@ from .model import (
     MapFrame,
     Pose2D,
     clip_to_fov,
-    resample_polyline,
+    resample_polyline,  # unused here; bench/tracing.py counts calls through it
+    resample_polylines,
+    ring_fault,
+    with_stacked_points,
     world_to_ego,
 )
 
@@ -163,7 +169,9 @@ def diff_maps(
         removed = [old_at[fid] for fid in sorted(old_at.keys() - new_at.keys())]
         added = [new_at[fid] for fid in sorted(new_at.keys() - old_at.keys())]
         pairs = [(old_at[fid], new_at[fid]) for fid in sorted(old_at.keys() & new_at.keys())]
-        matched = [(i, j, chamfer_distance(old.features[i], new.features[j])) for i, j in pairs]
+        dist = chamfer_pairs([old.features[i].points for i, _ in pairs],
+                             [new.features[j].points for _, j in pairs])
+        matched = [(i, j, d) for (i, j), d in zip(pairs, dist.tolist())]
         return _report(old, new, removed, added, matched, modify_tol)
 
     removed, added, matched = [], [], []
@@ -181,8 +189,9 @@ def diff_maps(
         gap = np.maximum(box_new[..., :2] - box_old[..., 2:], box_old[..., :2] - box_new[..., 2:])
         near = np.linalg.norm(np.maximum(gap, 0.0), axis=-1) <= max_match_dist
         cost = np.full(near.shape, np.inf)
-        for a, b in zip(*np.nonzero(near)):
-            cost[a, b] = chamfer_distance(old.features[old_idx[a]], new.features[new_idx[b]])
+        a, b = np.nonzero(near)
+        cost[a, b] = chamfer_pairs([old.features[i].points for i in old_idx[a].tolist()],
+                                   [new.features[j].points for j in new_idx[b].tolist()])
         gated = cost <= max_match_dist
         # Each gated cost is at most the gate, so this exceeds any total of
         # them: the solver pairs as many gated features as it can before it
@@ -314,11 +323,17 @@ def _crop_version(
     ego = [f.with_points(world_to_ego(f.points, pose)) for f in nearby]
     frame = MapFrame(frame_id=frame_id, ego_pose=pose, fov_side=fov_side, features=tuple(ego))
     clipped = clip_to_fov(frame)
-    out = []
-    for feat in clipped.features:
-        closed = feat.invariance is InvarianceClass.POLYGON
-        pts = resample_polyline(feat.points, n_points, closed=closed)
-        out.append(replace(feat, points=pts, confidence=1.0))
+    feats = clipped.features
+    polygon = InvarianceClass.POLYGON
+    stack = resample_polylines([f.points for f in feats], n_points,
+                               [f.invariance is polygon for f in feats])
+    # MapFeature's own checks: the polygon rule here, finite points in
+    # with_stacked_points.
+    for feat, points in zip(feats, stack):
+        fault = ring_fault(points) if feat.invariance is polygon else None
+        if fault:
+            raise ValueError(fault)
+    out = with_stacked_points(feats, stack, confidence=1.0)
     return clipped.with_features(out)
 
 

@@ -69,20 +69,35 @@ class EvalConfig:
 
 
 #: Most elements of the (rows, labels, na, nb) distance block that
-#: chamfer_matrix holds at once (8 MB of float64 per block array).
+#: chamfer_matrix holds at once, and of the (pairs, na, nb) block of
+#: chamfer_pairs (8 MB of float64 per block array).
 _BLOCK_ELEMENTS = 1 << 20
+
+
+def _chamfer_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Symmetric Chamfer distance between the point sets of a (..., na, 2)
+    and a (..., nb, 2) stack that broadcast against each other.
+
+    Each directed mean is taken over the last axis of a fresh array, so it
+    sums in the same pairwise order as a 1-D mean and every entry equals
+    the pair's distance computed alone, bit for bit.
+    """
+    dist = a[..., :, None, 0] - b[..., None, :, 0]
+    dy = a[..., :, None, 1] - b[..., None, :, 1]
+    dist *= dist
+    dy *= dy
+    dist += dy
+    np.sqrt(dist, out=dist)
+    return 0.5 * (dist.min(axis=-1).mean(axis=-1) + dist.min(axis=-2).mean(axis=-1))
 
 
 def chamfer_matrix(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     """Symmetric Chamfer distance of every pair from a (P, na, 2) and a
     (G, nb, 2) point stack, as a (P, G) array.
 
-    Each directed mean is taken over the last axis of a fresh array, so it
-    sums in the same pairwise order as a 1-D mean and every entry equals
-    the pair's distance computed alone, bit for bit. Rows and columns are
-    split into blocks of at most _BLOCK_ELEMENTS point pairs (or of one
-    feature pair, if that alone is larger), which changes no reduction
-    order.
+    Rows and columns are split into blocks of at most _BLOCK_ELEMENTS point
+    pairs (or of one feature pair, if that alone is larger), which changes
+    no reduction order.
     """
     pa = np.asarray(pa, dtype=np.float64)
     pb = np.asarray(pb, dtype=np.float64)
@@ -91,18 +106,31 @@ def chamfer_matrix(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     cols = max(1, min(pb.shape[0], _BLOCK_ELEMENTS // pair_points))
     rows = max(1, _BLOCK_ELEMENTS // (cols * pair_points))
     for j in range(0, pb.shape[0], cols):
-        b = pb[j : j + cols]
+        b = pb[None, j : j + cols]
         for i in range(0, pa.shape[0], rows):
-            a = pa[i : i + rows]
-            dist = a[:, None, :, None, 0] - b[None, :, None, :, 0]
-            dy = a[:, None, :, None, 1] - b[None, :, None, :, 1]
-            dist *= dist
-            dy *= dy
-            dist += dy
-            np.sqrt(dist, out=dist)
-            out[i : i + rows, j : j + cols] = 0.5 * (
-                dist.min(axis=3).mean(axis=-1) + dist.min(axis=2).mean(axis=-1)
-            )
+            out[i : i + rows, j : j + cols] = _chamfer_block(pa[i : i + rows, None], b)
+    return out
+
+
+def chamfer_pairs(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> np.ndarray:
+    """Symmetric Chamfer distance of each pair (a[p], b[p]) of (n, 2) point
+    arrays, as a (P,) array whose entry p equals chamfer_distance(a[p],
+    b[p]) bit for bit.
+
+    The pairs are stacked by their two point counts and filled through
+    chamfer_matrix's kernel in blocks of at most _BLOCK_ELEMENTS point
+    pairs (or of one feature pair, if that alone is larger).
+    """
+    out = np.empty(len(a))
+    groups: dict[tuple[int, int], list[int]] = {}
+    for p, (pa, pb) in enumerate(zip(a, b)):
+        groups.setdefault((len(pa), len(pb)), []).append(p)
+    for (na, nb), idx in groups.items():
+        step = max(1, _BLOCK_ELEMENTS // max(1, na * nb))
+        for k in range(0, len(idx), step):
+            block = idx[k : k + step]
+            out[block] = _chamfer_block(np.array([a[p] for p in block], dtype=np.float64),
+                                        np.array([b[p] for p in block], dtype=np.float64))
     return out
 
 

@@ -42,6 +42,13 @@ _SCORE_INDEX = {c: i for i, c in enumerate(SCORE_CLASSES)}
 
 _PROB_EPS = 1e-8
 
+#: Ceiling on each LossWeights weight: far beyond any useful blend, and
+#: small enough that the weighted focal and direction terms stay below
+#: about 1e14 (the focal cost is at most about 18.4 per unit of focal_alpha
+#: or of 1 - focal_alpha, the direction penalty at most 2), so that no
+#: weight alone makes the combined matrix overflow.
+MAX_WEIGHT = 1e6
+
 
 @dataclass(frozen=True)
 class LossWeights:
@@ -64,8 +71,11 @@ class LossWeights:
 
     def __post_init__(self) -> None:
         for name in ("class_weight", "point_weight", "cosine_weight", "focal_alpha", "focal_gamma"):
-            if finite_number(getattr(self, name), name) < 0:
+            value = finite_number(getattr(self, name), name)
+            if value < 0:
                 raise ValueError(f"{name} must be non-negative")
+            if value > MAX_WEIGHT:
+                raise ValueError(f"{name} must be at most {MAX_WEIGHT:g}")
         if not isinstance(self.joint_cosine, bool):
             raise ValueError(f"joint_cosine must be true or false, got {self.joint_cosine!r}")
 
@@ -264,18 +274,6 @@ def point_cost_total(pred: PredictionSet, labels: LabelSet) -> np.ndarray:
     """Sum of the three class matrices. The class columns partition the
     label indices, so each column equals exactly one class matrix column."""
     return combined_cost_matrix(pred, labels).point_total
-
-
-def edge_direction_penalty(
-    pred: PredictionSet, labels: LabelSet, joint_cosine_weight: float | None = None
-) -> np.ndarray:
-    """Pairwise mean (1 - cos) between consecutive prediction and label
-    edges, evaluated under each pair's selected permutation; masked columns
-    are zero and zero-length edges contribute penalty 1."""
-    weights = LossWeights()
-    if joint_cosine_weight:
-        weights = LossWeights(cosine_weight=joint_cosine_weight, joint_cosine=True)
-    return combined_cost_matrix(pred, labels, weights).cosine
 
 
 def focal_cost_matrix(

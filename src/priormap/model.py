@@ -249,13 +249,91 @@ class ModelDims:
 DEFAULT_DIMS = ModelDims()
 
 
-def _arc_lengths(pts: np.ndarray, closed: bool) -> tuple[np.ndarray, np.ndarray]:
-    ring = np.vstack([pts, pts[:1]]) if closed else pts
+def _arc_lengths(
+    points: np.ndarray, sizes: np.ndarray, closed: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one arc-length pass, over k pieces stacked in the (N, 2) points
+    array, piece i being the next sizes[i] >= 1 rows.
+
+    Returns the (k, w, 2) rings, the (k, w) cumulative arc lengths along
+    them and each ring's point count. A closed piece's ring ends with its
+    first point again; every ring is padded to the common width w with its
+    last point, so padded steps have length 0 and cum[:, -1] holds each
+    total. Each row's steps and running sum are those of the piece alone.
+    """
+    ring_sizes = sizes + closed
+    col = np.minimum(np.arange(ring_sizes.max()), ring_sizes[:, None] - 1)
+    col[col == sizes[:, None]] = 0  # the closing point of a closed ring
+    ring = points[(np.cumsum(sizes) - sizes)[:, None] + col]
     # A step or a square too large for a double counts as an infinite length.
+    # Each step's length is sqrt(dx*dx + dy*dy), as np.linalg.norm takes it.
     with np.errstate(over="ignore"):
-        seg = np.linalg.norm(np.diff(ring, axis=0), axis=1)
-        cum = np.concatenate([[0.0], np.cumsum(seg)])
-    return ring, cum
+        step = ring[:, 1:] - ring[:, :-1]
+        step *= step
+        cum = np.zeros(col.shape)
+        np.add.accumulate(np.sqrt(np.add.reduce(step, axis=2)), axis=1, out=cum[:, 1:])
+    return ring, cum, ring_sizes
+
+
+def _checked_piece(points: Sequence | np.ndarray, n: int, closed: bool) -> np.ndarray:
+    """One piece through resample_polyline's checks, in their order; the
+    piece as as_points returns it."""
+    pts = as_points(points)
+    if pts.shape[0] < 2:
+        raise ValueError("resampling needs at least 2 input points")
+    if n < 2:
+        raise ValueError("resampling needs n >= 2 output points")
+    total = polyline_length(pts, closed)
+    if total <= 0.0:
+        raise DegenerateFeatureError("degenerate feature: zero arc length")
+    if total == math.inf:
+        raise DegenerateFeatureError("degenerate feature: infinite arc length")
+    return pts
+
+
+def resample_polylines(
+    pieces: Sequence[Sequence | np.ndarray], n: int, closed: bool | Sequence[bool] = False
+) -> np.ndarray:
+    """Resample every piece to n points as resample_polyline resamples one,
+    in one stacked pass: a (k, n, 2) array whose row i is bit for bit
+    resample_polyline(pieces[i], n, closed[i]).
+
+    closed is one flag for every piece or one per piece. When a piece fails
+    one of resample_polyline's checks, the pieces are checked one by one in
+    order, and the first fault is raised as resample_polyline raises it.
+    """
+    k = len(pieces)
+    closed = np.zeros(k, dtype=bool) | np.asarray(closed, dtype=bool)
+    if not k:
+        return np.empty((0, n, 2))
+    try:
+        points = np.concatenate(pieces, dtype=np.float64)
+        sizes = np.fromiter(map(len, pieces), dtype=np.intp, count=k)
+        fine = (points.ndim == 2 and points.shape[1] == 2 and n >= 2 and sizes.min() >= 2
+                and bool(np.isfinite(points).all()))
+    except (ValueError, TypeError):
+        fine = False
+    if fine:
+        ring, cum, ring_sizes = _arc_lengths(points, sizes, closed)
+        total = cum[:, -1]
+        fine = 0.0 < total.min() and total.max() < math.inf  # False for NaN
+    if not fine:
+        # Raises for the first faulty piece; pieces that as_points only had
+        # to convert pass, and are stacked again converted.
+        checked = [_checked_piece(p, n, c) for p, c in zip(pieces, closed)]
+        return resample_polylines(checked, n, closed)
+    # Target i is i * (L / n) on a closed ring and i * (L / (n - 1)) on an
+    # open polyline, whose last target is L exactly: np.linspace(0, L, n)'s
+    # own arithmetic for a positive step, written out because its array
+    # form costs twice as much.
+    targets = np.arange(n, dtype=np.float64) * (total / (n - 1 + closed))[:, None]
+    np.copyto(targets[:, -1], total, where=~closed)
+    out = np.empty((k, n, 2))
+    xs, ys = ring[..., 0], ring[..., 1]
+    for i, size in enumerate(ring_sizes.tolist()):
+        out[i, :, 0] = np.interp(targets[i], cum[i, :size], xs[i, :size])
+        out[i, :, 1] = np.interp(targets[i], cum[i, :size], ys[i, :size])
+    return out
 
 
 def resample_polyline(points: Sequence | np.ndarray, n: int, closed: bool = False) -> np.ndarray:
@@ -265,33 +343,19 @@ def resample_polyline(points: Sequence | np.ndarray, n: int, closed: bool = Fals
     spacing L/n starting from the first vertex, without a repeated closing
     vertex. Consecutive duplicate input points are tolerated. The length
     must be positive and finite: a polyline with no step whose squared
-    length dx**2 + dy**2 is positive as a double has zero length.
+    length dx**2 + dy**2 is positive as a double has zero length. This is
+    resample_polylines on one piece.
     """
-    pts = as_points(points)
-    if pts.shape[0] < 2:
-        raise ValueError("resampling needs at least 2 input points")
-    if n < 2:
-        raise ValueError("resampling needs n >= 2 output points")
-    ring, cum = _arc_lengths(pts, closed)
-    total = float(cum[-1])
-    if total <= 0.0:
-        raise DegenerateFeatureError("degenerate feature: zero arc length")
-    if total == math.inf:
-        raise DegenerateFeatureError("degenerate feature: infinite arc length")
-    if closed:
-        targets = np.arange(n, dtype=np.float64) * (total / n)
-    else:
-        targets = np.linspace(0.0, total, n)
-    out = np.empty((n, 2), dtype=np.float64)
-    out[:, 0] = np.interp(targets, cum, ring[:, 0])
-    out[:, 1] = np.interp(targets, cum, ring[:, 1])
-    return out
+    return resample_polylines([points], n, closed)[0]
 
 
 def polyline_length(points: np.ndarray, closed: bool = False) -> float:
     """Total arc length of a polyline (perimeter when closed)."""
-    _, cum = _arc_lengths(np.asarray(points, dtype=np.float64), closed)
-    return float(cum[-1])
+    pts = np.asarray(points, dtype=np.float64)
+    if len(pts) < 2:
+        return 0.0
+    _, cum, _ = _arc_lengths(pts, np.array([len(pts)]), np.array([closed]))
+    return float(cum[0, -1])
 
 
 def apply_rigid_transform(frame: MapFrame, dx: float, dy: float, dyaw: float) -> MapFrame:
@@ -360,7 +424,7 @@ def _clip_polylines(a: np.ndarray, b: np.ndarray, owner: np.ndarray, lo: float, 
     """Clip the stacked segments a[i] -> b[i] against the box, in place, into
     (owner, piece) pairs, one per run of surviving segments: a piece goes on
     while the next segment of its owner survives and starts where the last
-    ended."""
+    ended. Pieces of zero length are dropped."""
     alive = np.ones(len(a), dtype=bool)
     for axis, below in _HALFPLANES:
         a_in, b_in, cut, cross = _crossing(a, b, axis, below, hi if below else lo)
@@ -373,8 +437,14 @@ def _clip_polylines(a: np.ndarray, b: np.ndarray, owner: np.ndarray, lo: float, 
     starts = np.ones(len(rows), dtype=bool)
     starts[1:] = (np.diff(rows) != 1) | (np.diff(owner) != 0) | np.any(b[:-1] != a[1:], axis=1)
     first = np.flatnonzero(starts)
+    if not len(first):
+        return []
     points = np.insert(b, first, a[first], axis=0)
-    return zip(owner[first].tolist(), np.split(points, (first + np.arange(len(first)))[1:]))
+    bounds = first + np.arange(len(first))
+    sizes = np.diff(bounds, append=len(points))
+    _, cum, _ = _arc_lengths(points, sizes, np.zeros(len(sizes), dtype=bool))
+    pieces = zip(owner[first].tolist(), np.split(points, bounds[1:]), cum[:, -1] > 0.0)
+    return [(i, piece) for i, piece, positive in pieces if positive]
 
 
 def _clip_polygon_box(pts: np.ndarray, lo: float, hi: float) -> np.ndarray | None:
@@ -400,6 +470,23 @@ def _clip_polygon_box(pts: np.ndarray, lo: float, hi: float) -> np.ndarray | Non
     return ring
 
 
+def with_stacked_points(
+    features: Sequence[MapFeature], stack: np.ndarray, confidence: float | None = None
+) -> list[MapFeature]:
+    """Feature i with row i of the (k, n, 2) stack as its points, and with
+    the given confidence, if any: what with_points does to each, with its
+    one check (every value finite) made on the whole stack, which becomes
+    read-only."""
+    if not np.isfinite(stack).all():
+        raise ValueError("points must be finite (no NaN/Inf)")
+    stack.flags.writeable = False
+    return [
+        MapFeature.from_checked(f.feature_class, f.invariance, points,
+                                f.confidence if confidence is None else confidence)
+        for f, points in zip(features, stack)
+    ]
+
+
 def clip_to_fov(frame: MapFrame) -> MapFrame:
     """Intersect every feature with the frame's field-of-view square.
 
@@ -422,18 +509,29 @@ def clip_to_fov(frame: MapFrame) -> MapFrame:
     pieces: dict[int, list[np.ndarray]] = {}
     for i, piece in _clip_polylines(pts[seg], pts[seg + 1], owner[seg], lo, hi):
         pieces.setdefault(i, []).append(piece)
-    out: list[MapFeature] = []
+    # The cut features, one per surviving piece, are resampled back to their
+    # own point counts in one pass per point count; a slot of out holding
+    # None waits for its piece.
+    out: list[MapFeature | None] = []
+    cut: dict[int, list[tuple[int, MapFeature, np.ndarray]]] = {}
     for i, feat in enumerate(feats):
         if not clipped[i]:
             out.append(feat)
-        elif not is_line[i]:
-            ring = _clip_polygon_box(feat.points, lo, hi)
-            if ring is not None:
-                out.append(feat.with_points(resample_polyline(ring, feat.n_points, closed=True)))
+            continue
+        if is_line[i]:
+            found = pieces.get(i, [])
         else:
-            for piece in pieces.get(i, ()):
-                if polyline_length(piece) > 0.0:
-                    out.append(feat.with_points(resample_polyline(piece, feat.n_points)))
+            ring = _clip_polygon_box(feat.points, lo, hi)
+            found = [] if ring is None else [ring]
+        for piece in found:
+            cut.setdefault(feat.n_points, []).append((len(out), feat, piece))
+            out.append(None)
+    polygon = InvarianceClass.POLYGON
+    for n, group in cut.items():
+        slots, sources, found = zip(*group)
+        stack = resample_polylines(found, n, [f.invariance is polygon for f in sources])
+        for slot, feat in zip(slots, with_stacked_points(sources, stack)):
+            out[slot] = feat
     return frame.with_features(out)
 
 

@@ -121,6 +121,19 @@ def _parse_points(raw, where: str) -> np.ndarray:
 
 _NUMBER_TYPES = {float, int}
 
+
+def _finite_doubles(values: list) -> np.ndarray | None:
+    """The values as one float64 array, when each is a number (``bool`` is
+    not one) that is finite as a double; else None."""
+    if set(map(type, values)) - _NUMBER_TYPES:
+        return None
+    try:
+        flat = np.array(values, dtype=np.float64)
+    except OverflowError:  # an integer too large for a double
+        return None
+    return flat if np.isfinite(flat).all() else None
+
+
 _FEATURE_FIELDS = itemgetter("class", "invariance", "confidence", "points")
 
 #: The classes a feature in a file may carry: no_object is refused.
@@ -165,14 +178,8 @@ def _bulk_features(records: list) -> list[MapFeature] | None:
     pairs = list(chain.from_iterable(raws))
     if set(map(type, pairs)) - {list} or set(map(len, pairs)) - {2}:
         return None
-    values = list(chain.from_iterable(pairs))
-    if set(map(type, values)) - _NUMBER_TYPES:
-        return None
-    try:
-        flat = np.array(values, dtype=np.float64)
-    except OverflowError:  # an integer too large for a double
-        return None
-    if not np.isfinite(flat).all():
+    flat = _finite_doubles(list(chain.from_iterable(pairs)))
+    if flat is None:
         return None
     flat.flags.writeable = False
     pts = flat.reshape(-1, 2)
@@ -378,8 +385,48 @@ def _timed_pose_from_record(rec: dict) -> tuple[float, Pose2D]:
     return t, _pose(rec, "pose")
 
 
+_POSE_FIELDS = itemgetter("t", "x", "y", "yaw")
+
+
+def _bulk_poses(path: str | Path) -> list[tuple[float, Pose2D]] | None:
+    """The (t, pose) records of a trajectory file, checked and built in
+    passes over the whole file.
+
+    Checks what _timed_pose_from_record checks, with C-level passes: each
+    non-blank line is one JSON object with exactly the fields t, x, y and
+    yaw, each a number (``bool`` is not one) that is finite as a double.
+    Returns None when any check fails, or the file is no UTF-8; the caller
+    then reads the file record by record, which names the first fault and
+    its line.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            records = [_decode(line) for line in fh if line.strip()]
+    except (UnicodeDecodeError, json.JSONDecodeError, SceneFormatError):
+        return None
+    if set(map(type, records)) - {dict} or set(map(len, records)) - {4}:
+        return None
+    try:
+        values = list(chain.from_iterable(map(_POSE_FIELDS, records)))
+    except KeyError:
+        return None
+    flat = _finite_doubles(values)
+    if flat is None:
+        return None
+    t, x, y, yaw = flat.reshape(-1, 4).T.tolist()
+    return list(zip(t, map(Pose2D, x, y, yaw)))
+
+
 def read_trajectory(path: str | Path) -> list[tuple[float, Pose2D]]:
-    return _read_records(path, _timed_pose_from_record)
+    """Read a trajectory file: one (t, pose) per non-blank line, in order.
+
+    The whole file goes through one _bulk_poses pass. When that fails, the
+    file is read again with each record through _timed_pose_from_record,
+    which names the first fault in the file."""
+    poses = _bulk_poses(path)
+    if poses is None:
+        poses = _read_records(path, _timed_pose_from_record)
+    return poses
 
 
 def load_json_config(path: str | Path) -> dict:

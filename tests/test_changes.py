@@ -17,6 +17,7 @@ from priormap import (
     FeatureClass,
     InvarianceClass,
     MapFeature,
+    MapFrame,
     MapVersion,
     Pose2D,
     build_scene_pair,
@@ -26,7 +27,9 @@ from priormap import (
     evaluate,
     clip_to_fov,
     mine_frames,
+    resample_polyline,
 )
+from priormap.model import world_to_ego
 
 GATE = 10.0
 
@@ -135,12 +138,16 @@ class TestDiffMaps:
         moved = list(feats)
         moved[moved_idx] = feats[moved_idx].with_points(feats[moved_idx].points + [0.0, 1.5])
         calls = []
+        stacked = changes.chamfer_pairs
 
         def counted(a, b):
-            calls.append((Box(*a.bounds()), Box(*b.bounds())))
-            return chamfer_distance(a, b)
+            # The candidate pairs the one stacked pass per class receives.
+            for pa, pb in zip(a, b):
+                calls.append((Box(*pa.min(axis=0), *pa.max(axis=0)),
+                              Box(*pb.min(axis=0), *pb.max(axis=0))))
+            return stacked(a, b)
 
-        monkeypatch.setattr(changes, "chamfer_distance", counted)
+        monkeypatch.setattr(changes, "chamfer_pairs", counted)
         report = diff_maps(self._version(feats, "old"), self._version(moved, "new"),
                            max_match_dist=GATE)
         assert report.added == () and report.removed == ()
@@ -467,6 +474,31 @@ class TestBuildScenePair:
                         shifted.prior.features + shifted.ground_truth.features):
             assert a.feature_class is b.feature_class
             np.testing.assert_allclose(a.points, b.points, atol=1e-8)
+
+    @pytest.mark.parametrize("yaw", [0.0, 0.7, -2.0])
+    def test_crop_matches_per_feature_resample(self, yaw):
+        # The one stacked resample per crop against resampling each clipped
+        # feature alone and rebuilding it with the constructor's checks.
+        # Confidences below 1, which the crop sets to 1.
+        world = MapVersion.build("old", [replace(f, confidence=0.25 + 0.5 * (k % 2)) for k, f in
+                                         enumerate(grid_world(n_blocks=3, block=60.0, n_points=9))])
+        pose = Pose2D(170.0, 95.0, yaw)
+        ego = [f.with_points(world_to_ego(f.points, pose)) for f in world.features]
+        clipped = clip_to_fov(MapFrame("f", pose, 90.0, tuple(ego))).features
+        want = [replace(f, points=resample_polyline(
+                    f.points, 13, closed=f.invariance is InvarianceClass.POLYGON), confidence=1.0)
+                for f in clipped]
+        got = build_scene_pair(world, world, pose, n_points=13, frame_id="f").prior.features
+        assert got == tuple(want)
+        assert len(got) > 10
+        assert any(f.invariance is InvarianceClass.POLYGON for f in got)
+        for a, b in zip(got, want):
+            assert a.points.tobytes() == b.points.tobytes() and not a.points.flags.writeable
+
+    def test_crop_keeps_the_polygon_rule(self):
+        world = self._world()
+        with pytest.raises(ValueError, match="^polygons need at least 3 points$"):
+            build_scene_pair(world, world, Pose2D(180.0, 180.0, 0.0), n_points=2)
 
     @pytest.mark.parametrize("yaw", [0.0, math.pi / 2, 1.1, -2.2])
     def test_prior_gt_relation_invariant_under_yaw(self, yaw):

@@ -15,6 +15,7 @@ import priormap
 from conftest import grid_world, line_feature, random_frame
 from priormap import (
     DegenerateFeatureError,
+    FeatureClass,
     LossWeights,
     MapFrame,
     ModelDims,
@@ -23,6 +24,7 @@ from priormap import (
     hungarian_assign,
     label_set_from_frame,
     prediction_set_from_frame,
+    read_scenes,
     recipe_to_dict,
     low_all_noise_recipe,
     write_map_version,
@@ -265,11 +267,37 @@ def _moved_curb_maps(tmp_path):
     return old_path, new_path
 
 
+def _changed_grid(tmp_path, with_ids: bool) -> tuple[Path, Path]:
+    """Two versions of a 3 x 3 block grid of 12-point features: a lane and
+    a driveway moved, a boundary removed, and a 7-point and a 30-point
+    segment added, so point counts mix."""
+    world = grid_world(n_blocks=3, block=60.0)
+    moved = {0: [0.0, 1.5], len(world) - 5: [0.8, -0.6]}
+    new = [f.with_points(f.points + moved[k]) if k in moved else f for k, f in enumerate(world)]
+    del new[4]
+    new += [line_feature(y=100.0, x0=20.0, x1=50.0, n=7),
+            line_feature(y=52.0, x0=70.0, x1=110.0, n=30, cls=FeatureClass.ROAD_BOUNDARY)]
+    ids = [f"seg{k}" for k in range(len(world))]
+    new_ids = [*ids[:4], *ids[5:], "new0", "new1"]
+    old_path, new_path = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
+    write_map_version("v2020", world, old_path, feature_ids=ids if with_ids else None)
+    write_map_version("v2023", new, new_path, feature_ids=new_ids if with_ids else None)
+    return old_path, new_path
+
+
 def _drive(tmp_path):
     traj_path = tmp_path / "traj.jsonl"
     poses = [(float(t), Pose2D(-100.0 + 5.0 * t, 0.0, 0.0)) for t in range(120)]
     write_trajectory(poses, traj_path)
     return traj_path
+
+
+#: Both diff forms find the same changes, so mine writes the same bytes.
+_MINED = {
+    "prior.jsonl": "7bafe68a1b08be9478d7d819f44c310eb1d7edbb32f5245922a105580bcf9858",
+    "gt.jsonl": "c51508266d3ca7cf8cca8edee8c93522b2358dbf31b187d70d33e29be1b895f8",
+    "windows.json": "ef2fd65981b8a945df5b7fd2febcff5e044bec847c0d53ab9c18acae79f13a6b",
+}
 
 
 class TestDiffMineCommands:
@@ -308,6 +336,39 @@ class TestDiffMineCommands:
         assert len(windows) >= 1
         assert main(["eval", "--pred", str(prior_path), "--gt", str(gt_path),
                      "--out", str(tmp_path / "eval.json")]) == 0
+
+    #: sha256 of diff.json and of mine's prior, ground truth and windows
+    #: report for _changed_grid, computed before diff and mine were batched.
+    PINNED = {
+        False: {"diff.json": "cc483e22b57f4cc13b6dc5596caef8bc9325febd6e142d5c32e5158ae9af9f49",
+                **_MINED},
+        True: {"diff.json": "6644bf8a7b99ab612196114eab2bdf1326328bda3c542cdb4a46a5c721084b7c",
+               **_MINED},
+    }
+
+    @pytest.mark.parametrize("with_ids", [False, True], ids=["id-less", "id-joined"])
+    def test_outputs_match_pinned_digests(self, tmp_path, with_ids):
+        # Any change to the bytes diff and mine write shows here.
+        old_path, new_path = _changed_grid(tmp_path, with_ids)
+        maps = ["--old", str(old_path), "--new", str(new_path)]
+        traj = tmp_path / "traj.jsonl"
+        write_trajectory([(float(t), Pose2D(5.0 * t, 45.0, 0.1 * np.sin(t))) for t in range(37)],
+                         traj)
+        assert main(["diff", *maps, "--out", str(tmp_path / "diff.json")]) == 0
+        assert main(["mine", *maps, "--trajectory", str(traj), "--window", "8",
+                     "--out-prior", str(tmp_path / "prior.jsonl"),
+                     "--out-gt", str(tmp_path / "gt.jsonl"),
+                     "--report", str(tmp_path / "windows.json")]) == 0
+        report = json.loads((tmp_path / "diff.json").read_text())
+        assert len(report["added"]) == 2 and len(report["removed"]) == 1
+        assert len(report["modified"]) == 2
+        # A driveway cut by the window edge: resampled points run along it.
+        cut = [f for frame in read_scenes(tmp_path / "gt.jsonl") for f in frame.features
+               if f.feature_class.value == "driveway" and np.abs(f.points).max() == 45.0]
+        assert cut
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in self.PINNED[with_ids]}
+        assert digests == self.PINNED[with_ids]
 
     def test_trajectory_missing_timestamp_schema_error(self, tmp_path, capsys):
         old_path, new_path = _moved_curb_maps(tmp_path)
@@ -624,6 +685,21 @@ def test_bad_config_value_is_one_error_line(tmp_path, scene_file, capsys, comman
     assert "Traceback" not in err
     assert err.splitlines() == [f"error: {config}: {message}"]
     assert not out.exists() and not out.with_name("out.json.manifest.json").exists()
+
+
+def test_overflowing_weights_are_one_error_line(tmp_path, scene_file):
+    # Weights whose blend would overflow are refused at load, before numpy
+    # could warn; a fresh interpreter, so that a warning would show.
+    src, _ = scene_file
+    config = tmp_path / "weights.json"
+    config.write_text('{"class_weight": 1e308, "point_weight": 1e308}')
+    done = subprocess.run([sys.executable, "-m", "priormap.cli", "loss", "--pred", str(src),
+                           "--labels", str(src), "--weights", str(config),
+                           "--out", str(tmp_path / "out.json")],
+                          env=_child_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == [
+        f"error: {config}: weights: class_weight must be at most 1e+06"]
 
 
 def test_eval_error_names_files_and_frame(tmp_path, scene_file, capsys, monkeypatch):

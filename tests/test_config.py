@@ -24,6 +24,7 @@ from priormap import (
 from priormap.cli import _config_hash, main
 from priormap.config import finite_number, read_config
 from priormap.evaluation import MAX_DENSIFY
+from priormap.matching import MAX_WEIGHT
 from priormap.perturb import _PARAMS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -97,6 +98,13 @@ class TestDataclassChecks:
     def test_densify_refused(self, densify):
         with pytest.raises(ValueError, match="^densify must be"):
             EvalConfig(densify=densify)
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(LossWeights)
+                                      if f.name != "joint_cosine"])
+    def test_weight_ceiling(self, name):
+        assert getattr(LossWeights(**{name: MAX_WEIGHT}), name) == MAX_WEIGHT
+        with pytest.raises(ValueError, match=f"^{name} must be at most 1e\\+06$"):
+            LossWeights(**{name: MAX_WEIGHT * (1 + 2**-52)})
 
 
 # Round trip: a valid config loads and dumps back to the same JSON text,

@@ -17,6 +17,7 @@ from priormap import (
     average_precision,
     chamfer_distance,
     chamfer_matrix,
+    chamfer_pairs,
     evaluate,
     match_predictions,
     resample_polyline,
@@ -202,6 +203,31 @@ class TestChamferMatrix:
         monkeypatch.setattr(evaluation, "_BLOCK_ELEMENTS", cap)
         assert np.array_equal(chamfer_matrix(pa, pb), want)
         assert np.array_equal(want, reference_matrix(pa, pb))
+
+
+class TestChamferPairs:
+    def _pairs(self, seed: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """300 pairs over 40 point sets of 1 to 30 points, so point counts
+        mix and a set recurs in many pairs, on either side."""
+        rng = np.random.default_rng(seed)
+        sets = [random_points(rng, int(rng.integers(1, 31)), math.exp(rng.uniform(-20, 20)))
+                for _ in range(40)]
+        return ([sets[i] for i in rng.integers(0, 40, 300)],
+                [sets[i] for i in rng.integers(0, 40, 300)])
+
+    @pytest.mark.parametrize("cap", [None, 1, 50, 2_000])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_chamfer_distance_bit_for_bit(self, monkeypatch, seed, cap):
+        a, b = self._pairs(seed)
+        want = np.array([chamfer_distance(x, y) for x, y in zip(a, b)])
+        assert want.tobytes() == np.array([pairwise_chamfer(x, y) for x, y in zip(a, b)]).tobytes()
+        if cap is not None:
+            monkeypatch.setattr(evaluation, "_BLOCK_ELEMENTS", cap)
+        got = chamfer_pairs(a, b)
+        assert got.shape == (300,) and got.tobytes() == want.tobytes()
+
+    def test_no_pairs(self):
+        assert chamfer_pairs([], []).shape == (0,)
 
 
 class TestMatchPredictions:

@@ -16,7 +16,6 @@ from priormap import (
     LossWeights,
     PredictionSet,
     combined_cost_matrix,
-    edge_direction_penalty,
     focal_cost_matrix,
     hungarian_assign,
     matched_loss,
@@ -307,6 +306,13 @@ class TestPointCost:
 # ---------------------------------------------------------------------------
 # Edge-direction (cosine) penalty
 # ---------------------------------------------------------------------------
+
+
+def edge_direction_penalty(pred: PredictionSet, labels: LabelSet) -> np.ndarray:
+    """Pairwise mean (1 - cos) between consecutive prediction and label
+    edges under each pair's selected permutation: the cost build's cosine
+    matrix, whose masked columns are zero."""
+    return combined_cost_matrix(pred, labels).cosine
 
 
 class TestEdgePenalty:

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import line_feature, random_feature, random_frame, ring_feature
@@ -22,8 +22,50 @@ from priormap import (
     clip_to_fov,
     pad_to_fixed,
     resample_polyline,
+    resample_polylines,
 )
-from priormap.model import polyline_length, ring_fault
+from priormap.model import polyline_length, ring_fault, with_stacked_points
+
+
+def _reference_arc_lengths(pts: np.ndarray, closed: bool) -> tuple[np.ndarray, np.ndarray]:
+    ring = np.vstack([pts, pts[:1]]) if closed else pts
+    with np.errstate(over="ignore"):
+        seg = np.linalg.norm(np.diff(ring, axis=0), axis=1)
+        cum = np.concatenate([[0.0], np.cumsum(seg)])
+    return ring, cum
+
+
+def reference_length(points, closed: bool = False) -> float:
+    """The one-piece arc length as it was before the stacked pass."""
+    return float(_reference_arc_lengths(np.asarray(points, dtype=np.float64), closed)[1][-1])
+
+
+def reference_resample(points, n: int, closed: bool = False) -> np.ndarray:
+    """The one-piece resample as it was before the stacked pass: the
+    oracle for resample_polylines, checks and messages included."""
+    pts = np.ascontiguousarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"points must have shape (n, 2), got {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite (no NaN/Inf)")
+    if pts.shape[0] < 2:
+        raise ValueError("resampling needs at least 2 input points")
+    if n < 2:
+        raise ValueError("resampling needs n >= 2 output points")
+    ring, cum = _reference_arc_lengths(pts, closed)
+    total = float(cum[-1])
+    if total <= 0.0:
+        raise DegenerateFeatureError("degenerate feature: zero arc length")
+    if total == math.inf:
+        raise DegenerateFeatureError("degenerate feature: infinite arc length")
+    if closed:
+        targets = np.arange(n, dtype=np.float64) * (total / n)
+    else:
+        targets = np.linspace(0.0, total, n)
+    out = np.empty((n, 2), dtype=np.float64)
+    out[:, 0] = np.interp(targets, cum, ring[:, 0])
+    out[:, 1] = np.interp(targets, cum, ring[:, 1])
+    return out
 
 
 def arc_position_oracle(polyline: np.ndarray, point: np.ndarray, closed: bool) -> float:
@@ -130,6 +172,104 @@ class TestResample:
             np.testing.assert_allclose(
                 positions, np.linspace(0.0, total, n_out), rtol=1e-6, atol=1e-9
             )
+
+
+#: Kinds of piece a batch may hold: the first three resample, the others
+#: fail one of resample_polyline's checks.
+_FINE_PIECES = ("walk", "repeats", "ring")
+_FAULTY_PIECES = ("zero", "subnormal", "infinite", "one point", "nan", "inf point")
+
+
+def _draw_piece(kind: str, size: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "ring":
+        ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, size))
+        return rng.uniform(-50, 50, 2) + rng.uniform(0.1, 30) * np.column_stack(
+            [np.cos(ang), np.sin(ang)])
+    steps = rng.normal(0, rng.uniform(0.01, 20), (size, 2))
+    pts = rng.uniform(-50, 50, 2) + np.cumsum(steps, axis=0)
+    if kind == "repeats":
+        pts = np.repeat(pts, rng.integers(1, 4, size), axis=0)
+    elif kind == "zero":
+        pts = np.repeat(pts[:1], size, axis=0)
+    elif kind == "subnormal":  # distinct points whose squared steps underflow
+        pts = np.column_stack([np.arange(size) * 5e-324, np.zeros(size)])
+    elif kind == "infinite":  # a step whose square overflows
+        pts[-1] = [1e200, -1e200]
+    elif kind == "one point":
+        pts = pts[:1]
+    elif kind == "nan":
+        pts[rng.integers(size)] = [np.nan, 0.0]
+    elif kind == "inf point":  # two in a row: their step would be inf - inf
+        pts[:2, 0] = np.inf
+    return pts
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+_piece_specs = st.tuples(st.sampled_from(_FINE_PIECES), st.integers(2, 14), st.booleans(),
+                         st.integers(0, 2**32 - 1))
+_faulty_specs = st.tuples(st.sampled_from(_FAULTY_PIECES), st.integers(2, 14), st.booleans(),
+                          st.integers(0, 2**32 - 1))
+
+
+class TestResampleBatchMatchesOracle:
+    """resample_polylines against reference_resample piece by piece: equal
+    bits, or the error of the first piece the oracle refuses."""
+
+    @given(st.lists(_piece_specs | _faulty_specs, min_size=1, max_size=12)
+           | st.lists(_piece_specs, min_size=1, max_size=12),
+           st.integers(1, 40))
+    @example([("walk", 5, False, 1), ("zero", 3, False, 2), ("walk", 4, False, 3)], 20)
+    @example([("infinite", 3, False, 4), ("zero", 3, True, 5)], 7)
+    @example([("zero", 3, False, 6), ("infinite", 3, False, 7)], 7)
+    @example([("walk", 3, False, 8), ("nan", 3, False, 9)], 1)
+    @example([("inf point", 3, False, 10)], 5)
+    @settings(max_examples=300, deadline=None)
+    def test_random_batches(self, specs, n):
+        pieces = [_draw_piece(kind, size, seed) for kind, size, _, seed in specs]
+        closed = [c for _, _, c, _ in specs]
+        want = _outcome(lambda: np.stack(
+            [reference_resample(p, n, c) for p, c in zip(pieces, closed)]))
+        got = _outcome(lambda: resample_polylines(pieces, n, closed))
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_one_flag_for_every_piece(self, closed):
+        pieces = [_draw_piece("walk", k, k) for k in range(2, 9)]
+        got = resample_polylines(pieces, 11, closed)
+        for piece, row in zip(pieces, got):
+            assert row.tobytes() == reference_resample(piece, 11, closed).tobytes()
+
+    def test_inputs_as_lists_and_integers(self):
+        pieces = [[[0, 0], [3, 4]], np.array([[0, 0], [1, 0], [1, 1]], dtype=np.int64)]
+        got = resample_polylines(pieces, 5, [False, True])
+        want = [reference_resample(p, 5, c) for p, c in zip(pieces, [False, True])]
+        assert got.tobytes() == np.stack(want).tobytes()
+
+    def test_no_pieces(self):
+        assert resample_polylines([], 6).shape == (0, 6, 2)
+
+    @pytest.mark.parametrize("points", [[[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]], [0.0, 1.0]])
+    def test_shape_errors_match(self, points):
+        pieces = [_draw_piece("walk", 4, 0), points]
+        assert _outcome(lambda: resample_polylines(pieces, 5)) == _outcome(
+            lambda: reference_resample(points, 5))
+
+    @given(st.lists(_piece_specs, min_size=1, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_length_matches_reference(self, specs):
+        for kind, size, closed, seed in specs:
+            pts = _draw_piece(kind, size, seed)
+            assert polyline_length(pts, closed) == reference_length(pts, closed)
 
 
 class TestPose:
@@ -242,6 +382,32 @@ class TestWithPoints:
             dataclasses.replace(feat, points=points)
         with pytest.raises(type(slow.value)) as fast:
             feat.with_points(points)
+        assert str(fast.value) == str(slow.value)
+
+
+class TestWithStackedPoints:
+    def test_matches_with_points_and_replace(self):
+        rng = np.random.default_rng(41)
+        feats = [random_feature(rng, n=5, confidence=float(rng.uniform())) for _ in range(30)]
+        stack = rng.normal(0.0, 50.0, (30, 7, 2))
+        got = with_stacked_points(feats, stack.copy())
+        for a, f, p in zip(got, feats, stack):
+            assert TestWithPoints._same(a, f.with_points(p))
+        got = with_stacked_points(feats, stack.copy(), confidence=1.0)
+        for a, f, p in zip(got, feats, stack):
+            if f.invariance is InvarianceClass.POLYGON and ring_fault(p):
+                continue
+            assert TestWithPoints._same(a, dataclasses.replace(f, points=p, confidence=1.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_error_matches_with_points(self, bad):
+        feats = [line_feature(n=3), line_feature(y=2.0, n=3)]
+        stack = np.zeros((2, 3, 2))
+        stack[1, 2, 0] = bad
+        with pytest.raises(ValueError) as slow:
+            feats[1].with_points(stack[1])
+        with pytest.raises(ValueError) as fast:
+            with_stacked_points(feats, stack)
         assert str(fast.value) == str(slow.value)
 
 
@@ -406,7 +572,7 @@ def _oracle_clip_polygon(pts, lo, hi):
     if len(kept) < 3:
         return None
     ring = np.asarray(kept)
-    return ring if polyline_length(ring, closed=True) > 0.0 else None
+    return ring if reference_length(ring, closed=True) > 0.0 else None
 
 
 def oracle_clip_to_fov(frame: MapFrame) -> MapFrame:
@@ -420,11 +586,11 @@ def oracle_clip_to_fov(frame: MapFrame) -> MapFrame:
         elif feat.invariance is InvarianceClass.POLYGON:
             ring = _oracle_clip_polygon(pts, lo, hi)
             if ring is not None:
-                out.append(feat.with_points(resample_polyline(ring, feat.n_points, closed=True)))
+                out.append(feat.with_points(reference_resample(ring, feat.n_points, closed=True)))
         else:
             for piece in _oracle_clip_polyline(pts, lo, hi):
-                if polyline_length(piece) > 0.0:
-                    out.append(feat.with_points(resample_polyline(piece, feat.n_points)))
+                if reference_length(piece) > 0.0:
+                    out.append(feat.with_points(reference_resample(piece, feat.n_points)))
     return frame.with_features(out)
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 
 import numpy as np
@@ -542,6 +543,99 @@ _CORRUPTIONS = [
                                       "points": [[k * 1e-162, 0.0] for k in range(6)]},
      ".points: zero arc length"),
 ]
+
+
+def _trajectory_and_oracle(path, monkeypatch):
+    """(outcome of read_trajectory, outcome of the record-by-record read,
+    whether the bulk pass accepted the file)."""
+    accepted = []
+    bulk_poses = sio._bulk_poses
+
+    def spy(p):
+        poses = bulk_poses(p)
+        accepted.append(poses is not None)
+        return poses
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sio, "_bulk_poses", spy)
+        got = _outcome(read_trajectory, path)
+    with monkeypatch.context() as patch:
+        patch.setattr(sio, "_bulk_poses", lambda p: None)
+        want = _outcome(read_trajectory, path)
+    return got, want, accepted == [True]
+
+
+def _trajectory_lines(rng, n: int) -> list[dict]:
+    """Pose records with some values written as JSON integers: huge ones
+    that fit a double and negative zero among them, and yaws far outside
+    (-pi, pi]."""
+    records = []
+    for k in range(n):
+        rec = {"t": 0.2 * k, "x": float(rng.normal(0, 1e3)), "y": float(rng.normal(0, 1e3)),
+               "yaw": float(rng.uniform(-20, 20))}
+        for key in rec:
+            if rng.random() < 0.2:
+                rec[key] = int(rng.choice([0, -0, 7, -3, 2**53 + 1, -(10**30), 10**300]))
+        records.append(rec)
+    return records
+
+
+class TestBulkTrajectoryRead:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_trajectories(self, tmp_path, monkeypatch, seed):
+        rng = np.random.default_rng(970 + seed)
+        lines = [json.dumps(rec) for rec in _trajectory_lines(rng, int(rng.integers(0, 60)))]
+        for k in sorted(rng.integers(0, len(lines) + 1, 3), reverse=True):
+            lines.insert(k, " \t")  # blank lines are skipped
+        path = tmp_path / "traj.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        got, want, accepted = _trajectory_and_oracle(path, monkeypatch)
+        assert accepted
+        assert got == want
+        for (ta, pa), (tb, pb) in zip(got, want):
+            assert type(ta) is type(tb) is float and math.copysign(1, ta) == math.copysign(1, tb)
+            for name in ("x", "y", "yaw"):
+                va, vb = getattr(pa, name), getattr(pb, name)
+                assert type(va) is float and va == vb
+                assert math.copysign(1, va) == math.copysign(1, vb)
+
+    @pytest.mark.parametrize("line, message", [
+        (lambda r: {**r, "t": True}, "pose.t: expected a number"),
+        (lambda r: {**r, "x": "1"}, "pose.x: expected a number"),
+        (lambda r: {**r, "y": None}, "pose.y: expected a number"),
+        (lambda r: {**r, "yaw": [0.0]}, "pose.yaw: expected a number"),
+        (lambda r: {**r, "yaw": _raw("1e999")}, "pose.yaw: must be finite"),
+        (lambda r: {**r, "x": _raw("NaN")}, "non-finite number 'NaN' is not allowed"),
+        (lambda r: {**r, "t": _HUGE}, "pose.t: must be finite"),
+        (lambda r: {k: v for k, v in r.items() if k != "y"}, "pose: missing field 'y'"),
+        (lambda r: {k: v for k, v in r.items() if k != "t"}, "pose: missing field 't'"),
+        (lambda r: {**r, "z": 0.0}, "pose: unknown field(s): z"),
+        (lambda r: {"z" if k == "yaw" else k: v for k, v in r.items()},
+         "pose: missing field 'yaw'"),
+        (lambda r: [r["t"], r["x"]], "record must be a JSON object"),
+        (lambda r: "{broken", "invalid JSON (Expecting property name enclosed in double quotes)"),
+    ], ids=["t true", "x string", "y null", "yaw list", "yaw 1e999", "x NaN", "t 401 digits",
+            "missing y", "missing t", "unknown key", "yaw renamed", "array record", "broken JSON"])
+    def test_corrupt_last_line(self, tmp_path, monkeypatch, line, message):
+        records = _trajectory_lines(np.random.default_rng(99), 6)
+        last = line(records[-1])
+        path = tmp_path / "traj.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records[:-1])
+                        + (last if isinstance(last, str) else _dumps_raw(last)) + "\n")
+        got, want, accepted = _trajectory_and_oracle(path, monkeypatch)
+        assert not accepted
+        assert got == want == f"error: {path}: line 6: {message}"
+
+    def test_invalid_utf8_after_a_fault(self, tmp_path, monkeypatch):
+        # The record-by-record read meets the bad record before the bad bytes
+        # in a later chunk of the file, and so names it.
+        records = _trajectory_lines(np.random.default_rng(98), 400)
+        records[1]["t"] = True
+        path = tmp_path / "traj.jsonl"
+        path.write_bytes("".join(json.dumps(r) + "\n" for r in records).encode() + b"\xff\n")
+        got, want, accepted = _trajectory_and_oracle(path, monkeypatch)
+        assert not accepted
+        assert got == want == f"error: {path}: line 2: pose.t: expected a number"
 
 
 def test_polygon_closing_step_counts(tmp_path, monkeypatch):
