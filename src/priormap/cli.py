@@ -124,9 +124,10 @@ def _load_config(path: str, cls: type[T], where: str) -> T:
         return read_config(cls, load_json_config(path), where)
 
 
-def _dims_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n-points", type=int, default=DEFAULT_DIMS.n_points,
-                        help="control points per feature")
+def _dims_args(parser: argparse.ArgumentParser, points: Callable[[str], int] = int,
+               points_help: str = "control points per feature") -> None:
+    parser.add_argument("--n-points", type=points, default=DEFAULT_DIMS.n_points,
+                        help=points_help)
     parser.add_argument("--m-max", type=int, default=DEFAULT_DIMS.m,
                         help="prediction/label slot count")
 
@@ -301,13 +302,14 @@ def cmd_diff(args: argparse.Namespace) -> Run:
 
 
 def cmd_mine(args: argparse.Namespace) -> Run:
+    dims = _dims_from(args)
     trajectory = read_trajectory(args.trajectory)
     old, new, report = _diff(args)
     windows = mine_frames(trajectory, report.regions, fov_side=args.fov, window=args.window)
     priors = []
     gts = []
     window_rows = []
-    skipped = 0
+    skipped = overfull = 0
     for k, win in enumerate(windows):
         _, pose = trajectory[win.anchor_index]
         # An FOV can touch a change region from just off the map; such
@@ -319,8 +321,13 @@ def cmd_mine(args: argparse.Namespace) -> Run:
         frame_id = f"window_{k:04d}"
         with _naming(f"{args.old} to {args.new}, frame {frame_id}"):
             pair = build_scene_pair(
-                old, new, pose, fov_side=args.fov, n_points=args.n_points, frame_id=frame_id
+                old, new, pose, fov_side=args.fov, n_points=dims.n_points, frame_id=frame_id
             )
+        # A crop of more features than the slot count is no valid loss
+        # input at these dims; it is dropped whole, not truncated.
+        if max(len(pair.prior.features), len(pair.ground_truth.features)) > dims.m:
+            overfull += 1
+            continue
         priors.append(pair.prior)
         gts.append(pair.ground_truth)
         window_rows.append(
@@ -336,10 +343,13 @@ def cmd_mine(args: argparse.Namespace) -> Run:
     write_scenes(gts, args.out_gt)
     if args.report:
         _write_json(Path(args.report), {"windows": window_rows})
-    note = f" ({skipped} off-map window(s) skipped)" if skipped else ""
+    notes = [f"{skipped} off-map window(s) skipped"] if skipped else []
+    if overfull:
+        notes.append(f"{overfull} window(s) over m={dims.m} features skipped")
+    note = f" ({', '.join(notes)})" if notes else ""
     print(f"mined {len(priors)} window(s) -> {args.out_prior}, {args.out_gt}{note}")
     config = {**_diff_config(args), "fov": args.fov, "window": args.window,
-              "n_points": args.n_points}
+              "n_points": dims.n_points, "m_max": dims.m}
     return Path(args.out_prior), config, [args.old, args.new, args.trajectory], None
 
 
@@ -402,8 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     _diff_args(p)
     p.add_argument("--fov", type=float, default=90.0, help="field-of-view side in meters")
     p.add_argument("--window", type=float, default=30.0, help="window duration in seconds")
-    p.add_argument("--n-points", type=_polygon_points, default=DEFAULT_DIMS.n_points,
-                   help="control points per feature, at least 3")
+    _dims_args(p, _polygon_points, "control points per feature, at least 3")
     p.add_argument("--out-prior", required=True, help="output prior scene file")
     p.add_argument("--out-gt", required=True, help="output ground-truth scene file")
     p.add_argument("--report", default=None, help="optional windows report JSON")

@@ -34,6 +34,7 @@ from .model import (
     ModelDims,
     pad_to_fixed,
     resample_polyline,  # unused here; bench/tracing.py counts calls through it
+    resample_polylines,
 )
 
 #: Column order of class-score vectors; the no-object score sits last.
@@ -141,10 +142,15 @@ class LabelSet:
 
 
 def _padded(frame: MapFrame, dims: ModelDims) -> tuple[tuple[MapFeature, ...], np.ndarray]:
-    """A frame's features resampled to dims.n_points and padded to dims.m
-    slots, with their stacked (m, n_points, 2) points."""
-    padded = pad_to_fixed([f.resampled(dims.n_points) for f in frame.features], dims)
-    return padded, np.stack([f.points for f in padded])
+    """A frame's features padded to dims.m slots, with their points resampled
+    to dims.n_points and stacked (m, n_points, 2). The features of another
+    point count are resampled in one resample_polylines pass."""
+    redo = [f for f in frame.features if f.n_points != dims.n_points]
+    closed = [f.invariance is InvarianceClass.POLYGON for f in redo]
+    stack = iter(resample_polylines([f.points for f in redo], dims.n_points, closed))
+    padded = pad_to_fixed(frame.features, dims)
+    return padded, np.stack([f.points if f.n_points == dims.n_points else next(stack)
+                             for f in padded])
 
 
 def label_set_from_frame(frame: MapFrame, dims: ModelDims = DEFAULT_DIMS) -> LabelSet:
@@ -198,26 +204,21 @@ def valid_permutations(invariance: InvarianceClass, n_points: int) -> np.ndarray
     return perms
 
 
-def _edge_penalty(pe: np.ndarray, le: np.ndarray) -> np.ndarray:
+def _edge_penalty(pred_edges: np.ndarray, label_edges: np.ndarray) -> np.ndarray:
     """Mean (1 - cos) between paired prediction and label edges, given
-    edge arrays that broadcast to (..., m, k, n - 1, 2).
-
-    Edge pairs where either edge has zero length contribute penalty 1.
-    """
-    dot = pe[..., 0] * le[..., 0] + pe[..., 1] * le[..., 1]
-    # sqrt of the squared-norm product keeps cos exactly +-1 for exactly
-    # parallel or antiparallel edge pairs
-    nsq_p = pe[..., 0] * pe[..., 0] + pe[..., 1] * pe[..., 1]
-    nsq_l = le[..., 0] * le[..., 0] + le[..., 1] * le[..., 1]
-    denom = np.sqrt(nsq_p * nsq_l)
+    (n - 1, 2, ...) edge arrays whose trailing axes broadcast, summed edge
+    by edge in order. Edge pairs where either edge has zero length
+    contribute penalty 1."""
+    pred_sq, label_sq = (e[:, 0] * e[:, 0] + e[:, 1] * e[:, 1] for e in (pred_edges, label_edges))
+    total = 0.0
     with np.errstate(invalid="ignore", divide="ignore"):
-        cos = np.where(denom > 0.0, dot / denom, 0.0)
-    # The mean's summation order follows the memory layout, and loss
-    # reports depend on it bit for bit. With prediction rows innermost and
-    # edges next, the edges add one after another (pairwise for a one-slot
-    # frame), the order the reference build in the tests pins.
-    terms = np.ascontiguousarray(np.moveaxis(1.0 - cos, -3, -1))  # (..., k, n-1, m)
-    return np.moveaxis(terms.mean(axis=-2), -1, -2)
+        for (px, py), (lx, ly), p_sq, l_sq in zip(pred_edges, label_edges, pred_sq, label_sq):
+            dot = px * lx + py * ly
+            # sqrt of the squared-norm product keeps cos exactly +-1 for
+            # exactly parallel or antiparallel edge pairs
+            denom = np.sqrt(p_sq * l_sq)
+            total += 1.0 - np.where(denom > 0.0, dot / denom, 0.0)
+    return total / len(label_edges)
 
 
 def _class_pass(
@@ -227,23 +228,30 @@ def _class_pass(
     against the label columns of one invariance class, both under each
     pair's selected permutation.
 
+    The L1 adds one (P, rows, k) pass of |dx| + |dy| per control point in
+    order, so like the penalty each entry depends on its own pair alone.
     The permutation argmin breaks ties toward the lowest canonical index;
     with a non-zero joint weight it runs on the blended positional-plus-
     direction objective, which needs the penalty under every permutation.
     """
-    permuted = pred_points[:, perms, :]  # (m, P, n, 2)
-    diff = np.moveaxis(permuted, 1, 0)[:, :, None, :, :] - label_points[None, None]
-    l1 = np.abs(diff).sum(axis=(3, 4))  # (P, m, k)
-    pred_edges = np.diff(permuted, axis=2)  # (m, P, n-1, 2)
-    label_edges = np.diff(label_points, axis=1)  # (k, n-1, 2)
+    pred = pred_points[:, perms].transpose(2, 3, 1, 0)  # (n, 2, P, rows)
+    label = label_points.transpose(1, 2, 0)  # (n, 2, k)
+    l1 = np.zeros(pred.shape[2:] + label.shape[2:])
+    dx, dy = np.empty_like(l1), np.empty_like(l1)
+    for (px, py), (lx, ly) in zip(pred[..., None], label):
+        np.abs(np.subtract(px, lx, out=dx), out=dx)
+        np.abs(np.subtract(py, ly, out=dy), out=dy)
+        dx += dy
+        l1 += dx
+    pred_edges, label_edges = np.diff(pred, axis=0), np.diff(label, axis=0)
     if joint_weight:
-        penalty = _edge_penalty(np.moveaxis(pred_edges, 1, 0)[:, :, None], label_edges)
+        penalty = _edge_penalty(pred_edges[..., None], label_edges)
         selected = (l1 + joint_weight * penalty).argmin(axis=0)  # first minimum wins
         chosen = np.take_along_axis(penalty, selected[None], axis=0)[0]
     else:
         selected = l1.argmin(axis=0)  # first minimum wins
         rows = np.arange(pred_points.shape[0])[:, None]
-        chosen = _edge_penalty(pred_edges[rows, selected], label_edges)
+        chosen = _edge_penalty(pred_edges[:, :, selected, rows], label_edges)
     cost = np.take_along_axis(l1, selected[None], axis=0)[0]
     return cost, chosen
 
@@ -317,14 +325,18 @@ def combined_cost_matrix(
     joint = weights.cosine_weight if weights.joint_cosine else 0.0
     point_total = np.zeros((pred.m, labels.m), dtype=np.float64)
     cosine = np.zeros((pred.m, labels.m), dtype=np.float64)
+    # Rows equal bit for bit (the no-object pads) are costed once.
+    rows = pred.points.reshape(pred.m, 2 * pred.points.shape[1])
+    rows = rows.view(f"V{rows.strides[0]}")[:, 0]  # each row's bytes as one value
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
     for invariance in InvarianceClass:
         cols = np.flatnonzero(_class_columns(labels, invariance))
         if not cols.size:
             continue
         perms = valid_permutations(invariance, pred.points.shape[1])
-        cost, chosen = _class_pass(pred.points, labels.points[cols], perms, joint)
-        point_total[:, cols] = cost
-        cosine[:, cols] = chosen
+        cost, chosen = _class_pass(pred.points[first], labels.points[cols], perms, joint)
+        point_total[:, cols] = cost[inverse]
+        cosine[:, cols] = chosen[inverse]
     focal = focal_cost_matrix(pred, labels, weights.focal_alpha, weights.focal_gamma)
     combined = weights.class_weight * focal + weights.point_weight * (
         point_total + weights.cosine_weight * cosine
@@ -391,22 +403,57 @@ def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _solver(cost)
 
 
+def _tight_pairs(cost: np.ndarray, base_cols: np.ndarray) -> list[list[bool]]:
+    """Which pairs (row, column) can lie in an assignment whose exactly
+    rounded total equals the base assignment's.
+
+    Bellman-Ford over the columns, row i's move from base_cols[i] to j
+    costing cost[i, j] - cost[i, base_cols[i]], gives a dual (u, v), and an
+    assignment totals sum(u) + sum(v) plus its reduced costs c - u - v. One
+    holding a pair whose reduced cost exceeds the bound (the rounding of
+    each reduced cost and of both totals, and any negative reduced cost)
+    misses the optimum. So only tight pairs on a cycle of tight moves
+    (column j reaches column base_cols[i]) can.
+    """
+    m = cost.shape[0]
+    on_base = cost[np.arange(m), base_cols]
+    step = cost - on_base[:, None]
+    v = np.zeros(m)
+    for _ in range(m):
+        shorter = np.minimum(v, (v[base_cols][:, None] + step).min(axis=0))
+        if np.array_equal(shorter, v):
+            break
+        v = shorter
+    u = on_base - v[base_cols]
+    reduced = cost - u[:, None] - v
+    eps, size = np.finfo(np.float64).eps, np.abs(cost).max(initial=0.0)
+    err = 2 * eps * (size + np.abs(u).max(initial=0.0) + np.abs(v).max(initial=0.0))
+    below = max(0.0, err - reduced.min(initial=0.0))
+    above = max(0.0, reduced[np.arange(m), base_cols].max(initial=0.0)) + err
+    tight = ~(reduced > err + (m - 1) * below + m * above + 2 * eps * m * size)  # NaN: tight
+    reach = tight[np.argsort(base_cols)].astype(np.float64)  # [a, b]: column a's row may move to b
+    for _ in range((m - 1).bit_length()):
+        reach = np.minimum(reach @ reach, 1.0)
+    return (tight & (reach[:, base_cols].T > 0.0)).tolist()
+
+
 def _lexicographic_refine(cost: np.ndarray, base_cols: np.ndarray) -> np.ndarray:
     """Among all minimum-cost assignments, pick the lexicographically
     smallest assignment vector.
 
-    Rows are fixed in order; for each row the smallest column admitting an
-    optimal completion wins. Totals are compared with exactly rounded sums
-    so equal-cost completions are recognized reliably.
+    Rows are fixed in order; for each row the smallest tight column
+    admitting an optimal completion wins. Totals are compared with exactly
+    rounded sums so equal-cost completions are recognized reliably.
     """
     m = cost.shape[0]
     optimum = math.fsum(cost[i, base_cols[i]] for i in range(m))
+    tight = _tight_pairs(cost, base_cols)
     current = list(base_cols)
     available = sorted(range(m))
     fixed_entries: list[float] = []
     for row in range(m):
         incumbent = current[row]
-        for col in available:
+        for col in filter(tight[row].__getitem__, available):
             if col >= incumbent:
                 break
             rest_rows = list(range(row + 1, m))

@@ -4,14 +4,16 @@ Every record is one JSON object per line with fields emitted in a fixed
 order, so repeated runs produce diff-stable, byte-identical files.
 Coordinates round-trip bit-exactly because Python serializes doubles via
 their shortest exact decimal representation. Readers are strict: unknown
-keys, non-finite numbers, malformed records and features no stage can use
-(zero arc length as a double, or a polygon that is no open ring) are rejected
-with the offending line number and field path.
+keys, non-finite numbers, coordinates beyond MAX_COORDINATE, malformed
+records and features no stage can use (zero arc length as a double, or a
+polygon that is no open ring) are rejected with the offending line number
+and field path.
 """
 from __future__ import annotations
 
 import json
 import math
+import sys
 from itertools import accumulate, chain
 from operator import itemgetter
 from pathlib import Path
@@ -33,6 +35,12 @@ from .model import (
 
 class SceneFormatError(ValueError):
     """A record failed schema validation."""
+
+
+#: Largest magnitude of a coordinate in a file (feature points, pose x and
+#: y), in meters: far beyond any map, and small enough that squared steps
+#: and distances between such points stay finite as doubles.
+MAX_COORDINATE = 1e9
 
 
 def _reject_constant(token: str):
@@ -89,6 +97,13 @@ def _as_float(value, where: str) -> float:
     return out
 
 
+def _as_coordinate(value, where: str) -> float:
+    out = _as_float(value, where)
+    if abs(out) > MAX_COORDINATE:
+        raise SceneFormatError(f"{where}: must be at most {MAX_COORDINATE:g} m in magnitude")
+    return out
+
+
 def _as_str(value, where: str) -> str:
     if not isinstance(value, str):
         raise SceneFormatError(f"{where}: expected a string")
@@ -98,7 +113,8 @@ def _as_str(value, where: str) -> str:
 def _pose(rec: dict, where: str) -> Pose2D:
     """The pose in the fields x, y and yaw of rec, which must hold no other
     field; consumes rec."""
-    x, y, yaw = (_as_float(_take(rec, k, where), f"{where}.{k}") for k in ("x", "y", "yaw"))
+    x, y, yaw = (parse(_take(rec, k, where), f"{where}.{k}")
+                 for k, parse in (("x", _as_coordinate), ("y", _as_coordinate), ("yaw", _as_float)))
     _no_extras(rec, where)
     return Pose2D(x=x, y=y, yaw=yaw)
 
@@ -114,24 +130,31 @@ def _parse_points(raw, where: str) -> np.ndarray:
     for k, pair in enumerate(raw):
         if not isinstance(pair, list) or len(pair) != 2:
             raise SceneFormatError(f"{where}.points[{k}]: expected an [x, y] pair")
-        pts[k, 0] = _as_float(pair[0], f"{where}.points[{k}][0]")
-        pts[k, 1] = _as_float(pair[1], f"{where}.points[{k}][1]")
+        pts[k, 0] = _as_coordinate(pair[0], f"{where}.points[{k}][0]")
+        pts[k, 1] = _as_coordinate(pair[1], f"{where}.points[{k}][1]")
     return pts
 
 
 _NUMBER_TYPES = {float, int}
 
 
-def _finite_doubles(values: list) -> np.ndarray | None:
-    """The values as one float64 array, when each is a number (``bool`` is
-    not one) that is finite as a double; else None."""
+#: Bounds of _bounded_doubles columns: a point's coordinates, and the t, x,
+#: y and yaw of a pose. A magnitude of at most the largest double is finite.
+_POINT_BOUNDS = (MAX_COORDINATE, MAX_COORDINATE)
+_POSE_BOUNDS = (sys.float_info.max, MAX_COORDINATE, MAX_COORDINATE, sys.float_info.max)
+
+
+def _bounded_doubles(values: list, bounds: tuple[float, ...]) -> np.ndarray | None:
+    """The values as a float64 array of len(bounds) columns, when each is a
+    number (``bool`` is not one) whose double is at most its column's bound
+    in magnitude; else None."""
     if set(map(type, values)) - _NUMBER_TYPES:
         return None
     try:
-        flat = np.array(values, dtype=np.float64)
+        flat = np.array(values, dtype=np.float64).reshape(-1, len(bounds))
     except OverflowError:  # an integer too large for a double
         return None
-    return flat if np.isfinite(flat).all() else None
+    return flat if (np.abs(flat) <= bounds).all() else None  # False for NaN
 
 
 _FEATURE_FIELDS = itemgetter("class", "invariance", "confidence", "points")
@@ -149,9 +172,10 @@ def _bulk_features(records: list) -> list[MapFeature] | None:
     one) and invariance are found by dict lookup; each confidence is a
     number (``bool`` is not one) in [0, 1] as a double; each ``points`` is
     a list of at least 2 pairs, each pair a list of 2 numbers, each number
-    finite as a double; polygons keep the polygon rule, and every feature
-    has some step whose squared length dx**2 + dy**2 is positive as a
-    double, a polygon's closing step included (resample_polyline's rule).
+    finite as a double and at most MAX_COORDINATE in magnitude; polygons
+    keep the polygon rule, and every feature has some step whose squared
+    length dx**2 + dy**2 is positive as a double, a polygon's closing step
+    included (resample_polyline's rule).
     The points go through one read-only array, of which each feature holds
     a view. Returns None when any check fails; the caller then runs
     feature_from_record on each record, which names the fault.
@@ -178,11 +202,10 @@ def _bulk_features(records: list) -> list[MapFeature] | None:
     pairs = list(chain.from_iterable(raws))
     if set(map(type, pairs)) - {list} or set(map(len, pairs)) - {2}:
         return None
-    flat = _finite_doubles(list(chain.from_iterable(pairs)))
-    if flat is None:
+    pts = _bounded_doubles(list(chain.from_iterable(pairs)), _POINT_BOUNDS)
+    if pts is None:
         return None
-    flat.flags.writeable = False
-    pts = flat.reshape(-1, 2)
+    pts.flags.writeable = False
     ends = list(accumulate(lens))
     starts = [0, *ends[:-1]]
     polygon = InvarianceClass.POLYGON
@@ -190,15 +213,14 @@ def _bulk_features(records: list) -> list[MapFeature] | None:
         return None
     # The step out of each point: to the next point of its feature, and out
     # of a feature's last point back to its first, which counts for polygons
-    # only. A square too large for a double is inf, and still positive.
+    # only. The coordinate bound keeps every square finite.
     last = np.array(ends) - 1
     step = np.empty_like(pts)
     step[:-1] = pts[1:]
     step[last] = pts[starts]
-    with np.errstate(over="ignore"):
-        step -= pts
-        step *= step
-        positive = step[:, 0] + step[:, 1] > 0.0
+    step -= pts
+    step *= step
+    positive = step[:, 0] + step[:, 1] > 0.0
     positive[last[[inv is not polygon for inv in invariances]]] = False
     if not np.logical_or.reduceat(positive, starts).all():
         return None
@@ -394,7 +416,8 @@ def _bulk_poses(path: str | Path) -> list[tuple[float, Pose2D]] | None:
 
     Checks what _timed_pose_from_record checks, with C-level passes: each
     non-blank line is one JSON object with exactly the fields t, x, y and
-    yaw, each a number (``bool`` is not one) that is finite as a double.
+    yaw, each a number (``bool`` is not one) that is finite as a double, x
+    and y at most MAX_COORDINATE in magnitude.
     Returns None when any check fails, or the file is no UTF-8; the caller
     then reads the file record by record, which names the first fault and
     its line.
@@ -410,10 +433,10 @@ def _bulk_poses(path: str | Path) -> list[tuple[float, Pose2D]] | None:
         values = list(chain.from_iterable(map(_POSE_FIELDS, records)))
     except KeyError:
         return None
-    flat = _finite_doubles(values)
+    flat = _bounded_doubles(values, _POSE_BOUNDS)
     if flat is None:
         return None
-    t, x, y, yaw = flat.reshape(-1, 4).T.tolist()
+    t, x, y, yaw = flat.T.tolist()
     return list(zip(t, map(Pose2D, x, y, yaw)))
 
 

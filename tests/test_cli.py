@@ -24,6 +24,7 @@ from priormap import (
     hungarian_assign,
     label_set_from_frame,
     prediction_set_from_frame,
+    read_map_version,
     read_scenes,
     recipe_to_dict,
     low_all_noise_recipe,
@@ -370,6 +371,37 @@ class TestDiffMineCommands:
                    for name in self.PINNED[with_ids]}
         assert digests == self.PINNED[with_ids]
 
+    @pytest.mark.parametrize("m_max", [51, 100])
+    def test_mine_then_loss_at_the_same_dims(self, tmp_path, capsys, m_max):
+        # On an 11 x 11 grid at 15 m spacing most 90 m crops hold more than
+        # 50 features. mine skips such windows whole, and numbers the rest
+        # as it numbers them around off-map windows, so loss at the same
+        # --m-max reads every pair mine writes. Three added lines make the
+        # first window's ground truth (52 features) outgrow its prior (49).
+        world = grid_world(n_blocks=10, block=15.0)
+        new = [f.with_points(f.points + [0.0, 1.5]) if k in (3, 40) else f
+               for k, f in enumerate(world)]
+        new += [line_feature(y=72.0 + k, x0=0.0, x1=10.0, n=5) for k in range(3)]
+        old_path, new_path = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
+        write_map_version("a", world, old_path)
+        write_map_version("b", new, new_path)
+        traj = tmp_path / "traj.jsonl"
+        write_trajectory([(float(t), Pose2D(5.0 * t, 70.0, 0.0)) for t in range(32)], traj)
+        prior, gt, report = (tmp_path / name for name in ("p.jsonl", "g.jsonl", "w.json"))
+        dims = ["--m-max", str(m_max)]
+        assert main(["mine", "--old", str(old_path), "--new", str(new_path), "--trajectory",
+                     str(traj), "--window", "5", "--out-prior", str(prior), "--out-gt", str(gt),
+                     "--report", str(report), *dims]) == 0
+        windows = json.loads(report.read_text())["windows"]
+        assert all(list(w) == ["frame_id", "anchor_index", "t_start", "t_end", "poses"]
+                   for w in windows)
+        kept = ["window_0005"] if m_max == 51 else [f"window_{k:04d}" for k in range(6)]
+        assert [w["frame_id"] for w in windows] == kept
+        note = " (5 window(s) over m=51 features skipped)" if m_max == 51 else ""
+        assert capsys.readouterr().out == f"mined {len(kept)} window(s) -> {prior}, {gt}{note}\n"
+        assert main(["loss", "--pred", str(prior), "--labels", str(gt),
+                     "--out", str(tmp_path / "loss.json"), *dims]) == 0
+
     def test_trajectory_missing_timestamp_schema_error(self, tmp_path, capsys):
         old_path, new_path = _moved_curb_maps(tmp_path)
         traj_path = tmp_path / "traj.jsonl"
@@ -456,7 +488,7 @@ def _manifest_case(command: str, tmp_path, scenes):
     traj = _drive(tmp_path)
     argv = ["mine", "--old", str(old), "--new", str(new), "--trajectory", str(traj),
             "--out-prior", str(out), "--out-gt", str(tmp_path / "gt.jsonl"), "--window", "20"]
-    config = {**diff_config, "fov": 90.0, "window": 20.0, "n_points": 20}
+    config = {**diff_config, "fov": 90.0, "window": 20.0, "n_points": 20, "m_max": 50}
     return argv, out, config, [old, new, traj], None
 
 
@@ -785,3 +817,53 @@ def test_huge_integer_is_one_error_line(tmp_path, field):
     (line,) = done.stderr.splitlines()
     path = "fov_side" if field == "fov_side" else "features[1].points[0][0]"
     assert line == f"error: {src}: line 1: frame 'frame_0'.{path}: must be finite"
+
+
+@pytest.mark.parametrize("command", ["perturb", "loss", "eval", "render", "diff", "mine",
+                                     "trajectory"])
+def test_coordinate_beyond_bound_is_one_error_line(tmp_path, command):
+    # Points at x = +-1e200 have a step whose square overflows. The readers
+    # refuse them, naming file, line and field, before any stage could warn
+    # (Perlin lattice casts, squared Chamfer distances) or fail on them
+    # (infinite arc length); a fresh interpreter, so that a warning would show.
+    far = [[-1e200, 0.0], [0.0, 0.0], [1e200, 0.0]]
+    rec = frame_to_record(random_frame(np.random.default_rng(8), "frame_0", n_features=2))
+    rec["features"][1].update(invariance="directed_polyline", points=far)
+    scenes = tmp_path / "scenes.jsonl"
+    scenes.write_text(json.dumps(rec) + "\n")
+    old, new = _moved_curb_maps(tmp_path)
+    traj = _drive(tmp_path)
+    config = tmp_path / "config.json"
+    where = (scenes, 1, "frame 'frame_0'.features[1].points[0][0]")
+    if command in ("diff", "mine"):
+        n = len(read_map_version(new)[1])
+        with open(new, "a") as fh:
+            fh.write(json.dumps({**rec["features"][1], "class": "lane_center"}) + "\n")
+        where = (new, n + 2, f"feature[{n}].points[0][0]")
+    elif command == "trajectory":
+        lines = traj.read_text().splitlines()
+        lines[2] = json.dumps({**json.loads(lines[2]), "x": 1e200})
+        traj.write_text("\n".join(lines) + "\n")
+        where = (traj, 3, "pose.x")
+    maps = ["--old", str(old), "--new", str(new)]
+    out = str(tmp_path / "out.json")
+    mine = ["mine", *maps, "--trajectory", str(traj), "--out-prior", str(tmp_path / "p.jsonl"),
+            "--out-gt", str(tmp_path / "g.jsonl")]
+    argv = {
+        "perturb": ["perturb", "--scenes", str(scenes), "--recipe", str(config), "--out", out],
+        "loss": ["loss", "--pred", str(scenes), "--labels", str(scenes), "--out", out],
+        "eval": ["eval", "--pred", str(scenes), "--gt", str(scenes), "--config", str(config),
+                 "--out", out],
+        "render": ["render", "--scenes", str(scenes), "--out-dir", str(tmp_path / "svg")],
+        "diff": ["diff", *maps, "--out", out],
+        "mine": mine,
+        "trajectory": mine,
+    }[command]
+    config.write_text('{"densify": 30}' if command == "eval" else
+                      '{"master_seed": 1, "mutations": [{"kind": "perlin_warp", "sigma": 1}]}')
+    done = subprocess.run([sys.executable, "-m", "priormap.cli", *argv], env=_child_env(),
+                          capture_output=True, text=True, timeout=120)
+    path, line, field = where
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == [
+        f"error: {path}: line {line}: {field}: must be at most 1e+09 m in magnitude"]

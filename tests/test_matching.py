@@ -6,24 +6,34 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from priormap import (
     DEFAULT_INVARIANCE,
     REAL_CLASSES,
+    DegenerateFeatureError,
     FeatureClass,
     InvarianceClass,
     LabelSet,
     LossWeights,
+    MapFeature,
+    MapFrame,
+    ModelDims,
+    Pose2D,
     PredictionSet,
     combined_cost_matrix,
     focal_cost_matrix,
     hungarian_assign,
+    label_set_from_frame,
     matched_loss,
+    pad_to_fixed,
     point_cost_matrix,
     point_cost_total,
+    prediction_set_from_frame,
     valid_permutations,
 )
-from priormap.matching import SCORE_CLASSES
+from priormap.matching import SCORE_CLASSES, linear_sum_assignment
 
 # ---------------------------------------------------------------------------
 # Independent oracles. These re-derive every quantity from first principles
@@ -442,22 +452,48 @@ def reference_column_mask(labels: LabelSet, invariance: InvarianceClass) -> np.n
 
 
 def reference_l1_per_permutation(pred_points, label_points, perms) -> np.ndarray:
+    """(P, m, k) L1 per permutation, summed over the control points in order,
+    each point adding its |dx| + |dy|: the order the library pins."""
     permuted = np.moveaxis(pred_points[:, perms, :], 1, 0)  # (P, m, n, 2)
-    diff = permuted[:, :, None, :, :] - label_points[None, None, :, :, :]
-    return np.abs(diff).sum(axis=(3, 4))  # (P, m, m)
+    total = np.zeros((len(perms), len(pred_points), len(label_points)))
+    for j in range(pred_points.shape[1]):
+        diff = permuted[:, :, None, j, :] - label_points[None, None, :, j, :]  # (P, m, k, 2)
+        total = total + (np.abs(diff[..., 0]) + np.abs(diff[..., 1]))
+    return total
 
 
 def reference_edge_penalty_for_perms(pred_points, label_points, perms) -> np.ndarray:
+    """(P, m, k) mean (1 - cos), summed over the edges in order, then divided
+    by the edge count."""
+    terms = 1.0 - _reference_cosines(pred_points, label_points, perms)  # (P, m, k, n-1)
+    total = np.zeros(terms.shape[:3])
+    for e in range(terms.shape[3]):
+        total = total + terms[..., e]
+    return total / terms.shape[3]
+
+
+def _reference_cosines(pred_points, label_points, perms) -> np.ndarray:
     permuted = np.moveaxis(pred_points[:, perms, :], 1, 0)  # (P, m, n, 2)
     pe = np.diff(permuted, axis=2)  # (P, m, n-1, 2)
-    le = np.diff(label_points, axis=1)  # (m, n-1, 2)
+    le = np.diff(label_points, axis=1)  # (k, n-1, 2)
     dot = np.einsum("pike,jke->pijk", pe, le)
     nsq_p = np.einsum("pike,pike->pik", pe, pe)
     nsq_l = np.einsum("jke,jke->jk", le, le)
     denom = np.sqrt(nsq_p[:, :, None, :] * nsq_l[None, None, :, :])
     with np.errstate(invalid="ignore", divide="ignore"):
-        cos = np.where(denom > 0.0, dot / denom, 0.0)
-    return (1.0 - cos).mean(axis=3)  # (P, m, m)
+        return np.where(denom > 0.0, dot / denom, 0.0)
+
+
+def numpy_order_l1_per_permutation(pred_points, label_points, perms) -> np.ndarray:
+    """The L1 as one numpy reduction, whose order follows the memory layout:
+    the form the library used before its order was pinned."""
+    permuted = np.moveaxis(pred_points[:, perms, :], 1, 0)  # (P, m, n, 2)
+    diff = permuted[:, :, None, :, :] - label_points[None, None, :, :, :]
+    return np.abs(diff).sum(axis=(3, 4))  # (P, m, k)
+
+
+def numpy_order_edge_penalty_for_perms(pred_points, label_points, perms) -> np.ndarray:
+    return (1.0 - _reference_cosines(pred_points, label_points, perms)).mean(axis=3)
 
 
 def reference_class_costs(pred, labels, invariance, joint_cosine_weight=None):
@@ -541,6 +577,79 @@ class TestOnePassMatchesReference:
         rng = np.random.default_rng(1300)
         pred, labels = random_instance(rng, 1, 20, label_classes=(cls,))
         self._assert_identical(pred, labels)
+
+
+class TestSummationOrder:
+    """The L1 and the edge penalty are summed point by point and edge by edge
+    in order, so an entry's bits depend on its own pair alone."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_explicit_reference_is_numpy_order_from_two_rows(self, seed):
+        # The references above pin the order explicitly. numpy's layout-
+        # dependent reductions, the library's earlier form, take the same
+        # order whenever the frame has at least two rows.
+        rng = np.random.default_rng(1350 + seed)
+        for m, k in ((2, 1), (2, 7), (13, 5), (50, 50)):
+            pred = rng.uniform(-30, 30, (m, 20, 2))
+            label = rng.uniform(-30, 30, (k, 20, 2))
+            pred[::3, 4] = pred[::3, 3]  # zero-length edges
+            for inv in InvarianceClass:
+                perms = valid_permutations(inv, 20)
+                assert np.array_equal(reference_l1_per_permutation(pred, label, perms),
+                                      numpy_order_l1_per_permutation(pred, label, perms))
+                assert np.array_equal(reference_edge_penalty_for_perms(pred, label, perms),
+                                      numpy_order_edge_penalty_for_perms(pred, label, perms))
+
+    @pytest.mark.parametrize("cls", REAL_CLASSES)
+    def test_pair_entries_do_not_depend_on_slot_count(self, cls):
+        rng = np.random.default_rng(1400)
+        uniform = np.full(len(SCORE_CLASSES), 1.0 / len(SCORE_CLASSES))
+        for _ in range(12):
+            pred_row, label_row = rng.uniform(-30, 30, (2, 20, 2))
+            for weights in TestOnePassMatchesReference.WEIGHTS:
+                seen = set()
+                for m in (1, 2, 50):
+                    pred_pts, label_pts = rng.uniform(-30, 30, (2, m, 20, 2))
+                    pred_pts[0], label_pts[0] = pred_row, label_row
+                    labels = LabelSet(points=label_pts, classes=(cls,) * m,
+                                      invariances=(DEFAULT_INVARIANCE[cls],) * m)
+                    pred = PredictionSet(points=pred_pts, class_scores=np.tile(uniform, (m, 1)))
+                    got = combined_cost_matrix(pred, labels, weights)
+                    seen.add((got.point_total[0, 0], got.cosine[0, 0]))
+                assert len(seen) == 1, seen
+
+
+_NO_OBJECT_SCORES = np.eye(len(SCORE_CLASSES))[-1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 12),
+    n=st.sampled_from([2, 3, 5, 20]),
+    joint=st.booleans(),
+    data=st.data(),
+)
+def test_rows_are_separable(seed, m, n, joint, data):
+    """combined_cost_matrix on any selection of the prediction rows, no-object
+    pads and duplicate rows included, gives those rows of the full matrices:
+    what lets the cost build pass each distinct row once."""
+    rng = np.random.default_rng(seed)
+    pred, labels = random_instance(rng, m, n)
+    pts, scores = pred.points.copy(), pred.class_scores.copy()
+    pads = data.draw(st.integers(0, m))
+    pts[m - pads:], scores[m - pads:] = 0.0, _NO_OBJECT_SCORES
+    for i, j in data.draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)),
+                                   max_size=3)):
+        pts[i] = pts[j]
+    rows = data.draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))
+    weights = LossWeights(joint_cosine=joint, cosine_weight=5.0 if joint else 0.02)
+    full = combined_cost_matrix(PredictionSet(points=pts, class_scores=scores), labels, weights)
+    part = combined_cost_matrix(
+        PredictionSet(points=pts[rows], class_scores=scores[rows]), labels, weights
+    )
+    for name in ("point_total", "focal", "cosine", "combined"):
+        assert np.array_equal(getattr(part, name), getattr(full, name)[rows]), name
 
 
 # ---------------------------------------------------------------------------
@@ -651,6 +760,107 @@ class TestHungarian:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
             hungarian_assign(np.zeros((2, 3)))
+
+
+def reference_lexicographic_refine(cost: np.ndarray, base_cols: np.ndarray) -> np.ndarray:
+    """The tie-break before it filtered by reduced costs, kept as the oracle:
+    rows are fixed in order, and each smaller available column is tried by
+    solving its completion, accepted when the exactly rounded total equals
+    the base's."""
+    m = cost.shape[0]
+    optimum = math.fsum(cost[i, base_cols[i]] for i in range(m))
+    current = list(base_cols)
+    available = sorted(range(m))
+    fixed_entries: list[float] = []
+    for row in range(m):
+        incumbent = current[row]
+        for col in available:
+            if col >= incumbent:
+                break
+            rest_rows = list(range(row + 1, m))
+            rest_cols = [c for c in available if c != col]
+            sub = cost[np.ix_(rest_rows, rest_cols)]
+            rr, cc = linear_sum_assignment(sub)
+            candidate = math.fsum(
+                fixed_entries
+                + [float(cost[row, col])]
+                + [float(sub[a, b]) for a, b in zip(rr, cc)]
+            )
+            if candidate == optimum:
+                incumbent = col
+                for a, b in zip(rr, cc):
+                    current[rest_rows[a]] = rest_cols[b]
+                break
+        current[row] = incumbent
+        fixed_entries.append(float(cost[row, incumbent]))
+        available.remove(incumbent)
+    return np.asarray(current, dtype=np.intp)
+
+
+def reference_assignment(cost: np.ndarray) -> tuple[int, ...]:
+    base = linear_sum_assignment(cost)[1]
+    return tuple(int(c) for c in reference_lexicographic_refine(cost, base))
+
+
+def realistic_loss_matrix(seed: int, weights: LossWeights) -> np.ndarray:
+    """The combined matrix of a default-dims frame whose predictions are a
+    noisy subset of its labels with duplicates: pads and near-ties as in
+    a perturbed prior."""
+    from conftest import random_frame
+
+    rng = np.random.default_rng(seed)
+    labels = random_frame(rng, n_features=int(rng.integers(5, 45)))
+    kept = [f for f in labels.features if rng.random() < 0.8]
+    kept += [kept[int(i)] for i in rng.integers(0, len(kept), 3)] if kept else []
+    preds = [
+        f.with_points(f.points + rng.normal(0.0, 0.3, f.points.shape)) if rng.random() < 0.5 else f
+        for f in kept
+    ]
+    pred = prediction_set_from_frame(labels.with_features(preds))
+    return combined_cost_matrix(pred, label_set_from_frame(labels), weights).combined
+
+
+class TestTieBreakMatchesOracle:
+    """hungarian_assign re-solves only the pairs whose reduced cost lets
+    them lie in an optimal assignment; the full refine is the oracle."""
+
+    @pytest.mark.parametrize("m", [50, 100, 200])
+    def test_tie_heavy_integer_costs(self, m):
+        rng = np.random.default_rng(1500 + m)
+        cost = rng.integers(0, 3, (m, m)).astype(float)
+        cost[m // 2:m // 2 + 10] = cost[m // 2]  # identical rows, as no-object pads give
+        assert hungarian_assign(cost).assignment == reference_assignment(cost)
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("joint", [False, True], ids=["post-hoc", "joint"])
+    def test_real_loss_matrices(self, seed, joint):
+        cost = realistic_loss_matrix(1600 + seed, LossWeights(joint_cosine=joint))
+        assert hungarian_assign(cost).assignment == reference_assignment(cost)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_every_optimal_pair_is_tight(self, seed):
+        # Enumerate every assignment whose exactly rounded total equals the
+        # optimum: each of its pairs must pass the filter.
+        import priormap.matching as matching
+
+        rng = np.random.default_rng(1700 + seed)
+        m = int(rng.integers(2, 7))
+        cost = rng.integers(0, 3, (m, m)) * rng.choice([1.0, 0.1, 1e-9])
+        cost += rng.choice([0.0, 1e8])
+        tight = np.array(matching._tight_pairs(cost, linear_sum_assignment(cost)[1]))
+        optimum = min(math.fsum(cost[range(m), perm]) for perm in itertools.permutations(range(m)))
+        for perm in itertools.permutations(range(m)):
+            if math.fsum(cost[range(m), perm]) == optimum:
+                assert tight[range(m), perm].all()
+
+    def test_tie_free_matrix_needs_one_solve(self, monkeypatch):
+        import priormap.matching as matching
+
+        solve, calls = matching.linear_sum_assignment, []
+        monkeypatch.setattr(matching, "linear_sum_assignment",
+                            lambda c: calls.append(1) or solve(c))
+        hungarian_assign(np.random.default_rng(1800).uniform(0, 10, (50, 50)))
+        assert len(calls) == 1
 
 
 class TestCompiledSolver:
@@ -812,6 +1022,13 @@ class TestMatchedLoss:
         out = matched_loss(pred, labels)
         assert out.total == want_total
 
+    def test_empty_frame(self):
+        pred = PredictionSet(points=np.zeros((0, 5, 2)),
+                             class_scores=np.zeros((0, len(SCORE_CLASSES))))
+        labels = LabelSet(points=np.zeros((0, 5, 2)), classes=(), invariances=())
+        out = matched_loss(pred, labels)
+        assert out.assignment == () and out.total == 0.0
+
     def test_matched_total_lipschitz(self):
         rng = np.random.default_rng(11)
         weights = LossWeights(class_weight=1.0, point_weight=1.0, cosine_weight=0.0)
@@ -823,3 +1040,40 @@ class TestMatchedLoss:
         bumped = PredictionSet(points=bumped_pts, class_scores=pred.class_scores)
         out = matched_loss(bumped, labels, weights).total
         assert abs(out - base) <= eps * pred.m + 1e-12
+
+
+class TestSetBuildResamplesOnce:
+    """The prediction and label sets resample a frame's features in one
+    resample_polylines pass; the per-feature MapFeature.resampled path is
+    the oracle."""
+
+    @staticmethod
+    def _frame(rng, counts):
+        from conftest import random_feature
+
+        feats = [random_feature(rng, n) for n in counts]
+        return MapFrame("f", Pose2D(0.0, 0.0, 0.0), 90.0, tuple(feats))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_feature_resample(self, seed):
+        rng = np.random.default_rng(1900 + seed)
+        dims = ModelDims(m=12, n_points=int(rng.integers(3, 25)))
+        frame = self._frame(rng, rng.integers(2, 30, int(rng.integers(0, 13))))
+        oracle = pad_to_fixed([f.resampled(dims.n_points) for f in frame.features], dims)
+        want = np.stack([f.points for f in oracle])
+        labels = label_set_from_frame(frame, dims)
+        assert np.array_equal(labels.points, want)
+        assert labels.classes == tuple(f.feature_class for f in oracle)
+        assert labels.invariances == tuple(f.invariance for f in oracle)
+        assert np.array_equal(prediction_set_from_frame(frame, dims).points, want)
+
+    def test_first_fault_as_per_feature(self):
+        rng = np.random.default_rng(1950)
+        frame = self._frame(rng, [5, 20, 7])
+        far = np.array([[-1e200, 0.0], [0.0, 0.0], [1e200, 0.0]])
+        bad = MapFeature(FeatureClass.LANE_CENTER, InvarianceClass.DIRECTED_POLYLINE, far)
+        frame = frame.with_features(frame.features[:2] + (bad,) + frame.features[2:])
+        with pytest.raises(DegenerateFeatureError) as want:
+            [f.resampled(20) for f in frame.features]
+        with pytest.raises(DegenerateFeatureError, match=f"^{re.escape(str(want.value))}$"):
+            label_set_from_frame(frame)

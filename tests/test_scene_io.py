@@ -40,9 +40,11 @@ class TestSceneRoundTrip:
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
     def test_round_trip_awkward_floats(self, tmp_path_factory, seed):
-        # Full-precision doubles, including tiny and huge magnitudes.
+        # Full-precision doubles, including tiny magnitudes and huge ones up
+        # to the readers' bound.
         rng = np.random.default_rng(seed)
         pts = rng.standard_normal((4, 2)) * np.exp(rng.uniform(-30, 30, (4, 2)))
+        pts = np.clip(pts, -sio.MAX_COORDINATE, sio.MAX_COORDINATE)
         feat = MapFeature(FeatureClass.LANE_DIVIDER, InvarianceClass.UNDIRECTED_POLYLINE, pts,
                           confidence=float(rng.uniform()))
         frame = MapFrame("f", Pose2D(rng.normal(), rng.normal(), rng.uniform(-3, 3)), 90.0, (feat,))
@@ -122,13 +124,15 @@ class TestWriterMatchesPerPointOracle:
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
+#: Feature points and pose x and y: the readers refuse larger magnitudes.
+_coordinate = st.floats(-sio.MAX_COORDINATE, sio.MAX_COORDINATE)
 
 
 @st.composite
 def _feature(draw):
     invariance = draw(st.sampled_from(list(InvarianceClass)))
     n = draw(st.integers(3 if invariance is InvarianceClass.POLYGON else 2, 6))
-    pts = np.array(draw(st.lists(st.tuples(_finite, _finite), min_size=n, max_size=n)))
+    pts = np.array(draw(st.lists(st.tuples(_coordinate, _coordinate), min_size=n, max_size=n)))
     assume(invariance is not InvarianceClass.POLYGON or not np.array_equal(pts[0], pts[-1]))
     # zero arc length as a double: the readers refuse it
     assume(polyline_length(pts, closed=invariance is InvarianceClass.POLYGON) > 0.0)
@@ -139,7 +143,7 @@ def _feature(draw):
 @st.composite
 def _frame(draw):
     frame_id = draw(st.text(st.characters(exclude_categories=("Cs",)), min_size=1, max_size=8))
-    pose = Pose2D(draw(_finite), draw(_finite), draw(_finite))
+    pose = Pose2D(draw(_coordinate), draw(_coordinate), draw(_finite))
     fov_side = draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
     return MapFrame(frame_id, pose, fov_side, tuple(draw(st.lists(_feature(), max_size=4))))
 
@@ -368,11 +372,13 @@ class TestHugeIntegers:
 
     def test_large_integer_that_fits_is_read_exactly(self, tmp_path):
         rec = self._frame_record()
-        rec["features"][1]["points"][2] = [10**300 + 1, -(2**53 + 1)]
+        rec["features"][1]["points"][2] = [10**9, -(10**9)]  # MAX_COORDINATE is allowed
+        rec["fov_side"] = 10**300 + 1
         path = tmp_path / "big.jsonl"
         path.write_text(json.dumps(rec) + "\n")
         (frame,) = read_scenes(path)
-        assert frame.features[1].points[2].tolist() == [float(10**300 + 1), float(-(2**53 + 1))]
+        assert frame.features[1].points[2].tolist() == [1e9, -1e9]
+        assert frame.fov_side == float(10**300 + 1)
 
 
 def test_json_errors_match_json_loads():
@@ -419,15 +425,15 @@ def _bulk_and_oracle(read, path, monkeypatch):
 
 
 def _with_integer_coordinates(record: dict, rng) -> dict:
-    """Write some coordinates as JSON integers, huge ones that fit a double
-    and negative zero among them, and some confidences of 1.0 as 1."""
+    """Write some coordinates as JSON integers, +-MAX_COORDINATE and
+    negative zero among them, and some confidences of 1.0 as 1."""
     for feat in record["features"]:
         if feat["confidence"] == 1.0 and rng.random() < 0.3:
             feat["confidence"] = 1
         for pair in feat["points"]:
             if rng.random() < 0.3:
                 k = int(rng.integers(2))
-                pair[k] = rng.choice([0, -0, 7, -3, 2**53 + 1, -(10**30), 10**300])
+                pair[k] = rng.choice([0, -0, 7, -3, 10**9, -(10**9)])
                 pair[k] = int(pair[k])
     return record
 
@@ -449,7 +455,9 @@ class TestBulkReaderMatchesValidator:
         for k in range(5):
             frame = random_frame(rng, f"frame_{k}", n_features=int(rng.integers(0, 12)),
                                  n_points=int(rng.integers(3, 25)))
-            features = [f.with_points(f.points * np.exp(rng.uniform(-30, 30)))
+            # tiny and huge magnitudes, the points of the frame's 90 m span
+            # staying within MAX_COORDINATE
+            features = [f.with_points(f.points * np.exp(rng.uniform(-30, 16)))
                         for f in frame.features]
             rec = sio.frame_to_record(frame.with_features(features))
             lines.append(json.dumps(_with_integer_coordinates(rec, rng)))
@@ -510,6 +518,8 @@ _CORRUPTIONS = [
     ("coordinate null", _last_point(None), ".points[5][1]: expected a number"),
     ("coordinate 1e999", _last_point(_raw("1e999")), ".points[5][1]: must be finite"),
     ("coordinate 401 digits", _last_point(_HUGE), ".points[5][1]: must be finite"),
+    ("coordinate 1e200", _last_point(1e200), ".points[5][1]: must be at most 1e+09 m in"),
+    ("coordinate -1e9 - 1", _last_point(-(10**9 + 1)), ".points[5][1]: must be at most 1e+09 m"),
     ("pair of 3", _last_pair([1.0, 2.0, 3.0]), ".points[5]: expected an [x, y] pair"),
     ("pair of 1", _last_pair([1.0]), ".points[5]: expected an [x, y] pair"),
     ("pair as object", _last_pair({"x": 1.0, "y": 2.0}), ".points[5]: expected an [x, y] pair"),
@@ -567,15 +577,16 @@ def _trajectory_and_oracle(path, monkeypatch):
 
 def _trajectory_lines(rng, n: int) -> list[dict]:
     """Pose records with some values written as JSON integers: huge ones
-    that fit a double and negative zero among them, and yaws far outside
-    (-pi, pi]."""
+    that fit a double (+-MAX_COORDINATE for x and y) and negative zero
+    among them, and yaws far outside (-pi, pi]."""
     records = []
     for k in range(n):
         rec = {"t": 0.2 * k, "x": float(rng.normal(0, 1e3)), "y": float(rng.normal(0, 1e3)),
                "yaw": float(rng.uniform(-20, 20))}
         for key in rec:
             if rng.random() < 0.2:
-                rec[key] = int(rng.choice([0, -0, 7, -3, 2**53 + 1, -(10**30), 10**300]))
+                huge = [10**9, -(10**9)] if key in "xy" else [2**53 + 1, -(10**30), 10**300]
+                rec[key] = int(rng.choice([0, -0, 7, -3, *huge]))
         records.append(rec)
     return records
 
@@ -607,6 +618,8 @@ class TestBulkTrajectoryRead:
         (lambda r: {**r, "yaw": _raw("1e999")}, "pose.yaw: must be finite"),
         (lambda r: {**r, "x": _raw("NaN")}, "non-finite number 'NaN' is not allowed"),
         (lambda r: {**r, "t": _HUGE}, "pose.t: must be finite"),
+        (lambda r: {**r, "x": 1e200}, "pose.x: must be at most 1e+09 m in magnitude"),
+        (lambda r: {**r, "y": -(10**9 + 1)}, "pose.y: must be at most 1e+09 m in magnitude"),
         (lambda r: {k: v for k, v in r.items() if k != "y"}, "pose: missing field 'y'"),
         (lambda r: {k: v for k, v in r.items() if k != "t"}, "pose: missing field 't'"),
         (lambda r: {**r, "z": 0.0}, "pose: unknown field(s): z"),
@@ -615,6 +628,7 @@ class TestBulkTrajectoryRead:
         (lambda r: [r["t"], r["x"]], "record must be a JSON object"),
         (lambda r: "{broken", "invalid JSON (Expecting property name enclosed in double quotes)"),
     ], ids=["t true", "x string", "y null", "yaw list", "yaw 1e999", "x NaN", "t 401 digits",
+            "x 1e200", "y -1e9 - 1",
             "missing y", "missing t", "unknown key", "yaw renamed", "array record", "broken JSON"])
     def test_corrupt_last_line(self, tmp_path, monkeypatch, line, message):
         records = _trajectory_lines(np.random.default_rng(99), 6)
