@@ -21,7 +21,6 @@ from .evaluation import (
     chamfer_distance,  # unused here; bench/tracing.py counts calls through it
     chamfer_pairs,
 )
-from .matching import linear_sum_assignment
 from .model import (
     InvarianceClass,
     MapFeature,
@@ -34,6 +33,7 @@ from .model import (
     with_stacked_points,
     world_to_ego,
 )
+from .solver import linear_sum_assignment
 
 
 @dataclass(frozen=True)

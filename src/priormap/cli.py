@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import json
 import sys
 import time
@@ -21,33 +22,48 @@ from pathlib import Path
 from typing import Callable, Iterator, Sequence, TypeVar
 
 from . import __version__
-from .changes import (
-    ChangeReport,
-    MapVersion,
-    build_scene_pair,
-    change_regions,
-    diff_maps,
-    mine_frames,
-)
-from .config import read_config
-from .evaluation import EvalConfig, evaluate, pair_frames
-from .matching import (
-    LossWeights,
-    label_set_from_frame,
-    matched_loss,
-    prediction_set_from_frame,
-)
 from .model import DEFAULT_DIMS, MapFrame, ModelDims
-from .perturb import apply_recipe, recipe_from_dict, recipe_to_dict
-from .render import write_frame_svg
 from .scene_io import (
+    MAX_COORDINATE,
     SceneFormatError,
     load_json_config,
+    pair_frames,
     read_map_version,
     read_scenes,
     read_trajectory,
     write_scenes,
 )
+
+#: The names taken from the layers that only some subcommands run, by
+#: layer. A subcommand binds its layers' names into this module when it
+#: starts (`_bind`), and attribute access binds them too (`__getattr__`),
+#: so that a name patched on this module is the one a run calls.
+_LAZY = {
+    "changes": ("ChangeReport", "MapVersion", "build_scene_pair", "change_regions", "diff_maps",
+                "mine_frames"),
+    "config": ("read_config",),
+    "evaluation": ("EvalConfig", "evaluate"),
+    "matching": ("LossWeights", "label_set_from_frame", "matched_loss",
+                 "prediction_set_from_frame"),
+    "perturb": ("apply_recipe", "recipe_from_dict", "recipe_to_dict"),
+    "render": ("write_frame_svg",),
+}
+
+
+def _bind(layer: str) -> None:
+    """Import layer and bind each of its names in _LAZY that is not bound
+    yet; a name already bound, patched or not, is left as it is."""
+    module = importlib.import_module(f"{__package__}.{layer}")
+    for name in _LAZY[layer]:
+        globals().setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str):
+    for layer, names in _LAZY.items():
+        if name in names:
+            _bind(layer)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _sha256_file(path: Path) -> str:
@@ -120,6 +136,7 @@ T = TypeVar("T")
 def _load_config(path: str, cls: type[T], where: str) -> T:
     """Read a JSON config file into the config dataclass cls; any error
     names the file once."""
+    _bind("config")
     with _naming(path):
         return read_config(cls, load_json_config(path), where)
 
@@ -164,6 +181,19 @@ def _polygon_points(text: str) -> int:
     return n
 
 
+def _fov(text: str) -> float:
+    """mine's --fov option: a positive side of at most MAX_COORDINATE, the
+    largest field of view that the scene readers accept."""
+    try:
+        side = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 < side <= MAX_COORDINATE:
+        raise argparse.ArgumentTypeError(
+            f"must be positive and at most {MAX_COORDINATE:g} m, got {text}")
+    return side
+
+
 def _dims_from(args: argparse.Namespace) -> ModelDims:
     return ModelDims(m=args.m_max, n_points=args.n_points)
 
@@ -173,6 +203,7 @@ def _write_svgs(
 ) -> None:
     """One SVG per frame, named by frame id; with an overlay, the overlay
     frame of the same id is drawn over it as the prediction layer."""
+    _bind("render")
     out_dir.mkdir(parents=True, exist_ok=True)
     by_id = {f.frame_id: f for f in overlay or ()}
     if overlay is not None:
@@ -187,6 +218,7 @@ def _write_svgs(
 
 
 def cmd_perturb(args: argparse.Namespace) -> Run:
+    _bind("perturb")
     with _naming(args.recipe):
         recipe = recipe_from_dict(load_json_config(args.recipe))
     if args.seed is not None:
@@ -210,6 +242,7 @@ _LOSS_TERMS = ("total", "positional", "classification", "cosine")
 
 
 def cmd_loss(args: argparse.Namespace) -> Run:
+    _bind("matching")
     weights = _load_config(args.weights, LossWeights, "weights") if args.weights else LossWeights()
     dims = _dims_from(args)
     preds = read_scenes(args.pred)
@@ -259,6 +292,7 @@ def _print_eval_table(report) -> None:
 
 
 def cmd_eval(args: argparse.Namespace) -> Run:
+    _bind("evaluation")
     config = _load_config(args.config, EvalConfig, "eval config") if args.config else EvalConfig()
     if args.thresholds:
         config = replace(config, thresholds=args.thresholds)
@@ -290,6 +324,7 @@ def _diff(args: argparse.Namespace) -> tuple[MapVersion, MapVersion, ChangeRepor
 
 
 def cmd_diff(args: argparse.Namespace) -> Run:
+    _bind("changes")
     old, new, report = _diff(args)
     out_path = Path(args.out)
     _write_json(out_path, report.to_dict())
@@ -302,6 +337,7 @@ def cmd_diff(args: argparse.Namespace) -> Run:
 
 
 def cmd_mine(args: argparse.Namespace) -> Run:
+    _bind("changes")
     dims = _dims_from(args)
     trajectory = read_trajectory(args.trajectory)
     old, new, report = _diff(args)
@@ -410,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--new", required=True, help="new map version file")
     p.add_argument("--trajectory", required=True, help="timestamped pose file")
     _diff_args(p)
-    p.add_argument("--fov", type=float, default=90.0, help="field-of-view side in meters")
+    p.add_argument("--fov", type=_fov, default=90.0, help="field-of-view side in meters")
     p.add_argument("--window", type=float, default=30.0, help="window duration in seconds")
     _dims_args(p, _polygon_points, "control points per feature, at least 3")
     p.add_argument("--out-prior", required=True, help="output prior scene file")

@@ -22,10 +22,14 @@ from .config import finite_number
 from .model import (
     REAL_CLASSES,
     FeatureClass,
+    InvarianceClass,
     MapFeature,
     MapFrame,
     resample_polyline,  # unused here; bench/tracing.py counts calls through it
+    resample_polylines,
+    with_stacked_points,
 )
+from .scene_io import pair_frames
 
 
 #: Ceiling on densify: a pair of features densified to it is a 1000 x 1000
@@ -273,25 +277,17 @@ def _usable_predictions(frame: MapFrame, config: EvalConfig) -> list[MapFeature]
     ]
 
 
-def pair_frames(
-    pred_frames: Sequence[MapFrame], gt_frames: Sequence[MapFrame]
-) -> list[tuple[MapFrame, MapFrame]]:
-    """Pair frames 1:1 by frame id, in ground-truth order; mismatches raise
-    with the offending ids listed."""
-    pred_by_id = {f.frame_id: f for f in pred_frames}
-    gt_by_id = {f.frame_id: f for f in gt_frames}
-    if len(pred_by_id) != len(pred_frames) or len(gt_by_id) != len(gt_frames):
-        raise ValueError("duplicate frame ids in input")
-    missing_pred = sorted(set(gt_by_id) - set(pred_by_id))
-    missing_gt = sorted(set(pred_by_id) - set(gt_by_id))
-    if missing_pred or missing_gt:
-        parts = []
-        if missing_pred:
-            parts.append(f"missing predictions for: {', '.join(missing_pred)}")
-        if missing_gt:
-            parts.append(f"missing ground truth for: {', '.join(missing_gt)}")
-        raise ValueError("; ".join(parts))
-    return [(pred_by_id[f.frame_id], f) for f in gt_frames]
+def _densified(features: list[MapFeature], n: int) -> list[MapFeature]:
+    """Each feature as MapFeature.resampled(n) gives it, bit for bit: the
+    features of another point count are resampled in one
+    resample_polylines pass."""
+    redo = [k for k, f in enumerate(features) if f.n_points != n]
+    closed = [features[k].invariance is InvarianceClass.POLYGON for k in redo]
+    stack = resample_polylines([features[k].points for k in redo], n, closed)
+    out = list(features)
+    for k, feature in zip(redo, with_stacked_points([features[k] for k in redo], stack)):
+        out[k] = feature
+    return out
 
 
 def evaluate(
@@ -315,10 +311,10 @@ def evaluate(
         gts = gt_frame.features
         if config.densify:
             try:
-                preds = [f.resampled(config.densify) for f in preds]
-                gts = [f.resampled(config.densify) for f in gts]
+                both = _densified([*preds, *gts], config.densify)
             except ValueError as exc:
                 raise ValueError(f"frame {gt_frame.frame_id}: {exc}") from exc
+            preds, gts = both[:len(preds)], both[len(preds):]
         for cls in config.classes:
             cls_preds = [f for f in preds if f.feature_class is cls]
             cls_gts = [f for f in gts if f.feature_class is cls]

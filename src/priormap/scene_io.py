@@ -286,7 +286,8 @@ def frame_from_record(record: dict) -> MapFrame:
     if not isinstance(pose_rec, dict):
         raise SceneFormatError(f"{where}.ego_pose: expected an object")
     pose = _pose(dict(pose_rec), f"{where}.ego_pose")
-    fov_side = _as_float(_take(rec, "fov_side", where), f"{where}.fov_side")
+    # Bounded like a coordinate, so every point inside the field of view is.
+    fov_side = _as_coordinate(_take(rec, "fov_side", where), f"{where}.fov_side")
     feats_rec = _take(rec, "features", where)
     if not isinstance(feats_rec, list):
         raise SceneFormatError(f"{where}.features: expected a list")
@@ -325,6 +326,27 @@ def write_scenes(frames: Iterable[MapFrame], path: str | Path) -> None:
 
 def read_scenes(path: str | Path) -> list[MapFrame]:
     return _read_records(path, frame_from_record)
+
+
+def pair_frames(
+    pred_frames: Sequence[MapFrame], gt_frames: Sequence[MapFrame]
+) -> list[tuple[MapFrame, MapFrame]]:
+    """Pair frames 1:1 by frame id, in ground-truth order; mismatches raise
+    with the offending ids listed."""
+    pred_by_id = {f.frame_id: f for f in pred_frames}
+    gt_by_id = {f.frame_id: f for f in gt_frames}
+    if len(pred_by_id) != len(pred_frames) or len(gt_by_id) != len(gt_frames):
+        raise ValueError("duplicate frame ids in input")
+    missing_pred = sorted(set(gt_by_id) - set(pred_by_id))
+    missing_gt = sorted(set(pred_by_id) - set(gt_by_id))
+    if missing_pred or missing_gt:
+        parts = []
+        if missing_pred:
+            parts.append(f"missing predictions for: {', '.join(missing_pred)}")
+        if missing_gt:
+            parts.append(f"missing ground truth for: {', '.join(missing_gt)}")
+        raise ValueError("; ".join(parts))
+    return [(pred_by_id[f.frame_id], f) for f in gt_frames]
 
 
 def write_map_version(

@@ -517,16 +517,35 @@ def test_every_option_has_help_text():
 
 _STARTUP_PROBE = """
 import json, sys
-from priormap import matching
 from priormap.cli import main
 try:
     rc = main(sys.argv[1:])
 except SystemExit as exc:  # --help leaves through argparse
     rc = exc.code
+solver = sys.modules.get("priormap.solver")
 print(json.dumps({"rc": rc, "scipy_optimize": "scipy.optimize" in sys.modules,
-                  "solver": matching._solver is not None,
-                  "futures": "concurrent.futures" in sys.modules}))
+                  "solver": solver is not None and solver._solver is not None,
+                  "futures": "concurrent.futures" in sys.modules,
+                  "modules": sorted(m for m in sys.modules if m.split(".")[0] == "priormap")}))
 """
+
+#: The priormap modules a run of each subcommand loads: the package, cli,
+#: model and scene_io, which every run loads, and the layers listed here.
+_LAYERS_LOADED = {
+    "--help": [],
+    "render": ["render"],
+    "perturb": ["config", "perlin", "perturb", "rng"],
+    "loss": ["config", "matching", "solver"],
+    "eval": ["config", "evaluation", "render"],  # with --render-dir
+    "eval-without-render-dir": ["config", "evaluation"],
+    "diff": ["changes", "config", "evaluation", "solver"],
+    "mine": ["changes", "config", "evaluation", "solver"],
+}
+
+
+def _modules_of(command: str) -> list[str]:
+    layers = ["cli", "model", "scene_io", *_LAYERS_LOADED[command]]
+    return sorted(["priormap", *(f"priormap.{layer}" for layer in layers)])
 
 
 def _child_env() -> dict:
@@ -537,8 +556,9 @@ def _child_env() -> dict:
 
 def _fresh_process(argv: list[str]) -> dict:
     """Run main(argv) in a new interpreter; report its exit code, whether
-    scipy.optimize was loaded by the end, whether a solver was and whether
-    concurrent.futures (the worker-thread pool) was."""
+    scipy.optimize was loaded by the end, whether a solver was, whether
+    concurrent.futures (the worker-thread pool) was, and which priormap
+    modules were."""
     done = subprocess.run([sys.executable, "-c", _STARTUP_PROBE, *argv], env=_child_env(),
                           capture_output=True, text=True, timeout=120, check=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
@@ -552,17 +572,43 @@ def _startup_argv(command: str, tmp_path, scenes) -> list[str]:
         recipe.write_text(json.dumps(recipe_to_dict(low_all_noise_recipe(5))))
         return ["perturb", "--scenes", str(scenes), "--recipe", str(recipe),
                 "--out", str(tmp_path / "out.jsonl")]
-    if command == "eval":
-        return ["eval", "--pred", str(scenes), "--gt", str(scenes),
-                "--out", str(tmp_path / "eval.json"), "--render-dir", str(tmp_path / "svg")]
+    if command.startswith("eval"):
+        argv = ["eval", "--pred", str(scenes), "--gt", str(scenes),
+                "--out", str(tmp_path / "eval.json")]
+        if command == "eval-without-render-dir":
+            return argv
+        return [*argv, "--render-dir", str(tmp_path / "svg")]
     return ["render", "--scenes", str(scenes), "--overlay", str(scenes),
             "--out-dir", str(tmp_path / "svg")]
 
 
-@pytest.mark.parametrize("command", ["--help", "perturb", "eval", "render"])
+@pytest.mark.parametrize("command", ["--help", "perturb", "eval", "eval-without-render-dir",
+                                     "render"])
 def test_subcommands_without_assignment_start_without_scipy(tmp_path, scene_file, command):
     probe = _fresh_process(_startup_argv(command, tmp_path, scene_file[0]))
-    assert probe == {"rc": 0, "scipy_optimize": False, "solver": False, "futures": False}
+    assert probe == {"rc": 0, "scipy_optimize": False, "solver": False, "futures": False,
+                     "modules": _modules_of(command)}
+
+
+def test_package_import_loads_no_layer():
+    probe = "import json, sys, priormap; print(json.dumps(sorted(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", probe], env=_child_env(),
+                          capture_output=True, text=True, timeout=120, check=True)
+    loaded = json.loads(done.stdout)
+    assert [m for m in loaded if m.split(".")[0] == "priormap"] == ["priormap"]
+    assert "numpy" not in loaded
+
+
+def test_every_public_name_resolves_and_is_listed():
+    # Guards the package's name table: a misspelt name or module fails here.
+    listed = dir(priormap)
+    namespace: dict = {}
+    exec("from priormap import *", namespace)
+    for name in priormap.__all__:
+        assert name in listed
+        assert namespace[name] is getattr(priormap, name)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        priormap.no_such_name
 
 
 def _solving_case(command: str, tmp_path, scenes) -> tuple[list[str], list[Path]]:
@@ -592,7 +638,8 @@ def test_solving_subcommands_load_only_the_compiled_kernel(tmp_path, scene_file,
     argv, fresh_outs = _solving_case(command, fresh_dir, scene_file[0])
     # Only a run with worker threads loads the thread pool.
     assert _fresh_process(argv + extra) == {"rc": 0, "scipy_optimize": False, "solver": True,
-                                            "futures": "--jobs" in extra}
+                                            "futures": "--jobs" in extra,
+                                            "modules": _modules_of(command)}
     argv, here_outs = _solving_case(command, here_dir, scene_file[0])
     assert main(argv + extra) == 0
     for fresh, here in zip(fresh_outs, here_outs):
@@ -738,14 +785,14 @@ def test_eval_error_names_files_and_frame(tmp_path, scene_file, capsys, monkeypa
     # The readers refuse every feature of zero arc length, the one densify
     # would fail on; a resample that fails on one marked feature of frame_2
     # stands in for such a feature.
-    resample = priormap.model.resample_polyline
+    resample = priormap.evaluation.resample_polylines
 
-    def fails_on_marked(points, n, closed=False):
-        if points[0].tolist() == [1.0, 0.0]:
+    def fails_on_marked(pieces, n, closed=False):
+        if any(points[0].tolist() == [1.0, 0.0] for points in pieces):
             raise DegenerateFeatureError("degenerate feature: zero arc length")
-        return resample(points, n, closed)
+        return resample(pieces, n, closed)
 
-    monkeypatch.setattr(priormap.model, "resample_polyline", fails_on_marked)
+    monkeypatch.setattr(priormap.evaluation, "resample_polylines", fails_on_marked)
     src, frames = scene_file
     bad = frames[2].with_features([*frames[2].features, line_feature(x0=1.0, x1=2.0)])
     gt = tmp_path / "gt.jsonl"
@@ -785,6 +832,19 @@ def test_mine_error_names_files_and_frame(tmp_path, capsys, monkeypatch):
     ("x", "invalid int value: 'x'"),
 ])
 def test_mine_n_points_below_3_is_a_usage_error(tmp_path, capsys, value, message):
+    assert _mine_usage_error(tmp_path, capsys, ["--n-points", value]) == (
+        f"priormap mine: error: argument --n-points: {message}")
+
+
+@pytest.mark.parametrize("value", ["1e10", "1000000001", "inf", "nan", "0", "-90"])
+def test_mine_fov_beyond_the_coordinate_bound_is_a_usage_error(tmp_path, capsys, value):
+    assert _mine_usage_error(tmp_path, capsys, [f"--fov={value}"]) == (
+        f"priormap mine: error: argument --fov: must be positive and at most 1e+09 m, got {value}")
+
+
+def _mine_usage_error(tmp_path, capsys, option: list[str]) -> str:
+    """The last stderr line of a mine run with option, which must exit 2
+    before writing anything."""
     world = grid_world(n_blocks=2)
     old, new = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
     write_map_version("a", world, old)
@@ -792,12 +852,36 @@ def test_mine_n_points_below_3_is_a_usage_error(tmp_path, capsys, value, message
     prior = tmp_path / "prior.jsonl"
     with pytest.raises(SystemExit) as info:
         main(["mine", "--old", str(old), "--new", str(new), "--trajectory", str(_drive(tmp_path)),
-              "--out-prior", str(prior), "--out-gt", str(tmp_path / "gt.jsonl"),
-              "--n-points", value])
+              "--out-prior", str(prior), "--out-gt", str(tmp_path / "gt.jsonl"), *option])
     assert info.value.code == 2
-    err = capsys.readouterr().err
-    assert err.splitlines()[-1] == f"priormap mine: error: argument --n-points: {message}"
     assert not prior.exists()
+    return capsys.readouterr().err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_far_shift_output_is_valid_loss_input(tmp_path, capsys, seed):
+    # A 1e9 m polyline and a 10 m one at the edge of a 1e9 m field of view,
+    # each shifted by about 1e6 m: the final clip keeps every point within
+    # 5e8 m, so the output is read back. A field of view wider than the
+    # coordinate bound, under which a shifted point could leave it, is
+    # refused when the scenes are read.
+    recipe = tmp_path / "recipe.json"
+    recipe.write_text(json.dumps(
+        {"master_seed": seed, "mutations": [{"kind": "shift_features", "sigma": 1e6}]}))
+    wide = MapFrame("f0", Pose2D(0.0, 0.0, 0.0), 1e9,
+                    (line_feature(x0=-5e8, x1=5e8), line_feature(y=1.0, x0=5e8 - 10.0, x1=5e8)))
+    src, out = tmp_path / "wide.jsonl", tmp_path / "out.jsonl"
+    write_scenes([wide], src)
+    assert main(["perturb", "--scenes", str(src), "--recipe", str(recipe),
+                 "--out", str(out)]) == 0
+    assert main(["loss", "--pred", str(out), "--labels", str(src),
+                 "--out", str(tmp_path / "loss.json")]) == 0
+    capsys.readouterr()
+    wider = MapFrame("f0", Pose2D(0.0, 0.0, 0.0), 1e10, (line_feature(x0=1e9 - 10.0, x1=1e9),))
+    write_scenes([wider], src)
+    assert _error_of(["perturb", "--scenes", str(src), "--recipe", str(recipe),
+                      "--out", str(out)], capsys) == (
+        f"error: {src}: line 1: frame 'f0'.fov_side: must be at most 1e+09 m in magnitude\n")
 
 
 @pytest.mark.parametrize("field", ["coordinate", "fov_side"])

@@ -864,21 +864,22 @@ class TestTieBreakMatchesOracle:
 
 
 class TestCompiledSolver:
-    """matching.linear_sum_assignment loads scipy's compiled `_lsap` kernel
-    without the scipy.optimize package; scipy.optimize's own solver is the
-    oracle, so every output and error must be the same."""
+    """solver.linear_sum_assignment, which matching and changes import,
+    loads scipy's compiled `_lsap` kernel without the scipy.optimize
+    package; scipy.optimize's own solver is the oracle, so every output
+    and error must be the same."""
 
     @pytest.fixture(scope="class")
     def kernel(self):
         import importlib.machinery
 
-        import priormap.matching as matching
+        import priormap.solver as solver
 
         # The kernel path, not the fallback. Python keeps one copy of a
         # single-phase extension's functions, so once scipy.optimize is
         # imported a later load may hand out the package's function object.
-        assert isinstance(matching._lsap_spec().loader, importlib.machinery.ExtensionFileLoader)
-        return matching._load_solver()
+        assert isinstance(solver._lsap_spec().loader, importlib.machinery.ExtensionFileLoader)
+        return solver._load_solver()
 
     @staticmethod
     def _same(kernel, cost):
@@ -921,17 +922,17 @@ class TestCompiledSolver:
         import threading
         import time
 
-        import priormap.matching as matching
+        import priormap.solver as solver
 
-        load, loads = matching._load_solver, []
+        load, loads = solver._load_solver, []
 
         def slow_load():
             loads.append(threading.get_ident())
             time.sleep(0.01)  # widen the window in which a second load could start
             return load()
 
-        monkeypatch.setattr(matching, "_solver", None)
-        monkeypatch.setattr(matching, "_load_solver", slow_load)
+        monkeypatch.setattr(solver, "_solver", None)
+        monkeypatch.setattr(solver, "_load_solver", slow_load)
         cost = np.random.default_rng(5).uniform(0, 10, (20, 20))
         workers = 8
         start = threading.Barrier(workers)
@@ -939,7 +940,7 @@ class TestCompiledSolver:
 
         def solve(k):
             start.wait(timeout=10)
-            results[k] = matching.linear_sum_assignment(cost)[1]
+            results[k] = solver.linear_sum_assignment(cost)[1]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -959,7 +960,7 @@ class TestCompiledSolver:
     def test_falls_back_to_scipy_optimize(self, tmp_path, monkeypatch, spec):
         import importlib.util
 
-        import priormap.matching as matching
+        import priormap.solver as solver
         from conftest import random_frame
         from priormap import write_scenes
         from priormap.cli import main
@@ -971,10 +972,10 @@ class TestCompiledSolver:
         argv = ["loss", "--pred", str(scenes), "--labels", str(scenes), "--m-max", "10"]
         assert main([*argv, "--out", str(tmp_path / "kernel.json")]) == 0
         found = importlib.util.find_spec(spec) if spec else None
-        monkeypatch.setattr(matching, "_lsap_spec", lambda: found)
-        monkeypatch.setattr(matching, "_solver", None)
+        monkeypatch.setattr(solver, "_lsap_spec", lambda: found)
+        monkeypatch.setattr(solver, "_solver", None)
         assert main([*argv, "--out", str(tmp_path / "package.json")]) == 0
-        assert matching._solver is oracle
+        assert solver._solver is oracle
         assert (tmp_path / "kernel.json").read_bytes() == (tmp_path / "package.json").read_bytes()
 
 

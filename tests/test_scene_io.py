@@ -144,7 +144,7 @@ def _feature(draw):
 def _frame(draw):
     frame_id = draw(st.text(st.characters(exclude_categories=("Cs",)), min_size=1, max_size=8))
     pose = Pose2D(draw(_coordinate), draw(_coordinate), draw(_finite))
-    fov_side = draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    fov_side = draw(st.floats(min_value=0.0, max_value=sio.MAX_COORDINATE, exclude_min=True))
     return MapFrame(frame_id, pose, fov_side, tuple(draw(st.lists(_feature(), max_size=4))))
 
 
@@ -373,12 +373,19 @@ class TestHugeIntegers:
     def test_large_integer_that_fits_is_read_exactly(self, tmp_path):
         rec = self._frame_record()
         rec["features"][1]["points"][2] = [10**9, -(10**9)]  # MAX_COORDINATE is allowed
-        rec["fov_side"] = 10**300 + 1
+        rec["fov_side"] = 10**9  # so is a field of view of that side
         path = tmp_path / "big.jsonl"
         path.write_text(json.dumps(rec) + "\n")
         (frame,) = read_scenes(path)
         assert frame.features[1].points[2].tolist() == [1e9, -1e9]
-        assert frame.fov_side == float(10**300 + 1)
+        assert frame.fov_side == 1e9
+
+    @pytest.mark.parametrize("side", [10**9 + 1, 1e10, 10**300 + 1])
+    def test_fov_side_beyond_the_coordinate_bound(self, tmp_path, side):
+        rec = self._frame_record()
+        rec["fov_side"] = side
+        assert self._read_error(tmp_path, rec) == (
+            "frame 'f'.fov_side: must be at most 1e+09 m in magnitude")
 
 
 def test_json_errors_match_json_loads():
