@@ -14,7 +14,7 @@ import importlib
 
 __version__ = "0.1.0"
 
-#: The public names, by the module that defines them.
+#: The public names, by the module that defines them; cli binds from it too.
 _EXPORTS = {
     "changes": (
         "Box", "ChangeReport", "MapVersion", "ScenePair", "SceneWindow", "build_scene_pair",
@@ -43,6 +43,7 @@ _EXPORTS = {
         "low_all_noise_recipe", "perlin_warp", "recipe_from_dict", "recipe_to_dict",
         "shift_features",
     ),
+    "render": ("frame_svg", "write_frame_svg"),
     "rng": ("MutationStream", "philox_stream", "stable_key"),
     "scene_io": (
         "SceneFormatError", "read_map_version", "read_scenes", "read_trajectory",

@@ -28,9 +28,8 @@ from .model import (
     Pose2D,
     clip_to_fov,
     resample_polyline,  # unused here; bench/tracing.py counts calls through it
-    resample_polylines,
+    resampled_pieces,
     ring_fault,
-    with_stacked_points,
     world_to_ego,
 )
 from .solver import linear_sum_assignment
@@ -324,16 +323,12 @@ def _crop_version(
     frame = MapFrame(frame_id=frame_id, ego_pose=pose, fov_side=fov_side, features=tuple(ego))
     clipped = clip_to_fov(frame)
     feats = clipped.features
-    polygon = InvarianceClass.POLYGON
-    stack = resample_polylines([f.points for f in feats], n_points,
-                               [f.invariance is polygon for f in feats])
-    # MapFeature's own checks: the polygon rule here, finite points in
-    # with_stacked_points.
-    for feat, points in zip(feats, stack):
-        fault = ring_fault(points) if feat.invariance is polygon else None
+    out = resampled_pieces(feats, [f.points for f in feats], n_points, confidence=1.0)
+    # The one MapFeature check that resampled_pieces skips: the polygon rule.
+    for feat in out:
+        fault = ring_fault(feat.points) if feat.invariance is InvarianceClass.POLYGON else None
         if fault:
             raise ValueError(fault)
-    out = with_stacked_points(feats, stack, confidence=1.0)
     return clipped.with_features(out)
 
 

@@ -21,11 +21,10 @@ from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Callable, Iterator, Sequence, TypeVar
 
-from . import __version__
+from . import _EXPORTS, _MODULE_OF, __version__
 from .model import DEFAULT_DIMS, MapFrame, ModelDims
 from .scene_io import (
     MAX_COORDINATE,
-    SceneFormatError,
     load_json_config,
     pair_frames,
     read_map_version,
@@ -34,36 +33,22 @@ from .scene_io import (
     write_scenes,
 )
 
-#: The names taken from the layers that only some subcommands run, by
-#: layer. A subcommand binds its layers' names into this module when it
-#: starts (`_bind`), and attribute access binds them too (`__getattr__`),
-#: so that a name patched on this module is the one a run calls.
-_LAZY = {
-    "changes": ("ChangeReport", "MapVersion", "build_scene_pair", "change_regions", "diff_maps",
-                "mine_frames"),
-    "config": ("read_config",),
-    "evaluation": ("EvalConfig", "evaluate"),
-    "matching": ("LossWeights", "label_set_from_frame", "matched_loss",
-                 "prediction_set_from_frame"),
-    "perturb": ("apply_recipe", "recipe_from_dict", "recipe_to_dict"),
-    "render": ("write_frame_svg",),
-}
-
-
 def _bind(layer: str) -> None:
-    """Import layer and bind each of its names in _LAZY that is not bound
-    yet; a name already bound, patched or not, is left as it is."""
+    """Import layer and bind each of its public names (priormap._EXPORTS)
+    in this module that is not bound yet; a name already bound, patched or
+    not, is left as it is. A subcommand binds its layers when it starts,
+    and attribute access binds them too (__getattr__), so that a name
+    patched on this module is the one a run calls."""
     module = importlib.import_module(f"{__package__}.{layer}")
-    for name in _LAZY[layer]:
+    for name in _EXPORTS[layer]:
         globals().setdefault(name, getattr(module, name))
 
 
 def __getattr__(name: str):
-    for layer, names in _LAZY.items():
-        if name in names:
-            _bind(layer)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(_MODULE_OF[name])
+    return globals()[name]
 
 
 def _sha256_file(path: Path) -> str:
@@ -136,7 +121,8 @@ T = TypeVar("T")
 def _load_config(path: str, cls: type[T], where: str) -> T:
     """Read a JSON config file into the config dataclass cls; any error
     names the file once."""
-    _bind("config")
+    from .config import read_config
+
     with _naming(path):
         return read_config(cls, load_json_config(path), where)
 
@@ -247,7 +233,8 @@ def cmd_loss(args: argparse.Namespace) -> Run:
     dims = _dims_from(args)
     preds = read_scenes(args.pred)
     labels = read_scenes(args.labels)
-    pairs = pair_frames(preds, labels)
+    with _naming(f"{args.pred} against {args.labels}"):
+        pairs = pair_frames(preds, labels)
 
     def score(pair):
         pred_frame, label_frame = pair
@@ -470,7 +457,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         out_path, config, inputs, master_seed = args.fn(args)
         _write_manifest(out_path, args.command, config, inputs, master_seed,
                         time.time() - started)
-    except (SceneFormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -22,12 +22,10 @@ from .config import finite_number
 from .model import (
     REAL_CLASSES,
     FeatureClass,
-    InvarianceClass,
     MapFeature,
     MapFrame,
     resample_polyline,  # unused here; bench/tracing.py counts calls through it
-    resample_polylines,
-    with_stacked_points,
+    resampled_features,
 )
 from .scene_io import pair_frames
 
@@ -277,19 +275,6 @@ def _usable_predictions(frame: MapFrame, config: EvalConfig) -> list[MapFeature]
     ]
 
 
-def _densified(features: list[MapFeature], n: int) -> list[MapFeature]:
-    """Each feature as MapFeature.resampled(n) gives it, bit for bit: the
-    features of another point count are resampled in one
-    resample_polylines pass."""
-    redo = [k for k, f in enumerate(features) if f.n_points != n]
-    closed = [features[k].invariance is InvarianceClass.POLYGON for k in redo]
-    stack = resample_polylines([features[k].points for k in redo], n, closed)
-    out = list(features)
-    for k, feature in zip(redo, with_stacked_points([features[k] for k in redo], stack)):
-        out[k] = feature
-    return out
-
-
 def evaluate(
     pred_frames: Sequence[MapFrame],
     gt_frames: Sequence[MapFrame],
@@ -311,7 +296,7 @@ def evaluate(
         gts = gt_frame.features
         if config.densify:
             try:
-                both = _densified([*preds, *gts], config.densify)
+                both = resampled_features([*preds, *gts], config.densify)
             except ValueError as exc:
                 raise ValueError(f"frame {gt_frame.frame_id}: {exc}") from exc
             preds, gts = both[:len(preds)], both[len(preds):]

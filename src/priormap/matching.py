@@ -30,7 +30,7 @@ from .model import (
     ModelDims,
     pad_to_fixed,
     resample_polyline,  # unused here; bench/tracing.py counts calls through it
-    resample_polylines,
+    resampled_features,
 )
 from .solver import linear_sum_assignment
 
@@ -139,15 +139,10 @@ class LabelSet:
 
 
 def _padded(frame: MapFrame, dims: ModelDims) -> tuple[tuple[MapFeature, ...], np.ndarray]:
-    """A frame's features padded to dims.m slots, with their points resampled
-    to dims.n_points and stacked (m, n_points, 2). The features of another
-    point count are resampled in one resample_polylines pass."""
-    redo = [f for f in frame.features if f.n_points != dims.n_points]
-    closed = [f.invariance is InvarianceClass.POLYGON for f in redo]
-    stack = iter(resample_polylines([f.points for f in redo], dims.n_points, closed))
-    padded = pad_to_fixed(frame.features, dims)
-    return padded, np.stack([f.points if f.n_points == dims.n_points else next(stack)
-                             for f in padded])
+    """A frame's features resampled to dims.n_points and padded to dims.m
+    slots, with their points stacked (m, n_points, 2)."""
+    padded = pad_to_fixed(resampled_features(frame.features, dims.n_points), dims)
+    return padded, np.stack([f.points for f in padded])
 
 
 def label_set_from_frame(frame: MapFrame, dims: ModelDims = DEFAULT_DIMS) -> LabelSet:

@@ -470,21 +470,33 @@ def _clip_polygon_box(pts: np.ndarray, lo: float, hi: float) -> np.ndarray | Non
     return ring
 
 
-def with_stacked_points(
-    features: Sequence[MapFeature], stack: np.ndarray, confidence: float | None = None
+def resampled_pieces(
+    sources: Sequence[MapFeature], pieces: Sequence[np.ndarray], n: int,
+    confidence: float | None = None,
 ) -> list[MapFeature]:
-    """Feature i with row i of the (k, n, 2) stack as its points, and with
-    the given confidence, if any: what with_points does to each, with its
-    one check (every value finite) made on the whole stack, which becomes
-    read-only."""
-    if not np.isfinite(stack).all():
-        raise ValueError("points must be finite (no NaN/Inf)")
+    """Feature i of sources with pieces[i] resampled to n points (as a
+    closed ring for a polygon) and with the given confidence, if any: bit
+    for bit sources[i].with_points(resample_polyline(...)), in one
+    resample_polylines pass. It needs no finite check, since
+    resample_polylines refuses non-finite pieces and pieces of infinite
+    length: each output point lies between two finite input points."""
+    polygon = InvarianceClass.POLYGON
+    stack = resample_polylines(pieces, n, [f.invariance is polygon for f in sources])
     stack.flags.writeable = False
     return [
         MapFeature.from_checked(f.feature_class, f.invariance, points,
                                 f.confidence if confidence is None else confidence)
-        for f, points in zip(features, stack)
+        for f, points in zip(sources, stack)
     ]
+
+
+def resampled_features(features: Sequence[MapFeature], n: int) -> list[MapFeature]:
+    """Each feature as MapFeature.resampled(n) gives it, bit for bit: the
+    same object when it has n points already, and the others resampled in
+    one resampled_pieces pass."""
+    redo = [f for f in features if f.n_points != n]
+    done = iter(resampled_pieces(redo, [f.points for f in redo], n))
+    return [f if f.n_points == n else next(done) for f in features]
 
 
 def clip_to_fov(frame: MapFrame) -> MapFrame:
@@ -526,11 +538,9 @@ def clip_to_fov(frame: MapFrame) -> MapFrame:
         for piece in found:
             cut.setdefault(feat.n_points, []).append((len(out), feat, piece))
             out.append(None)
-    polygon = InvarianceClass.POLYGON
     for n, group in cut.items():
         slots, sources, found = zip(*group)
-        stack = resample_polylines(found, n, [f.invariance is polygon for f in sources])
-        for slot, feat in zip(slots, with_stacked_points(sources, stack)):
+        for slot, feat in zip(slots, resampled_pieces(sources, found, n)):
             out[slot] = feat
     return frame.with_features(out)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections import Counter
 from itertools import accumulate, chain
 from operator import itemgetter
 from pathlib import Path
@@ -331,21 +332,21 @@ def read_scenes(path: str | Path) -> list[MapFrame]:
 def pair_frames(
     pred_frames: Sequence[MapFrame], gt_frames: Sequence[MapFrame]
 ) -> list[tuple[MapFrame, MapFrame]]:
-    """Pair frames 1:1 by frame id, in ground-truth order; mismatches raise
-    with the offending ids listed."""
+    """Pair frames 1:1 by frame id, in ground-truth order; repeated and
+    unpaired ids raise, listed by side."""
     pred_by_id = {f.frame_id: f for f in pred_frames}
     gt_by_id = {f.frame_id: f for f in gt_frames}
-    if len(pred_by_id) != len(pred_frames) or len(gt_by_id) != len(gt_frames):
-        raise ValueError("duplicate frame ids in input")
-    missing_pred = sorted(set(gt_by_id) - set(pred_by_id))
-    missing_gt = sorted(set(pred_by_id) - set(gt_by_id))
-    if missing_pred or missing_gt:
-        parts = []
-        if missing_pred:
-            parts.append(f"missing predictions for: {', '.join(missing_pred)}")
-        if missing_gt:
-            parts.append(f"missing ground truth for: {', '.join(missing_gt)}")
-        raise ValueError("; ".join(parts))
+    faults = []
+    for side, frames, ids, other in (("predictions", pred_frames, pred_by_id, gt_by_id),
+                                     ("ground truth", gt_frames, gt_by_id, pred_by_id)):
+        repeated = sorted(i for i, n in Counter(f.frame_id for f in frames).items() if n > 1)
+        if repeated:
+            faults.append(f"duplicate frame ids in {side}: {', '.join(repeated)}")
+        missing = sorted(other.keys() - ids.keys())
+        if missing:
+            faults.append(f"missing {side} for: {', '.join(missing)}")
+    if faults:
+        raise ValueError("; ".join(faults))
     return [(pred_by_id[f.frame_id], f) for f in gt_frames]
 
 

@@ -785,14 +785,14 @@ def test_eval_error_names_files_and_frame(tmp_path, scene_file, capsys, monkeypa
     # The readers refuse every feature of zero arc length, the one densify
     # would fail on; a resample that fails on one marked feature of frame_2
     # stands in for such a feature.
-    resample = priormap.evaluation.resample_polylines
+    resample = priormap.model.resample_polylines
 
     def fails_on_marked(pieces, n, closed=False):
         if any(points[0].tolist() == [1.0, 0.0] for points in pieces):
             raise DegenerateFeatureError("degenerate feature: zero arc length")
         return resample(pieces, n, closed)
 
-    monkeypatch.setattr(priormap.evaluation, "resample_polylines", fails_on_marked)
+    monkeypatch.setattr(priormap.model, "resample_polylines", fails_on_marked)
     src, frames = scene_file
     bad = frames[2].with_features([*frames[2].features, line_feature(x0=1.0, x1=2.0)])
     gt = tmp_path / "gt.jsonl"
@@ -802,6 +802,20 @@ def test_eval_error_names_files_and_frame(tmp_path, scene_file, capsys, monkeypa
     err = _error_of(["eval", "--pred", str(src), "--gt", str(gt), "--config", str(config),
                      "--out", str(tmp_path / "eval.json")], capsys)
     assert f"{src} against {gt}: frame frame_2: degenerate feature" in err
+
+
+@pytest.mark.parametrize("command, gt_option", [("loss", "--labels"), ("eval", "--gt")])
+@pytest.mark.parametrize("side", ["predictions", "ground truth"])
+def test_duplicate_frame_error_names_files_and_id(tmp_path, scene_file, capsys, command,
+                                                  gt_option, side):
+    src, frames = scene_file
+    repeated = tmp_path / "repeated.jsonl"
+    write_scenes([*frames, frames[1]], repeated)
+    pred, gt = (repeated, src) if side == "predictions" else (src, repeated)
+    err = _error_of([command, "--pred", str(pred), gt_option, str(gt),
+                     "--out", str(tmp_path / "out.json")], capsys)
+    assert err.splitlines() == [
+        f"error: {pred} against {gt}: duplicate frame ids in {side}: frame_1"]
 
 
 def test_mine_error_names_files_and_frame(tmp_path, capsys, monkeypatch):

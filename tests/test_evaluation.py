@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import math
 import random
-import re
 import tracemalloc
 
 import numpy as np
@@ -520,34 +519,3 @@ class TestEvaluateAgainstPerThresholdGreedy:
             tracemalloc.stop()
         assert report.counts[1.5][0] == 50
         assert peak < 64e6
-
-
-class TestDensifiedMatchesPerFeatureResample:
-    """evaluate's densify resamples a frame's features in one stacked pass;
-    MapFeature.resampled, one feature at a time, is the oracle."""
-
-    @pytest.mark.parametrize("n", [2, 7, 30])
-    def test_same_features_bit_for_bit(self, n):
-        rng = np.random.default_rng(600 + n)
-        features = [random_feature(rng, n=int(rng.integers(2, 12))) for _ in range(40)]
-        got = evaluation._densified(features, n)
-        want = [f.resampled(n) for f in features]
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert g == w
-            assert g.points.tobytes() == w.points.tobytes()
-        # A feature that already has n points is passed through as it is.
-        assert all(g is f for g, f in zip(got, features) if f.n_points == n)
-
-    def test_same_first_fault(self):
-        rng = np.random.default_rng(7)
-        point = np.array([[3.0, 4.0], [3.0, 4.0]])
-        degenerate = line_feature().with_points(point)
-        features = [random_feature(rng, n=5), degenerate, random_feature(rng, n=9)]
-        with pytest.raises(ValueError) as want:
-            [f.resampled(12) for f in features]
-        with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
-            evaluation._densified(features, 12)
-
-    def test_empty(self):
-        assert evaluation._densified([], 10) == []

@@ -1,0 +1,67 @@
+"""Lint: every name a priormap module imports is used in that module.
+
+The one exemption is an import line marked `# unused here; bench/tracing.py`:
+the benchmark's tracing counts calls through that name on that module, so
+each such name must be one that bench/tracing.py patches on that module.
+"""
+from __future__ import annotations
+
+import ast
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import priormap
+
+SRC = Path(priormap.__file__).resolve().parent
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+MARK = "# unused here; bench/tracing.py"
+
+#: Prints the (module, name) pairs that bench/tracing.py's install patches.
+_PATCHED_PROBE = """
+import json, sys
+sys.path[:0] = sys.argv[1:]
+import tracing
+saved = tracing.install(tracing.Tracer())
+print(json.dumps(sorted({(module.__name__, name) for module, name, _ in saved})))
+"""
+
+
+@pytest.fixture(scope="module")
+def patched() -> set[tuple[str, str]]:
+    # In a child process: importing the benchmark pins environment variables.
+    done = subprocess.run([sys.executable, "-c", _PATCHED_PROBE, str(BENCH), str(SRC.parent)],
+                          capture_output=True, text=True, timeout=120, check=True)
+    return {tuple(pair) for pair in json.loads(done.stdout)}
+
+
+def _imports(tree: ast.Module):
+    """(bound name, line number) of every name an import binds, but those
+    of `from __future__ import`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], alias.lineno
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_import_is_used(path, patched):
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    module = "priormap" if path.stem == "__init__" else f"priormap.{path.stem}"
+    dead, pins = [], []
+    for name, line in _imports(tree):
+        if MARK in lines[line - 1]:
+            pins.append(name)
+            assert name not in used, f"{path.name}:{line}: {name} is used; drop the mark"
+        elif name not in used:
+            dead.append(f"{path.name}:{line}: {name}")
+    assert dead == []
+    assert [name for name in pins if (module, name) not in patched] == []

@@ -1045,7 +1045,7 @@ class TestMatchedLoss:
 
 class TestSetBuildResamplesOnce:
     """The prediction and label sets resample a frame's features in one
-    resample_polylines pass; the per-feature MapFeature.resampled path is
+    resampled_features pass; the per-feature MapFeature.resampled path is
     the oracle."""
 
     @staticmethod

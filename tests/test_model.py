@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,7 +25,12 @@ from priormap import (
     resample_polyline,
     resample_polylines,
 )
-from priormap.model import polyline_length, ring_fault, with_stacked_points
+from priormap.model import (
+    polyline_length,
+    resampled_features,
+    resampled_pieces,
+    ring_fault,
+)
 
 
 def _reference_arc_lengths(pts: np.ndarray, closed: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -385,30 +391,54 @@ class TestWithPoints:
         assert str(fast.value) == str(slow.value)
 
 
-class TestWithStackedPoints:
-    def test_matches_with_points_and_replace(self):
+class TestResampledPieces:
+    """resampled_pieces against its per-feature form,
+    f.with_points(resample_polyline(piece, n, closed))."""
+
+    @pytest.mark.parametrize("confidence", [None, 1.0])
+    def test_matches_per_feature_resample(self, confidence):
         rng = np.random.default_rng(41)
         feats = [random_feature(rng, n=5, confidence=float(rng.uniform())) for _ in range(30)]
-        stack = rng.normal(0.0, 50.0, (30, 7, 2))
-        got = with_stacked_points(feats, stack.copy())
-        for a, f, p in zip(got, feats, stack):
-            assert TestWithPoints._same(a, f.with_points(p))
-        got = with_stacked_points(feats, stack.copy(), confidence=1.0)
-        for a, f, p in zip(got, feats, stack):
-            if f.invariance is InvarianceClass.POLYGON and ring_fault(p):
-                continue
-            assert TestWithPoints._same(a, dataclasses.replace(f, points=p, confidence=1.0))
+        pieces = [rng.normal(0.0, 50.0, (int(rng.integers(2, 9)), 2)) for _ in feats]
+        got = resampled_pieces(feats, pieces, 7, confidence)
+        assert len(got) == len(feats)
+        for a, f, p in zip(got, feats, pieces):
+            want = f.with_points(resample_polyline(p, 7, f.invariance is InvarianceClass.POLYGON))
+            if confidence is not None:
+                want = dataclasses.replace(want, confidence=confidence)
+            assert TestWithPoints._same(a, want)
+            assert not a.points.flags.writeable
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_error_matches_with_points(self, bad):
-        feats = [line_feature(n=3), line_feature(y=2.0, n=3)]
-        stack = np.zeros((2, 3, 2))
-        stack[1, 2, 0] = bad
-        with pytest.raises(ValueError) as slow:
-            feats[1].with_points(stack[1])
-        with pytest.raises(ValueError) as fast:
-            with_stacked_points(feats, stack)
-        assert str(fast.value) == str(slow.value)
+
+class TestResampledFeatures:
+    """resampled_features resamples in one stacked pass; MapFeature.resampled,
+    one feature at a time, is the oracle."""
+
+    @pytest.mark.parametrize("n", [2, 7, 30])
+    def test_same_features_bit_for_bit(self, n):
+        rng = np.random.default_rng(600 + n)
+        features = [random_feature(rng, n=int(rng.integers(2, 12))) for _ in range(40)]
+        got = resampled_features(features, n)
+        want = [f.resampled(n) for f in features]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g == w
+            assert g.points.tobytes() == w.points.tobytes()
+        # A feature that already has n points is passed through as it is.
+        assert all(g is f for g, f in zip(got, features) if f.n_points == n)
+
+    def test_same_first_fault(self):
+        rng = np.random.default_rng(7)
+        point = np.array([[3.0, 4.0], [3.0, 4.0]])
+        degenerate = line_feature().with_points(point)
+        features = [random_feature(rng, n=5), degenerate, random_feature(rng, n=9)]
+        with pytest.raises(ValueError) as want:
+            [f.resampled(12) for f in features]
+        with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+            resampled_features(features, 12)
+
+    def test_empty(self):
+        assert resampled_features([], 10) == []
 
 
 class TestPadding:
