@@ -16,6 +16,7 @@ import importlib
 import json
 import sys
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -85,8 +86,7 @@ def _write_manifest(
         "tool_version": __version__,
         "wall_time_s": wall_time_s,
     }
-    path = out_path.with_name(out_path.name + ".manifest.json")
-    path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    _write_json(out_path.with_name(out_path.name + ".manifest.json"), manifest)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -184,32 +184,13 @@ def _dims_from(args: argparse.Namespace) -> ModelDims:
     return ModelDims(m=args.m_max, n_points=args.n_points)
 
 
-def _write_svgs(
-    out_dir: Path, frames: Sequence[MapFrame], overlay: Sequence[MapFrame] | None
-) -> None:
-    """One SVG per frame, named by frame id; with an overlay, the overlay
-    frame of the same id is drawn over it as the prediction layer."""
-    _bind("render")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    by_id = {f.frame_id: f for f in overlay or ()}
-    if overlay is not None:
-        missing = sorted(f.frame_id for f in frames if f.frame_id not in by_id)
-        if missing:
-            raise ValueError(f"overlay is missing frame(s): {', '.join(missing)}")
-    for frame in frames:
-        layers = [("ground_truth", frame)]
-        if overlay is not None:
-            layers.append(("prediction", by_id[frame.frame_id]))
-        write_frame_svg(out_dir / f"{frame.frame_id}.svg", layers)
-
-
 def cmd_perturb(args: argparse.Namespace) -> Run:
     _bind("perturb")
     with _naming(args.recipe):
         recipe = recipe_from_dict(load_json_config(args.recipe))
     if args.seed is not None:
         recipe = replace(recipe, master_seed=args.seed)
-    dims = _dims_from(args)
+    dims = ModelDims(m=args.m_max)
     frames = read_scenes(args.scenes)
 
     def perturb(frame: MapFrame) -> MapFrame:
@@ -220,7 +201,7 @@ def cmd_perturb(args: argparse.Namespace) -> Run:
     out_path = Path(args.out)
     write_scenes(out_frames, out_path)
     print(f"perturbed {len(out_frames)} frame(s) -> {out_path}")
-    config = {"recipe": recipe_to_dict(recipe), "n_points": dims.n_points, "m_max": dims.m}
+    config = {"recipe": recipe_to_dict(recipe), "m_max": dims.m}
     return out_path, config, [args.scenes, args.recipe], recipe.master_seed
 
 
@@ -289,9 +270,6 @@ def cmd_eval(args: argparse.Namespace) -> Run:
         report = evaluate(preds, gts, config)
     out_path = Path(args.out)
     _write_json(out_path, report.to_dict())
-    if args.render_dir:
-        # evaluate has already paired the frames 1:1 by id.
-        _write_svgs(Path(args.render_dir), gts, preds)
     _print_eval_table(report)
     hashed = {**asdict(config), "classes": [c.value for c in config.classes]}
     return out_path, hashed, [args.pred, args.gt], None
@@ -376,11 +354,45 @@ def cmd_mine(args: argparse.Namespace) -> Run:
     return Path(args.out_prior), config, [args.old, args.new, args.trajectory], None
 
 
+def _file_name_faults(path: str, frames: Sequence[MapFrame]) -> list[str]:
+    """What keeps the frame ids of a scene file from naming one SVG file
+    each in the output directory: ids that repeat, and ids that are no
+    plain file name (a path separator, '.', '..' or a NUL)."""
+    ids = [f.frame_id for f in frames]
+    repeated = sorted(i for i, n in Counter(ids).items() if n > 1)
+    unsafe = sorted({i for i in ids if Path(i).name != i or i == ".." or "\0" in i})
+    faults = []
+    if repeated:
+        faults.append(f"{path}: repeated frame id(s): {', '.join(map(repr, repeated))}")
+    if unsafe:
+        faults.append(f"{path}: frame id(s) that are no plain file name: "
+                      f"{', '.join(map(repr, unsafe))}")
+    return faults
+
+
 def cmd_render(args: argparse.Namespace) -> Run:
+    """One SVG per frame, named by frame id; with an overlay, the overlay
+    frame of the same id is drawn over it as the prediction layer. The ids
+    are checked before any file is written."""
     frames = read_scenes(args.scenes)
     overlay = read_scenes(args.overlay) if args.overlay else None
+    faults = _file_name_faults(args.scenes, frames)
+    if overlay is not None:
+        faults += _file_name_faults(args.overlay, overlay)
+        by_id = {f.frame_id: f for f in overlay}
+        missing = sorted(f.frame_id for f in frames if f.frame_id not in by_id)
+        if missing:
+            faults.append(f"overlay is missing frame(s): {', '.join(missing)}")
+    if faults:
+        raise ValueError("; ".join(faults))
+    _bind("render")
     out_dir = Path(args.out_dir)
-    _write_svgs(out_dir, frames, overlay)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for frame in frames:
+        layers = [("ground_truth", frame)]
+        if overlay is not None:
+            layers.append(("prediction", by_id[frame.frame_id]))
+        write_frame_svg(out_dir / f"{frame.frame_id}.svg", layers)
     print(f"rendered {len(frames)} frame(s) -> {out_dir}")
     inputs = [args.scenes] + ([args.overlay] if args.overlay else [])
     return out_dir / "render", {"overlay": bool(args.overlay)}, inputs, None
@@ -399,7 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output scene file")
     p.add_argument("--seed", type=int, default=None, help="override the recipe master seed")
     p.add_argument("--jobs", type=int, default=1, help="worker threads over frames")
-    _dims_args(p)
+    p.add_argument("--m-max", type=int, default=DEFAULT_DIMS.m,
+                   help="most features a frame keeps, after duplication and the final clip")
     p.set_defaults(fn=cmd_perturb)
 
     p = sub.add_parser("loss", help="set-matching loss of predictions against labels")
@@ -418,7 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thresholds", type=_thresholds, default=None,
                    help="comma-separated Chamfer thresholds in meters")
     p.add_argument("--out", required=True, help="output report JSON")
-    p.add_argument("--render-dir", default=None, help="emit per-frame SVG overlays here")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("diff", help="diff two map versions into a change report")

@@ -222,9 +222,13 @@ def _class_pass(
 
     The L1 adds one (P, rows, k) pass of |dx| + |dy| per control point in
     order, so like the penalty each entry depends on its own pair alone.
-    The permutation argmin breaks ties toward the lowest canonical index;
-    with a non-zero joint weight it runs on the blended positional-plus-
-    direction objective, which needs the penalty under every permutation.
+    Each pair's permutation is the argmin of those rounded sums, the lowest
+    canonical index among equal sums. Permutations whose exact L1 ties can
+    round to different sums, and then the lowest rounded one wins: when a
+    prediction and a label do not overlap in x and in y, every permutation
+    has the same exact L1, so rounding alone picks it. With a non-zero
+    joint weight the argmin runs on the blended positional-plus-direction
+    objective, which needs the penalty under every permutation.
     """
     pred = pred_points[:, perms].transpose(2, 3, 1, 0)  # (n, 2, P, rows)
     label = label_points.transpose(1, 2, 0)  # (n, 2, k)

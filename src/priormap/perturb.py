@@ -101,36 +101,25 @@ class MutationSpec:
 
 @dataclass(frozen=True)
 class PerturbRecipe:
-    """Ordered mutation list plus the master seed that keys every stream."""
+    """Ordered mutation list plus the master seed that keys every stream. A
+    mutation may be given as its JSON object, as in a recipe file."""
 
     mutations: tuple[MutationSpec, ...]
     master_seed: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mutations", tuple(self.mutations))
-        object.__setattr__(self, "master_seed", int(self.master_seed))
+        if not isinstance(self.mutations, (list, tuple)):
+            raise ValueError(f"mutations must be a list, got {self.mutations!r}")
+        object.__setattr__(self, "mutations", tuple(
+            m if isinstance(m, MutationSpec) else read_config(MutationSpec, m, f"mutations[{i}]")
+            for i, m in enumerate(self.mutations)))
+        if isinstance(self.master_seed, bool) or not isinstance(self.master_seed, int):
+            raise ValueError(f"master_seed must be an integer, got {self.master_seed!r}")
 
 
 def recipe_from_dict(raw: Mapping) -> PerturbRecipe:
-    """Parse a recipe config; unknown keys are rejected at every level."""
-    rec = dict(raw)
-    if "master_seed" not in rec:
-        raise ValueError("recipe: missing 'master_seed'")
-    seed = rec.pop("master_seed")
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ValueError("recipe: 'master_seed' must be an integer")
-    raw_muts = rec.pop("mutations", [])
-    if rec:
-        raise ValueError(f"recipe: unknown key(s): {', '.join(sorted(rec))}")
-    if not isinstance(raw_muts, list):
-        raise ValueError("recipe: 'mutations' must be a list")
-    mutations = []
-    for i, m in enumerate(raw_muts):
-        where = f"recipe.mutations[{i}]"
-        if isinstance(m, dict) and "perlin" in m:
-            m = {**m, "perlin": read_config(PerlinParams, m["perlin"], f"{where}.perlin")}
-        mutations.append(read_config(MutationSpec, m, where))
-    return PerturbRecipe(mutations=tuple(mutations), master_seed=seed)
+    """Read a recipe config, in which mutations may be left out."""
+    return read_config(PerturbRecipe, {"mutations": [], **raw}, "recipe")
 
 
 def recipe_to_dict(recipe: PerturbRecipe) -> dict:

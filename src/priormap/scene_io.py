@@ -15,10 +15,10 @@ import json
 import math
 import sys
 from collections import Counter
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -303,18 +303,41 @@ def frame_from_record(record: dict) -> MapFrame:
 _T = TypeVar("_T")
 
 
+def _numbered_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """The lines of a UTF-8 text file, numbered from 1. A line that is no
+    UTF-8 raises a SceneFormatError naming it, once every line before it
+    has been yielded."""
+    lineno = 0
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                yield lineno, line
+    except UnicodeDecodeError:
+        # The decoder reads ahead, so the bad line is line lineno + 1 or a
+        # later one. Read on from there with each undecodable byte kept as
+        # a lone surrogate, which no UTF-8 text holds: lines split as they
+        # do above, and the first that holds a surrogate is the bad one.
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+            for lineno, line in enumerate(islice(fh, lineno, None), start=lineno + 1):
+                try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise SceneFormatError(f"{path}: line {lineno}: {exc}") from None
+                yield lineno, line
+
+
 def _read_records(path: str | Path, parse: Callable[[dict], _T]) -> list[_T]:
-    """Parse every non-blank line of a line-delimited file in order; a
-    record that fails is reported with the file and its line number."""
+    """Parse every non-blank line of a line-delimited file in order; the
+    first fault in the file, a record that fails or a line that is no
+    UTF-8, is reported with the file and its line number."""
     out: list[_T] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                out.append(parse(_loads(line)))
-            except SceneFormatError as exc:
-                raise SceneFormatError(f"{path}: line {lineno}: {exc}") from None
+    for lineno, line in _numbered_lines(path):
+        if not line.strip():
+            continue
+        try:
+            out.append(parse(_loads(line)))
+        except SceneFormatError as exc:
+            raise SceneFormatError(f"{path}: line {lineno}: {exc}") from None
     return out
 
 

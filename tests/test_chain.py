@@ -95,7 +95,8 @@ def test_mine_perturb_loss_eval_never_fails(case):
         _run(["mine", "--old", str(d / "old.jsonl"), "--new", str(d / "new.jsonl"),
               "--trajectory", str(d / "drive.jsonl"), *mine, *dims,
               "--out-prior", prior, "--out-gt", gt])
-        _run(["perturb", "--scenes", prior, "--recipe", str(d / "recipe.json"), *dims,
+        # perturb takes --m-max alone: it resamples nothing.
+        _run(["perturb", "--scenes", prior, "--recipe", str(d / "recipe.json"), *dims[2:],
               "--out", pred])
         _run(["loss", "--pred", pred, "--labels", gt, *dims, "--out", str(d / "loss.json")])
         _run(["eval", "--pred", pred, "--gt", gt, "--out", str(d / "eval.json")])

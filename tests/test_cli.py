@@ -4,8 +4,10 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -246,13 +248,17 @@ class TestEvalCommand:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_threshold_override_and_render(self, tmp_path, scene_file):
+        # eval writes no SVG: render draws the same pair of files.
         src, frames = scene_file
         out = tmp_path / "eval.json"
         render_dir = tmp_path / "render"
         assert main(["eval", "--pred", str(src), "--gt", str(src), "--out", str(out),
-                     "--thresholds", "0.2,0.4", "--render-dir", str(render_dir)]) == 0
+                     "--thresholds", "0.2,0.4"]) == 0
         report = json.loads(out.read_text())
         assert list(report["counts"]) == ["0.2", "0.4"]
+        assert not render_dir.exists()
+        assert main(["render", "--scenes", str(src), "--overlay", str(src),
+                     "--out-dir", str(render_dir)]) == 0
         assert sorted(p.name for p in render_dir.glob("*.svg")) == sorted(
             f"{f.frame_id}.svg" for f in frames
         )
@@ -421,27 +427,23 @@ class TestRenderCommand:
         assert main(["render", "--scenes", str(src), "--out-dir", str(out_dir)]) == 0
         assert len(list(out_dir.glob("*.svg"))) == len(frames)
 
-
-    def test_eval_render_dir_matches_render_overlay(self, tmp_path, scene_file):
+    @pytest.mark.parametrize("side", ["scenes", "overlay"])
+    @pytest.mark.parametrize("frame_id, fault", [
+        ("../escaped", "frame id(s) that are no plain file name: '../escaped'"),
+        ("a/b", "frame id(s) that are no plain file name: 'a/b'"),
+        ("..", "frame id(s) that are no plain file name: '..'"),
+        ("frame_1", "repeated frame id(s): 'frame_1'"),
+    ])
+    def test_frame_ids_must_name_one_file_each(self, tmp_path, scene_file, capsys,
+                                               side, frame_id, fault):
         src, frames = scene_file
-        rng = np.random.default_rng(8)
-        noisy = [
-            frame.with_features([f.with_points(f.points + rng.normal(0, 0.5, f.points.shape))
-                                 for f in frame.features])
-            for frame in reversed(frames)
-        ]
-        pred = tmp_path / "pred.jsonl"
-        write_scenes(noisy, pred)
-        via_eval, via_render = tmp_path / "eval_svg", tmp_path / "render_svg"
-        assert main(["eval", "--pred", str(pred), "--gt", str(src),
-                     "--out", str(tmp_path / "eval.json"), "--render-dir", str(via_eval)]) == 0
-        assert main(["render", "--scenes", str(src), "--overlay", str(pred),
-                     "--out-dir", str(via_render)]) == 0
-        svgs = sorted(p.name for p in via_eval.glob("*.svg"))
-        assert svgs == sorted(f"{f.frame_id}.svg" for f in frames)
-        assert sorted(p.name for p in via_render.glob("*.svg")) == svgs
-        for name in svgs:
-            assert (via_eval / name).read_bytes() == (via_render / name).read_bytes()
+        bad = tmp_path / "bad.jsonl"
+        write_scenes([*frames, replace(frames[0], frame_id=frame_id)], bad)
+        files = ["--scenes", str(bad)] if side == "scenes" else [
+            "--scenes", str(src), "--overlay", str(bad)]
+        err = _error_of(["render", *files, "--out-dir", str(tmp_path / "out" / "svg")], capsys)
+        assert err == f"error: {bad}: {fault}\n"
+        assert sorted(p.name for p in tmp_path.rglob("*.svg")) == []
 
 
 def _canonical_hash(config: dict) -> str:
@@ -462,7 +464,7 @@ def _manifest_case(command: str, tmp_path, scenes):
         argv = ["perturb", "--scenes", str(scenes), "--recipe", str(recipe),
                 "--out", str(out), "--seed", "99"]
         config = {"recipe": {"master_seed": 99, "mutations": [{"kind": "drop_features", "p": 0.1}]},
-                  "n_points": 20, "m_max": 50}
+                  "m_max": 50}
         return argv, out, config, [scenes, recipe], 99
     if command == "loss":
         argv = ["loss", "--pred", str(scenes), "--labels", str(copy), "--out", str(out),
@@ -503,16 +505,43 @@ def test_manifest_of_every_subcommand(tmp_path, scene_file, command):
     assert manifest["config_hash"] == _canonical_hash(config)
 
 
-def test_every_option_has_help_text():
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
     parser = build_parser()
-    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_every_option_has_help_text():
     missing = [
         f"{name} {action.option_strings[0]}"
-        for name, sub in subcommands.choices.items()
+        for name, sub in _subcommands().items()
         for action in sub._actions
         if action.option_strings and not action.help
     ]
     assert missing == []
+
+
+def _parser_options() -> dict[str, set[str]]:
+    return {name: {option for action in sub._actions for option in action.option_strings
+                   if option not in ("-h", "--help")}
+            for name, sub in _subcommands().items()}
+
+
+def _readme_synopsis() -> dict[str, set[str]]:
+    """The options of each subcommand in README's CLI synopsis, the first
+    sh block of its CLI section."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```sh\n(.*?)```", text[text.index("## CLI"):], re.S).group(1)
+    synopsis: dict[str, set[str]] = {}
+    for line in block.replace("\\\n", " ").splitlines():
+        if line.startswith("priormap "):
+            command = line.split()[1]
+            assert command not in synopsis, f"{command} is shown twice"
+            synopsis[command] = set(re.findall(r"--[a-z][a-z-]*", line))
+    return synopsis
+
+
+def test_readme_synopsis_lists_every_option():
+    assert _readme_synopsis() == _parser_options()
 
 
 _STARTUP_PROBE = """
@@ -536,8 +565,7 @@ _LAYERS_LOADED = {
     "render": ["render"],
     "perturb": ["config", "perlin", "perturb", "rng"],
     "loss": ["config", "matching", "solver"],
-    "eval": ["config", "evaluation", "render"],  # with --render-dir
-    "eval-without-render-dir": ["config", "evaluation"],
+    "eval": ["config", "evaluation"],
     "diff": ["changes", "config", "evaluation", "solver"],
     "mine": ["changes", "config", "evaluation", "solver"],
 }
@@ -572,18 +600,14 @@ def _startup_argv(command: str, tmp_path, scenes) -> list[str]:
         recipe.write_text(json.dumps(recipe_to_dict(low_all_noise_recipe(5))))
         return ["perturb", "--scenes", str(scenes), "--recipe", str(recipe),
                 "--out", str(tmp_path / "out.jsonl")]
-    if command.startswith("eval"):
-        argv = ["eval", "--pred", str(scenes), "--gt", str(scenes),
+    if command == "eval":
+        return ["eval", "--pred", str(scenes), "--gt", str(scenes),
                 "--out", str(tmp_path / "eval.json")]
-        if command == "eval-without-render-dir":
-            return argv
-        return [*argv, "--render-dir", str(tmp_path / "svg")]
     return ["render", "--scenes", str(scenes), "--overlay", str(scenes),
             "--out-dir", str(tmp_path / "svg")]
 
 
-@pytest.mark.parametrize("command", ["--help", "perturb", "eval", "eval-without-render-dir",
-                                     "render"])
+@pytest.mark.parametrize("command", ["--help", "perturb", "eval", "render"])
 def test_subcommands_without_assignment_start_without_scipy(tmp_path, scene_file, command):
     probe = _fresh_process(_startup_argv(command, tmp_path, scene_file[0]))
     assert probe == {"rc": 0, "scipy_optimize": False, "solver": False, "futures": False,
@@ -690,7 +714,7 @@ def test_perturb_rejects_out_of_bounds_recipe_at_load(tmp_path, scene_file, caps
     out = tmp_path / "out.jsonl"
     err = _error_of(["perturb", "--scenes", str(src), "--recipe", str(recipe),
                      "--out", str(out)], capsys)
-    assert err == (f"error: {recipe}: recipe.mutations[1]: jitter_control_points: "
+    assert err == (f"error: {recipe}: recipe: mutations[1]: jitter_control_points: "
                    "sigma must be at most 1e+06\n")
     assert not out.exists()
 
@@ -741,10 +765,10 @@ _HUGE = "1" + "0" * 400
     ("eval", '{"classes": "lane_center"}',
      "eval config: classes must be a list of class names, got 'lane_center'"),
     ("perturb", '{"master_seed": 1, "mutations": [{"kind": "shift_features", "sigma": %s}]}' % _HUGE,
-     f"recipe.mutations[0]: shift_features: sigma must be a finite number, got {_HUGE}"),
+     f"recipe: mutations[0]: shift_features: sigma must be a finite number, got {_HUGE}"),
     ("perturb", '{"master_seed": 1, "mutations": [{"kind": "perlin_warp", "sigma": 1, '
                 '"perlin": {"persistence": 1e200, "octaves": 2}}]}',
-     "recipe.mutations[0].perlin: the largest octave amplitude, "
+     "recipe: mutations[0]: perlin: the largest octave amplitude, "
      "max(1, persistence**(octaves - 1)), must be at most 1e+100, got 1e+200"),
 ])
 def test_bad_config_value_is_one_error_line(tmp_path, scene_file, capsys, command, text, message):
@@ -779,6 +803,22 @@ def test_overflowing_weights_are_one_error_line(tmp_path, scene_file):
     assert done.returncode == 1
     assert done.stderr.splitlines() == [
         f"error: {config}: weights: class_weight must be at most 1e+06"]
+
+
+def test_undecodable_input_is_one_error_line_naming_the_first_fault(tmp_path):
+    # Line 2 lacks its yaw and line 3 holds a byte that is no UTF-8; a
+    # fresh interpreter, so that a traceback would show.
+    old, new = _moved_curb_maps(tmp_path)
+    traj = tmp_path / "traj.jsonl"
+    traj.write_bytes(b'{"t":0.0,"x":0.0,"y":0.0,"yaw":0.0}\n{"t":1.0,"x":0.0,"y":0.0}\n'
+                     b'{"t":2.0,"x":\xff0.0,"y":0.0,"yaw":0.0}\n')
+    done = subprocess.run([sys.executable, "-m", "priormap.cli", "mine", "--old", str(old),
+                           "--new", str(new), "--trajectory", str(traj),
+                           "--out-prior", str(tmp_path / "p.jsonl"),
+                           "--out-gt", str(tmp_path / "g.jsonl")],
+                          env=_child_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == [f"error: {traj}: line 2: pose: missing field 'yaw'"]
 
 
 def test_eval_error_names_files_and_frame(tmp_path, scene_file, capsys, monkeypatch):

@@ -181,7 +181,7 @@ def _hash_of_run(tmp_path: Path, command: str, config: dict) -> str:
 @_ROUND_TRIP
 def test_recipe_round_trip(tmp_path, raw):
     assert json.dumps(recipe_to_dict(recipe_from_dict(raw))) == json.dumps(raw)
-    hashed = {"recipe": raw, "n_points": DEFAULT_DIMS.n_points, "m_max": DEFAULT_DIMS.m}
+    hashed = {"recipe": raw, "m_max": DEFAULT_DIMS.m}
     assert _hash_of_run(tmp_path, "perturb", raw) == _config_hash(hashed)
 
 

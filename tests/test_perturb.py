@@ -382,23 +382,64 @@ class TestRecipeConfig:
         ({"kind": "drop_features", "p": True}, "p must be a finite number"),
         ({"kind": "shift_features", "sigma": "0.1"}, "sigma must be a finite number"),
         ({"kind": "perlin_warp", "sigma": 1.0, "perlin": {"grid_scale": float("inf")}},
-         r"\.perlin: grid_scale must be a positive finite number"),
+         r"perlin: grid_scale must be a positive finite number"),
         ({"kind": "perlin_warp", "sigma": 1.0, "perlin": {"octaves": 0}},
-         r"\.perlin: octaves must be an integer of at least 1"),
+         r"perlin: octaves must be an integer of at least 1"),
         ({"kind": "perlin_warp", "sigma": 1.0, "perlin": {"lacunarity": float("nan")}},
-         r"\.perlin: lacunarity must be a positive finite number"),
+         r"perlin: lacunarity must be a positive finite number"),
         ({"kind": "perlin_warp", "sigma": 1.0, "perlin": {"octaves": 10**9}},
-         r"\.perlin: octaves must be at most 32"),
+         r"perlin: octaves must be at most 32"),
         ({"kind": "perlin_warp", "sigma": 1.0, "perlin": {"lacunarity": 1e200, "octaves": 3}},
-         r"\.perlin: the highest octave frequency.* must be at most 1e\+06 per meter, got inf"),
+         r"perlin: the highest octave frequency.* must be at most 1e\+06 per meter, got inf"),
         ({"kind": "perlin_warp", "sigma": 1.0, "perlin": {"persistence": 1e200, "octaves": 2}},
-         r"\.perlin: the largest octave amplitude.* must be at most 1e\+100, got 1e\+200"),
+         r"perlin: the largest octave amplitude.* must be at most 1e\+100, got 1e\+200"),
     ])
     def test_bounds_checked_at_load_and_named(self, entry, message):
         raw = {"master_seed": 1,
                "mutations": [{"kind": "drop_features", "p": 0.1}, entry]}
-        with pytest.raises(ValueError, match=r"^recipe\.mutations\[1\]" + f".*{message}"):
+        with pytest.raises(ValueError, match=r"^recipe: mutations\[1\]: " + f".*{message}"):
             recipe_from_dict(raw)
+
+    @pytest.mark.parametrize("seed", [1.7, True, "5", None])
+    def test_master_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ValueError, match=f"^master_seed must be an integer, got {seed!r}$"):
+            PerturbRecipe(mutations=(), master_seed=seed)
+        with pytest.raises(ValueError, match="^recipe: master_seed must be an integer"):
+            recipe_from_dict({"master_seed": seed, "mutations": []})
+
+    def test_missing_seed_and_optional_mutations(self):
+        with pytest.raises(ValueError, match=r"^recipe: missing key\(s\): master_seed$"):
+            recipe_from_dict({"mutations": []})
+        assert recipe_from_dict({"master_seed": 4}) == PerturbRecipe(mutations=(), master_seed=4)
+
+    def test_dict_mutations_read_as_in_a_file(self):
+        records = [{"kind": "drop_features", "p": 0.2},
+                   {"kind": "perlin_warp", "sigma": 1.0, "perlin": {"grid_scale": 10.0}},
+                   {"kind": "perlin_warp", "sigma": 0.5}]
+        from_file = recipe_from_dict({"master_seed": 3, "mutations": records})
+        assert PerturbRecipe(records, 3) == from_file
+        assert PerturbRecipe(tuple(records), 3) == from_file
+        mixed = PerturbRecipe([from_file.mutations[0], *records[1:]], 3)
+        assert mixed == from_file
+        assert all(isinstance(m, MutationSpec) for m in mixed.mutations)
+
+    @pytest.mark.parametrize("mutations, message", [
+        ({"kind": "drop_features", "p": 0.1}, "mutations must be a list"),
+        ("drop_features", "mutations must be a list"),
+        ([5], r"mutations\[0\]: expected an object"),
+        ([{"kind": "drop_features", "p": 0.1}, {"kind": "fold"}],
+         r"mutations\[1\]: unknown kind 'fold'"),
+        ([{"kind": "drop_features", "p": 2}], r"mutations\[0\]: drop_features: p must lie in"),
+        ([{"kind": "perlin_warp", "sigma": 1, "perlin": {"octaves": 0}}],
+         r"mutations\[0\]: perlin: octaves must be an integer of at least 1"),
+        ([{"kind": "drop_features", "p": 0.1, "perlin": {}}],
+         r"mutations\[0\]: drop_features: parameter 'perlin' does not apply"),
+    ])
+    def test_python_and_file_refuse_alike(self, mutations, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            PerturbRecipe(mutations, 1)
+        with pytest.raises(ValueError, match=f"^recipe: {message}"):
+            recipe_from_dict({"master_seed": 1, "mutations": mutations})
 
     def test_sigma_ceiling_is_inclusive(self):
         spec = MutationSpec(MutationKind.JITTER_CONTROL_POINTS, sigma=MAX_SIGMA)

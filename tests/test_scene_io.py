@@ -659,6 +659,55 @@ class TestBulkTrajectoryRead:
         assert got == want == f"error: {path}: line 2: pose.t: expected a number"
 
 
+def _good_line(read, k: int) -> str:
+    """Line k (from 0) of a valid file of the kind read reads."""
+    if read is read_trajectory:
+        return json.dumps({"t": float(k), "x": 0.0, "y": 0.0, "yaw": 0.0})
+    if read is read_map_version and k == 0:
+        return json.dumps({"version_id": "v"})
+    if read is read_map_version:
+        return json.dumps(sio.feature_to_record(line_feature(y=float(k), n=3)))
+    frame = MapFrame(f"f{k}", Pose2D(0, 0, 0), 90.0, (line_feature(y=float(k), n=3),))
+    return json.dumps(sio.frame_to_record(frame))
+
+
+_BAD_RECORD = {read_scenes: '{"frame_id": "x"}', read_map_version: '{"class": "lane_center"}',
+               read_trajectory: '{"t": 1.0}'}
+_READERS = pytest.mark.parametrize("read", list(_BAD_RECORD),
+                                   ids=["scenes", "map version", "trajectory"])
+
+
+def _file_of(tmp_path, lines: list[str], undecodable: int | None = None):
+    """A file of lines; line undecodable (from 1) gets a 0xff byte after its
+    first character."""
+    data = [line.encode() for line in lines]
+    if undecodable is not None:
+        line = data[undecodable - 1]
+        data[undecodable - 1] = line[:1] + b"\xff" + line[1:]
+    path = tmp_path / "file.jsonl"
+    path.write_bytes(b"".join(line + b"\n" for line in data))
+    return path
+
+
+class TestUndecodableLine:
+    @_READERS
+    @pytest.mark.parametrize("bad", [1, 3, 300])
+    def test_named_by_file_and_line(self, tmp_path, read, bad):
+        # Line 300 lies past the decoder's first read-ahead chunk.
+        path = _file_of(tmp_path, [_good_line(read, k) for k in range(400)], bad)
+        assert _outcome(read, path) == (
+            f"error: {path}: line {bad}: 'utf-8' codec can't decode byte 0xff "
+            "in position 1: invalid start byte")
+
+    @_READERS
+    def test_earlier_record_fault_named_first(self, tmp_path, read):
+        lines = [_good_line(read, k) for k in range(3)]
+        lines[1] = _BAD_RECORD[read]
+        want = _outcome(read, _file_of(tmp_path, lines))
+        assert want.startswith(f"error: {tmp_path / 'file.jsonl'}: line 2: ")
+        assert _outcome(read, _file_of(tmp_path, lines, undecodable=3)) == want
+
+
 def test_polygon_closing_step_counts(tmp_path, monkeypatch):
     # The squares of this ring's open steps underflow, that of its closing
     # step does not: a polygon of positive length, which both paths take.
