@@ -189,7 +189,8 @@ def cmd_perturb(args: argparse.Namespace) -> Run:
     with _naming(args.recipe):
         recipe = recipe_from_dict(load_json_config(args.recipe))
     if args.seed is not None:
-        recipe = replace(recipe, master_seed=args.seed)
+        with _naming("--seed"):
+            recipe = replace(recipe, master_seed=args.seed)
     dims = ModelDims(m=args.m_max)
     frames = read_scenes(args.scenes)
 
@@ -354,13 +355,19 @@ def cmd_mine(args: argparse.Namespace) -> Run:
     return Path(args.out_prior), config, [args.old, args.new, args.trajectory], None
 
 
+#: The most bytes a file name may take on common file systems.
+_NAME_MAX = 255
+
+
 def _file_name_faults(path: str, frames: Sequence[MapFrame]) -> list[str]:
     """What keeps the frame ids of a scene file from naming one SVG file
     each in the output directory: ids that repeat, and ids that are no
-    plain file name (a path separator, '.', '..' or a NUL)."""
+    plain file name (a path separator, '.', '..' or a NUL, or an
+    <id>.svg of more than _NAME_MAX bytes in UTF-8)."""
     ids = [f.frame_id for f in frames]
     repeated = sorted(i for i, n in Counter(ids).items() if n > 1)
-    unsafe = sorted({i for i in ids if Path(i).name != i or i == ".." or "\0" in i})
+    unsafe = sorted({i for i in ids if Path(i).name != i or i == ".." or "\0" in i
+                     or len(f"{i}.svg".encode("utf-8", "surrogatepass")) > _NAME_MAX})
     faults = []
     if repeated:
         faults.append(f"{path}: repeated frame id(s): {', '.join(map(repr, repeated))}")

@@ -115,6 +115,10 @@ class PerturbRecipe:
             for i, m in enumerate(self.mutations)))
         if isinstance(self.master_seed, bool) or not isinstance(self.master_seed, int):
             raise ValueError(f"master_seed must be an integer, got {self.master_seed!r}")
+        # philox_stream keys each part modulo 2**64: seeds outside the range
+        # would alias seeds inside it.
+        if not 0 <= self.master_seed < 2**64:
+            raise ValueError(f"master_seed must lie in [0, 2**64), got {self.master_seed}")
 
 
 def recipe_from_dict(raw: Mapping) -> PerturbRecipe:

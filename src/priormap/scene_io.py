@@ -7,7 +7,9 @@ their shortest exact decimal representation. Readers are strict: unknown
 keys, non-finite numbers, coordinates beyond MAX_COORDINATE, malformed
 records and features no stage can use (zero arc length as a double, or a
 polygon that is no open ring) are rejected with the offending line number
-and field path.
+and field path. Writers refuse what readers refuse of a coordinate,
+fov_side, pose, arc length or polygon: they raise the message the reader
+would give for the line, and write no file.
 """
 from __future__ import annotations
 
@@ -15,8 +17,8 @@ import json
 import math
 import sys
 from collections import Counter
-from itertools import accumulate, chain, islice
-from operator import itemgetter
+from itertools import accumulate, chain
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -48,9 +50,10 @@ def _reject_constant(token: str):
     raise SceneFormatError(f"non-finite number {token!r} is not allowed")
 
 
-#: One decoder for every line: ``json.loads`` with keyword arguments builds a
-#: new one per call.
+#: One decoder and one encoder for every line: ``json.loads`` and
+#: ``json.dumps`` with keyword arguments build a new one per call.
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
 
 
 def _decode(text: str):
@@ -68,10 +71,6 @@ def _loads(line: str) -> dict:
     if not isinstance(obj, dict):
         raise SceneFormatError("record must be a JSON object")
     return obj
-
-
-def _dumps(obj: dict) -> str:
-    return json.dumps(obj, separators=(",", ":"), allow_nan=False)
 
 
 def _take(record: dict, key: str, where: str):
@@ -139,23 +138,66 @@ def _parse_points(raw, where: str) -> np.ndarray:
 _NUMBER_TYPES = {float, int}
 
 
-#: Bounds of _bounded_doubles columns: a point's coordinates, and the t, x,
-#: y and yaw of a pose. A magnitude of at most the largest double is finite.
-_POINT_BOUNDS = (MAX_COORDINATE, MAX_COORDINATE)
-_POSE_BOUNDS = (sys.float_info.max, MAX_COORDINATE, MAX_COORDINATE, sys.float_info.max)
-
-
-def _bounded_doubles(values: list, bounds: tuple[float, ...]) -> np.ndarray | None:
-    """The values as a float64 array of len(bounds) columns, when each is a
-    number (``bool`` is not one) whose double is at most its column's bound
-    in magnitude; else None."""
+def _doubles(values: list, columns: int) -> np.ndarray | None:
+    """The values as a float64 array of the given number of columns, when
+    each is a number (``bool`` is not one) that a double can hold; else
+    None."""
     if set(map(type, values)) - _NUMBER_TYPES:
         return None
     try:
-        flat = np.array(values, dtype=np.float64).reshape(-1, len(bounds))
+        return np.array(values, dtype=np.float64).reshape(-1, columns)
     except OverflowError:  # an integer too large for a double
         return None
-    return flat if (np.abs(flat) <= bounds).all() else None  # False for NaN
+
+
+def _within(values: np.ndarray, bounds: float | tuple[float, ...]) -> bool:
+    """Whether every value is at most its column's bound in magnitude,
+    which no NaN is."""
+    return bool((np.abs(values) <= bounds).all())
+
+
+#: Bounds of the columns t, x, y and yaw of a pose. A magnitude of at most
+#: the largest double is finite.
+_POSE_BOUNDS = (sys.float_info.max, MAX_COORDINATE, MAX_COORDINATE, sys.float_info.max)
+
+
+def _geometry_ok(pts: np.ndarray, lens: Sequence[int], invariances: Sequence[InvarianceClass]) -> bool:
+    """Whether the features (one or more) whose points are the consecutive
+    runs of lens rows of pts, of the given invariances, are what every
+    stage can use: at least 2 points each, every coordinate at most
+    MAX_COORDINATE in magnitude (so finite), polygons keep the polygon
+    rule, and every feature has some step whose squared length
+    dx**2 + dy**2 is positive as a double, a polygon's closing step
+    included (resample_polyline's rule). The one numeric check of
+    features, for readers and writers alike."""
+    if min(lens) < 2 or not _within(pts, MAX_COORDINATE):
+        return False
+    ends = list(accumulate(lens))
+    starts = [0, *ends[:-1]]
+    polygon = InvarianceClass.POLYGON
+    if any(ring_fault(pts[a:b]) for inv, a, b in zip(invariances, starts, ends) if inv is polygon):
+        return False
+    # The step out of each point: to the next point of its feature, and out
+    # of a feature's last point back to its first, which counts for polygons
+    # only. The coordinate bound keeps every square finite.
+    last = np.array(ends) - 1
+    step = np.empty_like(pts)
+    step[:-1] = pts[1:]
+    step[last] = pts[starts]
+    step -= pts
+    step *= step
+    positive = step[:, 0] + step[:, 1] > 0.0
+    positive[last[[inv is not polygon for inv in invariances]]] = False
+    return bool(np.logical_or.reduceat(positive, starts).all())
+
+
+def _features_ok(features: Sequence[MapFeature]) -> bool:
+    """_geometry_ok of built features."""
+    if not features:
+        return True
+    points = list(map(attrgetter("points"), features))
+    return _geometry_ok(np.concatenate(points), list(map(len, points)),
+                        list(map(attrgetter("invariance"), features)))
 
 
 _FEATURE_FIELDS = itemgetter("class", "invariance", "confidence", "points")
@@ -172,11 +214,8 @@ def _bulk_features(records: list) -> list[MapFeature] | None:
     record is an object with exactly the four fields; its class (a real
     one) and invariance are found by dict lookup; each confidence is a
     number (``bool`` is not one) in [0, 1] as a double; each ``points`` is
-    a list of at least 2 pairs, each pair a list of 2 numbers, each number
-    finite as a double and at most MAX_COORDINATE in magnitude; polygons
-    keep the polygon rule, and every feature has some step whose squared
-    length dx**2 + dy**2 is positive as a double, a polygon's closing step
-    included (resample_polyline's rule).
+    a list of pairs, each pair a list of 2 numbers; and the points pass
+    _geometry_ok.
     The points go through one read-only array, of which each feature holds
     a view. Returns None when any check fails; the caller then runs
     feature_from_record on each record, which names the fault.
@@ -197,38 +236,19 @@ def _bulk_features(records: list) -> list[MapFeature] | None:
         return None
     if set(map(type, raws)) - {list}:
         return None
-    lens = list(map(len, raws))
-    if min(lens) < 2:
-        return None
     pairs = list(chain.from_iterable(raws))
     if set(map(type, pairs)) - {list} or set(map(len, pairs)) - {2}:
         return None
-    pts = _bounded_doubles(list(chain.from_iterable(pairs)), _POINT_BOUNDS)
-    if pts is None:
+    pts = _doubles(list(chain.from_iterable(pairs)), 2)
+    lens = list(map(len, raws))
+    if pts is None or not _geometry_ok(pts, lens, invariances):
         return None
     pts.flags.writeable = False
     ends = list(accumulate(lens))
-    starts = [0, *ends[:-1]]
-    polygon = InvarianceClass.POLYGON
-    if any(ring_fault(pts[a:b]) for inv, a, b in zip(invariances, starts, ends) if inv is polygon):
-        return None
-    # The step out of each point: to the next point of its feature, and out
-    # of a feature's last point back to its first, which counts for polygons
-    # only. The coordinate bound keeps every square finite.
-    last = np.array(ends) - 1
-    step = np.empty_like(pts)
-    step[:-1] = pts[1:]
-    step[last] = pts[starts]
-    step -= pts
-    step *= step
-    positive = step[:, 0] + step[:, 1] > 0.0
-    positive[last[[inv is not polygon for inv in invariances]]] = False
-    if not np.logical_or.reduceat(positive, starts).all():
-        return None
     build = MapFeature.from_checked
     return [
         build(cls, inv, pts[a:b], float(c))
-        for cls, inv, a, b, c in zip(classes, invariances, starts, ends, confs)
+        for cls, inv, a, b, c in zip(classes, invariances, [0, *ends], ends, confs)
     ]
 
 
@@ -301,51 +321,64 @@ def frame_from_record(record: dict) -> MapFrame:
 
 
 _T = TypeVar("_T")
+_R = TypeVar("_R")
 
 
 def _numbered_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """The lines of a UTF-8 text file, numbered from 1. A line that is no
     UTF-8 raises a SceneFormatError naming it, once every line before it
     has been yielded."""
-    lineno = 0
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                yield lineno, line
-    except UnicodeDecodeError:
-        # The decoder reads ahead, so the bad line is line lineno + 1 or a
-        # later one. Read on from there with each undecodable byte kept as
-        # a lone surrogate, which no UTF-8 text holds: lines split as they
-        # do above, and the first that holds a surrogate is the bad one.
-        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-            for lineno, line in enumerate(islice(fh, lineno, None), start=lineno + 1):
+    # Each undecodable byte is read as a lone surrogate, which no UTF-8
+    # text holds: such a line cannot go back to bytes and be decoded again.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
                 try:
                     line.encode("utf-8", "surrogateescape").decode("utf-8")
                 except UnicodeDecodeError as exc:
                     raise SceneFormatError(f"{path}: line {lineno}: {exc}") from None
-                yield lineno, line
+            yield lineno, line
+
+
+def _parse_numbered(path: str | Path, numbered: Iterable[tuple[int, _R]],
+                    parse: Callable[[_R], _T]) -> list[_T]:
+    """parse of each item of the (line number, item) pairs, in order; the
+    first fault is reported with the file and its line number."""
+    out: list[_T] = []
+    for lineno, item in numbered:
+        try:
+            out.append(parse(item))
+        except SceneFormatError as exc:
+            raise SceneFormatError(f"{path}: line {lineno}: {exc}") from None
+    return out
 
 
 def _read_records(path: str | Path, parse: Callable[[dict], _T]) -> list[_T]:
     """Parse every non-blank line of a line-delimited file in order; the
     first fault in the file, a record that fails or a line that is no
     UTF-8, is reported with the file and its line number."""
-    out: list[_T] = []
-    for lineno, line in _numbered_lines(path):
-        if not line.strip():
-            continue
-        try:
-            out.append(parse(_loads(line)))
-        except SceneFormatError as exc:
-            raise SceneFormatError(f"{path}: line {lineno}: {exc}") from None
-    return out
+    lines = ((lineno, line) for lineno, line in _numbered_lines(path) if line.strip())
+    return _parse_numbered(path, lines, lambda line: parse(_loads(line)))
+
+
+def _write_records(path: str | Path, records: Iterable[dict]) -> None:
+    """Write one record per line."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for record in records:
+            fh.write(_ENCODER.encode(record))
+            fh.write("\n")
 
 
 def write_scenes(frames: Iterable[MapFrame], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for frame in frames:
-            fh.write(_dumps(frame_to_record(frame)))
-            fh.write("\n")
+    """Write one frame per line. A coordinate, fov_side, pose, arc length or
+    polygon that read_scenes would refuse is refused with the message it
+    would give for the line, and no file is written."""
+    frames = list(frames)
+    bounded = [(f.ego_pose.x, f.ego_pose.y, f.fov_side) for f in frames]
+    features = list(chain.from_iterable(f.features for f in frames))
+    if not (_within(np.array(bounded), MAX_COORDINATE) and _features_ok(features)):
+        _parse_numbered(path, enumerate(map(frame_to_record, frames), start=1), frame_from_record)
+    _write_records(path, map(frame_to_record, frames))
 
 
 def read_scenes(path: str | Path) -> list[MapFrame]:
@@ -380,18 +413,18 @@ def write_map_version(
     feature_ids: Sequence[str] | None = None,
 ) -> None:
     """Write a world-frame map version: a header line, then one feature per
-    line with an optional stable id."""
+    line with an optional stable id. A coordinate, arc length or polygon
+    that read_map_version would refuse is refused with the message it
+    would give for the line, and no file is written."""
     if feature_ids is not None and len(feature_ids) != len(features):
         raise ValueError("feature_ids must match features in length")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_dumps({"version_id": version_id}))
-        fh.write("\n")
-        for k, feat in enumerate(features):
-            rec = feature_to_record(feat)
-            if feature_ids is not None:
-                rec = {"id": feature_ids[k], **rec}
-            fh.write(_dumps(rec))
-            fh.write("\n")
+    if not _features_ok(features):
+        _parse_numbered(path, ((k + 2, k) for k in range(len(features))),
+                        lambda k: feature_from_record(feature_to_record(features[k]), f"feature[{k}]"))
+    records = map(feature_to_record, features)
+    if feature_ids is not None:
+        records = ({"id": i, **rec} for i, rec in zip(feature_ids, records))
+    _write_records(path, chain([{"version_id": version_id}], records))
 
 
 def _map_version_lines(
@@ -441,11 +474,18 @@ def read_map_version(path: str | Path) -> tuple[str, list[MapFeature], list[str]
     return version_id, features, (ids or None)
 
 
+_POSE_FIELDS = itemgetter("t", "x", "y", "yaw")
+
+
 def write_trajectory(poses: Sequence[tuple[float, Pose2D]], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for t, pose in poses:
-            fh.write(_dumps({"t": float(t), "x": pose.x, "y": pose.y, "yaw": pose.yaw}))
-            fh.write("\n")
+    """Write one (t, pose) per line. A t or pose that read_trajectory would
+    refuse is refused with the message it would give for the line, and no
+    file is written."""
+    records = [{"t": float(t), "x": pose.x, "y": pose.y, "yaw": pose.yaw} for t, pose in poses]
+    if not _within(np.array(list(map(_POSE_FIELDS, records))).reshape(-1, 4), _POSE_BOUNDS):
+        _parse_numbered(path, enumerate(records, start=1),
+                        lambda rec: _timed_pose_from_record(dict(rec)))
+    _write_records(path, records)
 
 
 def _timed_pose_from_record(rec: dict) -> tuple[float, Pose2D]:
@@ -453,34 +493,24 @@ def _timed_pose_from_record(rec: dict) -> tuple[float, Pose2D]:
     return t, _pose(rec, "pose")
 
 
-_POSE_FIELDS = itemgetter("t", "x", "y", "yaw")
-
-
-def _bulk_poses(path: str | Path) -> list[tuple[float, Pose2D]] | None:
-    """The (t, pose) records of a trajectory file, checked and built in
-    passes over the whole file.
+def _bulk_poses(records: list[dict]) -> list[tuple[float, Pose2D]] | None:
+    """The (t, pose) of each trajectory record, checked and built in passes
+    over the whole list.
 
     Checks what _timed_pose_from_record checks, with C-level passes: each
-    non-blank line is one JSON object with exactly the fields t, x, y and
-    yaw, each a number (``bool`` is not one) that is finite as a double, x
-    and y at most MAX_COORDINATE in magnitude.
-    Returns None when any check fails, or the file is no UTF-8; the caller
-    then reads the file record by record, which names the first fault and
-    its line.
+    record has exactly the fields t, x, y and yaw, each a number (``bool``
+    is not one) that is finite as a double, x and y at most MAX_COORDINATE
+    in magnitude. Returns None when any check fails; the caller then runs
+    _timed_pose_from_record on each record, which names the fault.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            records = [_decode(line) for line in fh if line.strip()]
-    except (UnicodeDecodeError, json.JSONDecodeError, SceneFormatError):
-        return None
-    if set(map(type, records)) - {dict} or set(map(len, records)) - {4}:
+    if set(map(len, records)) - {4}:
         return None
     try:
         values = list(chain.from_iterable(map(_POSE_FIELDS, records)))
     except KeyError:
         return None
-    flat = _bounded_doubles(values, _POSE_BOUNDS)
-    if flat is None:
+    flat = _doubles(values, 4)
+    if flat is None or not _within(flat, _POSE_BOUNDS):
         return None
     t, x, y, yaw = flat.T.tolist()
     return list(zip(t, map(Pose2D, x, y, yaw)))
@@ -489,10 +519,14 @@ def _bulk_poses(path: str | Path) -> list[tuple[float, Pose2D]] | None:
 def read_trajectory(path: str | Path) -> list[tuple[float, Pose2D]]:
     """Read a trajectory file: one (t, pose) per non-blank line, in order.
 
-    The whole file goes through one _bulk_poses pass. When that fails, the
-    file is read again with each record through _timed_pose_from_record,
-    which names the first fault in the file."""
-    poses = _bulk_poses(path)
+    The records of the whole file go through one _bulk_poses pass. When
+    that or any other check fails, the file is read again with each record
+    through _timed_pose_from_record, which names the first fault in the
+    file."""
+    try:
+        poses = _bulk_poses(_read_records(path, dict))
+    except SceneFormatError:
+        poses = None
     if poses is None:
         poses = _read_records(path, _timed_pose_from_record)
     return poses

@@ -446,6 +446,23 @@ class TestRenderCommand:
         assert sorted(p.name for p in tmp_path.rglob("*.svg")) == []
 
 
+    def test_frame_id_too_long_for_a_file_name(self, tmp_path, capsys):
+        # "é" takes 2 bytes in UTF-8: <id>.svg of 304 bytes, over the 255 a
+        # file name may take. Nothing is written, f0.svg included.
+        long_id = "é" * 150
+        frame = MapFrame("f0", Pose2D(0.0, 0.0, 0.0), 90.0, (line_feature(),))
+        bad = tmp_path / "long.jsonl"
+        write_scenes([frame, replace(frame, frame_id=long_id)], bad)
+        out_dir = tmp_path / "svg"
+        err = _error_of(["render", "--scenes", str(bad), "--out-dir", str(out_dir)], capsys)
+        assert err == f"error: {bad}: frame id(s) that are no plain file name: {long_id!r}\n"
+        assert not out_dir.exists()
+        # 251 bytes: <id>.svg takes exactly 255
+        write_scenes([frame, replace(frame, frame_id="é" * 125 + "a")], bad)
+        assert main(["render", "--scenes", str(bad), "--out-dir", str(out_dir)]) == 0
+        assert len(list(out_dir.glob("*.svg"))) == 2
+
+
 def _canonical_hash(config: dict) -> str:
     canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
@@ -705,6 +722,23 @@ def test_perturb_error_names_file_and_frame(tmp_path, scene_file, capsys, monkey
     assert f"{src}, frame frame_0: points must be finite" in err
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_perturb_seed_outside_the_stream_key_range(tmp_path, scene_file, capsys, seed):
+    # Seeds 0 and 2**64 key the same streams: the second is refused, from a
+    # recipe file and from --seed alike.
+    src, _ = scene_file
+    recipe, out = tmp_path / "recipe.json", tmp_path / "out.jsonl"
+    argv = ["perturb", "--scenes", str(src), "--recipe", str(recipe), "--out", str(out)]
+    message = f"master_seed must lie in [0, 2**64), got {seed}\n"
+    recipe.write_text(json.dumps({"master_seed": seed, "mutations": []}))
+    assert _error_of(argv, capsys) == f"error: {recipe}: recipe: {message}"
+    recipe.write_text(json.dumps({"master_seed": 0, "mutations": []}))
+    assert _error_of([*argv, "--seed", str(seed)], capsys) == f"error: --seed: {message}"
+    assert list(tmp_path.glob("out.jsonl*")) == []
+    assert main([*argv, "--seed", str(2**64 - 1)]) == 0
+    assert json.loads(Path(f"{out}.manifest.json").read_text())["master_seed"] == 2**64 - 1
+
+
 def test_perturb_rejects_out_of_bounds_recipe_at_load(tmp_path, scene_file, capsys):
     src, _ = scene_file
     recipe = tmp_path / "recipe.json"
@@ -932,7 +966,7 @@ def test_far_shift_output_is_valid_loss_input(tmp_path, capsys, seed):
                  "--out", str(tmp_path / "loss.json")]) == 0
     capsys.readouterr()
     wider = MapFrame("f0", Pose2D(0.0, 0.0, 0.0), 1e10, (line_feature(x0=1e9 - 10.0, x1=1e9),))
-    write_scenes([wider], src)
+    src.write_text(json.dumps(frame_to_record(wider)) + "\n")  # write_scenes refuses it
     assert _error_of(["perturb", "--scenes", str(src), "--recipe", str(recipe),
                       "--out", str(out)], capsys) == (
         f"error: {src}: line 1: frame 'f0'.fov_side: must be at most 1e+09 m in magnitude\n")

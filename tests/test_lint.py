@@ -1,8 +1,10 @@
-"""Lint: every name a priormap module imports is used in that module.
+"""Lint: every name a priormap module imports is used in that module, and
+scene_io opens files in one line reader and one line writer only.
 
-The one exemption is an import line marked `# unused here; bench/tracing.py`:
-the benchmark's tracing counts calls through that name on that module, so
-each such name must be one that bench/tracing.py patches on that module.
+The one exemption from the first rule is an import line marked
+`# unused here; bench/tracing.py`: the benchmark's tracing counts calls
+through that name on that module, so each such name must be one that
+bench/tracing.py patches on that module.
 """
 from __future__ import annotations
 
@@ -65,3 +67,14 @@ def test_every_import_is_used(path, patched):
             dead.append(f"{path.name}:{line}: {name}")
     assert dead == []
     assert [name for name in pins if (module, name) not in patched] == []
+
+
+def test_scene_io_opens_files_in_one_reader_and_one_writer():
+    # Every line file is read through _numbered_lines and written through
+    # _write_records, so all formats share one decoding and one encoding.
+    tree = ast.parse((SRC / "scene_io.py").read_text(encoding="utf-8"))
+    enclosing = {node: func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+                 for node in ast.walk(func)}
+    opened_in = [enclosing.get(node) for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", getattr(node.func, "attr", None)) == "open"]
+    assert sorted(opened_in) == ["_numbered_lines", "_write_records"]

@@ -407,6 +407,16 @@ class TestRecipeConfig:
         with pytest.raises(ValueError, match="^recipe: master_seed must be an integer"):
             recipe_from_dict({"master_seed": seed, "mutations": []})
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, -(2**64), 2**64 + 5])
+    def test_master_seed_outside_the_stream_key_range(self, seed):
+        # philox_stream keys by the seed modulo 2**64: 2**64 would alias 0.
+        message = rf"master_seed must lie in \[0, 2\*\*64\), got {seed}$"
+        with pytest.raises(ValueError, match="^" + message):
+            PerturbRecipe(mutations=(), master_seed=seed)
+        with pytest.raises(ValueError, match="^recipe: " + message):
+            recipe_from_dict({"master_seed": seed, "mutations": []})
+        assert PerturbRecipe(mutations=(), master_seed=2**64 - 1).master_seed == 2**64 - 1
+
     def test_missing_seed_and_optional_mutations(self):
         with pytest.raises(ValueError, match=r"^recipe: missing key\(s\): master_seed$"):
             recipe_from_dict({"mutations": []})

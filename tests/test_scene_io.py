@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -97,10 +98,11 @@ def _per_point_scene_bytes(frames) -> bytes:
 
 
 #: Coordinates whose text form is easy to get wrong: signed zero, the
-#: smallest subnormal, the largest double, and values around the switch
-#: to exponent notation.
+#: smallest subnormal, the coordinate bound and the double below it, and
+#: values around the switch to exponent notation. Larger magnitudes are
+#: refused by the writers, as by the readers.
 _AWKWARD = (-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1e-7, 1e-4,
-            1e15, 1e16, 1e22, -1.7976931348623157e308, 1.7976931348623157e308, 3.0, 0.1)
+            1e9, -1e9, 999999999.9999999, 3.0, 0.1)
 
 
 class TestWriterMatchesPerPointOracle:
@@ -112,7 +114,8 @@ class TestWriterMatchesPerPointOracle:
             frame = random_frame(rng, f"frame_{k}", n_features=int(rng.integers(0, 9)))
             features = []
             for f in frame.features:
-                pts = f.points * np.exp(rng.uniform(-40, 40))
+                # the points of the frame's 90 m span stay within MAX_COORDINATE
+                pts = f.points * np.exp(rng.uniform(-40, 16))
                 picks = rng.random(pts.shape) < 0.3
                 pts[picks] = rng.choice(_AWKWARD, size=int(picks.sum()))
                 features.append(f.with_points(pts))
@@ -318,6 +321,84 @@ def test_pose_errors_name_the_field(tmp_path, kind, pose, message):
     with pytest.raises(SceneFormatError) as info:
         (read_scenes if kind == "frame" else read_trajectory)(path)
     assert str(info.value) == f"{path}: line 1: {message}"
+
+
+# A writer refuses what its reader refuses of a coordinate, fov_side, pose,
+# arc length or polygon: it raises the reader's error for the same records,
+# naming the line, and leaves no file.
+
+_FAR = line_feature(x0=0.0, x1=2e9, n=3)
+_FLAT = line_feature(x0=1.0, x1=1.0, n=3)
+#: A polygon that repeats its closing vertex; the constructor refuses it.
+_CLOSED_RING = MapFeature.from_checked(
+    FeatureClass.DRIVEWAY, InvarianceClass.POLYGON,
+    np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 0.0]]), 1.0)
+
+
+def _refused_like_read(tmp_path, write, read, records: list[dict]) -> str:
+    """What write raises, checked against what read raises on a file of
+    the same records; no file may be left. Returns the message after the
+    file name."""
+    out, raw = tmp_path / "out.jsonl", tmp_path / "raw.jsonl"
+    raw.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    with pytest.raises(SceneFormatError) as want:
+        read(raw)
+    with pytest.raises(SceneFormatError) as got:
+        write(out)
+    assert not out.exists()
+    assert str(got.value) == str(want.value).replace(str(raw), str(out))
+    return str(got.value).removeprefix(f"{out}: ")
+
+
+_AT_BOUND = "must be at most 1e+09 m in magnitude"
+
+
+class TestWritersRefuseWhatReadersRefuse:
+    @pytest.mark.parametrize("change, message", [
+        (dict(fov_side=1e10), f"frame 'f1'.fov_side: {_AT_BOUND}"),
+        (dict(ego_pose=Pose2D(0.0, -2e9, 0.0)), f"frame 'f1'.ego_pose.y: {_AT_BOUND}"),
+        (dict(features=(line_feature(), _FAR)), f"frame 'f1'.features[1].points[2][0]: {_AT_BOUND}"),
+        (dict(features=(_FLAT,)), "frame 'f1'.features[0].points: zero arc length"),
+        (dict(features=(_CLOSED_RING,)),
+         "frame 'f1'.features[0].points: polygons must not repeat the closing vertex"),
+    ], ids=["fov_side", "pose", "coordinate", "zero arc length", "polygon rule"])
+    def test_write_scenes(self, tmp_path, change, message):
+        good = MapFrame("f0", Pose2D(0.0, 0.0, 0.0), 90.0, (line_feature(),))
+        frames = [good, replace(good, frame_id="f1", **change), good]
+        got = _refused_like_read(tmp_path, lambda path: write_scenes(frames, path), read_scenes,
+                                 [sio.frame_to_record(f) for f in frames])
+        assert got == f"line 2: {message}"
+
+    @pytest.mark.parametrize("feature, message", [
+        (_FAR, f"feature[1].points[2][0]: {_AT_BOUND}"),
+        (_FLAT, "feature[1].points: zero arc length"),
+        (_CLOSED_RING, "feature[1].points: polygons must not repeat the closing vertex"),
+    ], ids=["coordinate", "zero arc length", "polygon rule"])
+    def test_write_map_version(self, tmp_path, feature, message):
+        features, ids = [line_feature(), feature], ["a", "b"]
+        records = [{"version_id": "v"},
+                   *({"id": i, **sio.feature_to_record(f)} for i, f in zip(ids, features))]
+        got = _refused_like_read(tmp_path, lambda path: write_map_version("v", features, path, ids),
+                                 read_map_version, records)
+        assert got == f"line 3: {message}"
+
+    @pytest.mark.parametrize("pose, message", [
+        (Pose2D(2e9, 0.0, 0.0), f"pose.x: {_AT_BOUND}"),
+        (Pose2D(0.0, -1e9 - 1.0, 0.0), f"pose.y: {_AT_BOUND}"),
+    ], ids=["x", "y"])
+    def test_write_trajectory(self, tmp_path, pose, message):
+        poses = [(0.0, Pose2D(0.0, 0.0, 0.0)), (1.0, pose)]
+        records = [{"t": t, "x": p.x, "y": p.y, "yaw": p.yaw} for t, p in poses]
+        got = _refused_like_read(tmp_path, lambda path: write_trajectory(poses, path),
+                                 read_trajectory, records)
+        assert got == f"line 2: {message}"
+
+    def test_refusal_keeps_an_existing_file(self, tmp_path):
+        path = tmp_path / "traj.jsonl"
+        path.write_text("kept\n")
+        with pytest.raises(SceneFormatError):
+            write_trajectory([(float("inf"), Pose2D(0.0, 0.0, 0.0))], path)
+        assert path.read_text() == "kept\n"
 
 
 #: 401 digits: a JSON integer too large for a double.
@@ -706,6 +787,44 @@ class TestUndecodableLine:
         want = _outcome(read, _file_of(tmp_path, lines))
         assert want.startswith(f"error: {tmp_path / 'file.jsonl'}: line 2: ")
         assert _outcome(read, _file_of(tmp_path, lines, undecodable=3)) == want
+
+
+def _non_ascii_lines(read) -> list[str]:
+    """A valid file of the kind read reads whose line 2 is not ASCII: a
+    frame id "café", a map feature id "ß", or a trajectory's blank line of
+    a no-break space."""
+    if read is read_map_version:
+        ids = ["ß", "b", "c"]
+        return [json.dumps({"version_id": "v"}),
+                *(json.dumps({"id": i, **sio.feature_to_record(line_feature(y=float(k), n=3))},
+                             ensure_ascii=False) for k, i in enumerate(ids))]
+    lines = [_good_line(read, k) for k in range(3)]
+    if read is read_scenes:
+        lines[1] = lines[1].replace('"f1"', '"café"')
+        return lines
+    return [lines[0], "\u00a0", *lines[1:]]
+
+
+class TestNonAsciiLine:
+    @_READERS
+    def test_read_unchanged(self, tmp_path, read):
+        lines = _non_ascii_lines(read)
+        assert not lines[1].isascii()
+        got = read(_file_of(tmp_path, lines))
+        if read is read_scenes:
+            assert [f.frame_id for f in got] == ["f0", "café", "f2"]
+        elif read is read_map_version:
+            assert got[0] == "v" and got[2] == ["ß", "b", "c"]
+            assert got[1] == [line_feature(y=float(k), n=3) for k in range(3)]
+        else:
+            assert got == [(float(k), Pose2D(0.0, 0.0, 0.0)) for k in range(3)]
+
+    @_READERS
+    def test_undecodable_line_after_it_is_named(self, tmp_path, read):
+        path = _file_of(tmp_path, _non_ascii_lines(read), undecodable=3)
+        assert _outcome(read, path) == (
+            f"error: {path}: line 3: 'utf-8' codec can't decode byte 0xff "
+            "in position 1: invalid start byte")
 
 
 def test_polygon_closing_step_counts(tmp_path, monkeypatch):
