@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "changes": (
         "Box", "ChangeReport", "MapVersion", "ScenePair", "SceneWindow", "build_scene_pair",
-        "change_regions", "diff_maps", "mine_frames",
+        "build_scene_pairs", "change_regions", "diff_maps", "mine_frames",
     ),
     "evaluation": (
         "EvalConfig", "EvalReport", "average_precision", "chamfer_distance", "chamfer_matrix",

@@ -13,6 +13,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import asdict, dataclass, field
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -26,7 +27,8 @@ from .model import (
     MapFeature,
     MapFrame,
     Pose2D,
-    clip_to_fov,
+    clip_pieces,
+    clip_to_fov,  # unused here; bench/tracing.py times calls through it
     resample_polyline,  # unused here; bench/tracing.py counts calls through it
     resampled_pieces,
     ring_fault,
@@ -55,6 +57,22 @@ class Box:
 
     def contains_point(self, x: float, y: float) -> bool:
         return self.min_x <= x <= self.max_x and self.min_y <= y <= self.max_y
+
+
+def _bounds(features: Sequence[MapFeature]) -> np.ndarray:
+    """The (k, 4) rows of each feature's bounds(), in one pass per point
+    count over the features of that count. Each column is reduced in point
+    order, as bounds() reduces it, so a tie between 0.0 and -0.0 resolves
+    the same way (np.minimum.reduceat resolves some differently)."""
+    boxes = np.empty((len(features), 4))
+    by_size: dict[int, list[int]] = {}
+    for i, f in enumerate(features):
+        by_size.setdefault(f.n_points, []).append(i)
+    for rows in by_size.values():
+        block = np.stack([features[i].points for i in rows])
+        boxes[rows, :2] = block.min(axis=1)
+        boxes[rows, 2:] = block.max(axis=1)
+    return boxes
 
 
 @dataclass(frozen=True)
@@ -87,7 +105,7 @@ class MapVersion:
             if len(set(ids)) != len(ids):
                 raise ValueError("feature ids must be unique")
             has_ids = True
-        boxes = np.array([f.bounds() for f in feats], dtype=np.float64).reshape(-1, 4)
+        boxes = _bounds(feats)
         boxes.flags.writeable = False
         extent = (
             Box(*boxes[:, :2].min(axis=0).tolist(), *boxes[:, 2:].max(axis=0).tolist())
@@ -310,26 +328,71 @@ class ScenePair:
     ground_truth: MapFrame
 
 
-def _crop_version(
-    version: MapVersion, pose: Pose2D, fov_side: float, n_points: int, frame_id: str
-) -> MapFrame:
+def _crop(version: MapVersion, frames: Sequence[MapFrame], n_points: int) -> list[MapFrame]:
+    """Each frame, empty and of one fov_side, filled with the version's
+    features in its field of view, in its ego frame, each piece resampled
+    to n_points with confidence 1: in one pass over all frames."""
+    if not frames:
+        return []
+    fov_side = frames[0].fov_side
     # Coarse world-frame prefilter: anything reaching the FOV square at any
-    # yaw lies within the circumscribed axis-aligned box.
+    # yaw lies within the circumscribed axis-aligned box. Frame w takes the
+    # features item[window == w], in feature order.
     reach = fov_side * math.sqrt(2.0) / 2.0
-    center = np.array([[pose.x, pose.y]])
-    keep = _overlaps(center - reach, center + reach, version.boxes)[0]
-    nearby = [version.features[i] for i in np.flatnonzero(keep)]
-    ego = [f.with_points(world_to_ego(f.points, pose)) for f in nearby]
-    frame = MapFrame(frame_id=frame_id, ego_pose=pose, fov_side=fov_side, features=tuple(ego))
-    clipped = clip_to_fov(frame)
-    feats = clipped.features
-    out = resampled_pieces(feats, [f.points for f in feats], n_points, confidence=1.0)
+    centers = np.array([(f.ego_pose.x, f.ego_pose.y) for f in frames])
+    window, item = np.nonzero(_overlaps(centers - reach, centers + reach, version.boxes))
+    feats = [version.features[i] for i in item.tolist()]
+    sizes = np.fromiter(map(attrgetter("n_points"), feats), dtype=np.intp, count=len(feats))
+    ego = np.concatenate([f.points for f in feats]) if feats else np.empty((0, 2))
+    # One transform per frame, over the points of all its features.
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    rows = starts[np.searchsorted(window, range(len(frames) + 1))].tolist()
+    for frame, a, b in zip(frames, rows, rows[1:]):
+        ego[a:b] = world_to_ego(ego[a:b], frame.ego_pose)
+    if not np.isfinite(ego).all():
+        raise ValueError("points must be finite (no NaN/Inf)")
+    polygon = np.fromiter((f.invariance is InvarianceClass.POLYGON for f in feats), dtype=bool,
+                          count=len(feats))
+    source, pieces, _ = clip_pieces(ego, sizes, polygon, fov_side / 2.0)
+    out = resampled_pieces(list(map(feats.__getitem__, source.tolist())), pieces, n_points,
+                           confidence=1.0)
     # The one MapFeature check that resampled_pieces skips: the polygon rule.
     for feat in out:
         fault = ring_fault(feat.points) if feat.invariance is InvarianceClass.POLYGON else None
         if fault:
             raise ValueError(fault)
-    return clipped.with_features(out)
+    ends = np.searchsorted(window[source], range(len(frames) + 1)).tolist()
+    return [frame.with_features(out[a:b]) for frame, a, b in zip(frames, ends, ends[1:])]
+
+
+def build_scene_pairs(
+    old: MapVersion,
+    new: MapVersion,
+    poses: Sequence[Pose2D],
+    fov_side: float = 90.0,
+    n_points: int = 20,
+    frame_ids: Sequence[str] | None = None,
+) -> list[ScenePair]:
+    """Cut both map versions to the yaw-aligned FOV square around each pose,
+    in one pass per version: the old version becomes the prior, the new
+    one the ground truth. Pair k is named frame_ids[k], by default after
+    its pose's position."""
+    for pose in poses:
+        for version in (old, new):
+            if not version.extent.contains_point(pose.x, pose.y):
+                raise ValueError(
+                    f"pose ({pose.x:g}, {pose.y:g}) outside extent of map '{version.version_id}'"
+                )
+    if frame_ids is None:
+        frame_ids = [f"pose_{pose.x:.3f}_{pose.y:.3f}" for pose in poses]
+    if len(frame_ids) != len(poses):
+        raise ValueError("frame_ids must match poses in length")
+    frames = [MapFrame(frame_id=fid, ego_pose=pose, fov_side=fov_side)
+              for fid, pose in zip(frame_ids, poses)]
+    priors = _crop(old, frames, n_points)
+    truths = _crop(new, frames, n_points)
+    return [ScenePair(f.frame_id, f.ego_pose, prior, truth)
+            for f, prior, truth in zip(frames, priors, truths)]
 
 
 def build_scene_pair(
@@ -340,14 +403,6 @@ def build_scene_pair(
     n_points: int = 20,
     frame_id: str | None = None,
 ) -> ScenePair:
-    """Cut both map versions to the yaw-aligned FOV square around a pose:
-    the old version becomes the prior, the new one the ground truth."""
-    for version in (old, new):
-        if not version.extent.contains_point(pose.x, pose.y):
-            raise ValueError(
-                f"pose ({pose.x:g}, {pose.y:g}) outside extent of map '{version.version_id}'"
-            )
-    fid = frame_id if frame_id is not None else f"pose_{pose.x:.3f}_{pose.y:.3f}"
-    prior = _crop_version(old, pose, fov_side, n_points, fid)
-    ground_truth = _crop_version(new, pose, fov_side, n_points, fid)
-    return ScenePair(frame_id=fid, pose=pose, prior=prior, ground_truth=ground_truth)
+    """build_scene_pairs at one pose."""
+    frame_ids = None if frame_id is None else [frame_id]
+    return build_scene_pairs(old, new, [pose], fov_side, n_points, frame_ids)[0]

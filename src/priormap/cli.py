@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import importlib
 import json
+import os
 import sys
 import time
 from collections import Counter
@@ -308,23 +309,29 @@ def cmd_mine(args: argparse.Namespace) -> Run:
     trajectory = read_trajectory(args.trajectory)
     old, new, report = _diff(args)
     windows = mine_frames(trajectory, report.regions, fov_side=args.fov, window=args.window)
+    # An FOV can touch a change region from just off the map; such anchors
+    # have no usable crop, so the window is dropped.
+    usable = [(f"window_{k:04d}", win, trajectory[win.anchor_index][1])
+              for k, win in enumerate(windows)]
+    usable = [(fid, win, pose) for fid, win, pose in usable
+              if old.extent.contains_point(pose.x, pose.y)
+              and new.extent.contains_point(pose.x, pose.y)]
+    skipped = len(windows) - len(usable)
+    crop = {"fov_side": args.fov, "n_points": dims.n_points}
+    try:
+        pairs = build_scene_pairs(old, new, [pose for _, _, pose in usable],
+                                  frame_ids=[fid for fid, _, _ in usable], **crop)
+    except ValueError:
+        # Crop again window by window, to name the first frame that fails.
+        for fid, _, pose in usable:
+            with _naming(f"{args.old} to {args.new}, frame {fid}"):
+                build_scene_pairs(old, new, [pose], frame_ids=[fid], **crop)
+        raise
     priors = []
     gts = []
     window_rows = []
-    skipped = overfull = 0
-    for k, win in enumerate(windows):
-        _, pose = trajectory[win.anchor_index]
-        # An FOV can touch a change region from just off the map; such
-        # anchors have no usable crop, so the window is dropped.
-        if not (old.extent.contains_point(pose.x, pose.y)
-                and new.extent.contains_point(pose.x, pose.y)):
-            skipped += 1
-            continue
-        frame_id = f"window_{k:04d}"
-        with _naming(f"{args.old} to {args.new}, frame {frame_id}"):
-            pair = build_scene_pair(
-                old, new, pose, fov_side=args.fov, n_points=dims.n_points, frame_id=frame_id
-            )
+    overfull = 0
+    for (_, win, _), pair in zip(usable, pairs):
         # A crop of more features than the slot count is no valid loss
         # input at these dims; it is dropped whole, not truncated.
         if max(len(pair.prior.features), len(pair.ground_truth.features)) > dims.m:
@@ -359,15 +366,25 @@ def cmd_mine(args: argparse.Namespace) -> Run:
 _NAME_MAX = 255
 
 
+def _plain_file_name(frame_id: str) -> bool:
+    """Whether <frame_id>.svg names one file in the output directory: no
+    path separator, '.', '..' or NUL, and os.fsencode encodes it, in at
+    most _NAME_MAX bytes."""
+    try:
+        encoded = os.fsencode(f"{frame_id}.svg")
+    except UnicodeEncodeError:  # a lone surrogate that stands for no raw byte
+        return False
+    return (Path(frame_id).name == frame_id and frame_id != ".." and b"\0" not in encoded
+            and len(encoded) <= _NAME_MAX)
+
+
 def _file_name_faults(path: str, frames: Sequence[MapFrame]) -> list[str]:
     """What keeps the frame ids of a scene file from naming one SVG file
     each in the output directory: ids that repeat, and ids that are no
-    plain file name (a path separator, '.', '..' or a NUL, or an
-    <id>.svg of more than _NAME_MAX bytes in UTF-8)."""
+    plain file name (_plain_file_name)."""
     ids = [f.frame_id for f in frames]
     repeated = sorted(i for i, n in Counter(ids).items() if n > 1)
-    unsafe = sorted({i for i in ids if Path(i).name != i or i == ".." or "\0" in i
-                     or len(f"{i}.svg".encode("utf-8", "surrogatepass")) > _NAME_MAX})
+    unsafe = sorted({i for i in ids if not _plain_file_name(i)})
     faults = []
     if repeated:
         faults.append(f"{path}: repeated frame id(s): {', '.join(map(repr, repeated))}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -190,6 +191,15 @@ class Pose2D:
                 raise ValueError(f"pose {name} must be finite")
             object.__setattr__(self, name, v)
         object.__setattr__(self, "yaw", normalize_yaw(self.yaw))
+
+    @classmethod
+    def from_checked(cls, x: float, y: float, yaw: float) -> "Pose2D":
+        """A pose from floats the caller has already checked to be finite.
+        It skips __post_init__ and so every check, but yaw is normalized
+        still."""
+        new = object.__new__(cls)
+        new.__dict__.update(x=x, y=y, yaw=normalize_yaw(yaw))
+        return new
 
 
 @dataclass(frozen=True, eq=False)
@@ -425,6 +435,8 @@ def _clip_polylines(a: np.ndarray, b: np.ndarray, owner: np.ndarray, lo: float, 
     (owner, piece) pairs, one per run of surviving segments: a piece goes on
     while the next segment of its owner survives and starts where the last
     ended. Pieces of zero length are dropped."""
+    if not len(a):
+        return []
     alive = np.ones(len(a), dtype=bool)
     for axis, below in _HALFPLANES:
         a_in, b_in, cut, cross = _crossing(a, b, axis, below, hi if below else lo)
@@ -499,49 +511,70 @@ def resampled_features(features: Sequence[MapFeature], n: int) -> list[MapFeatur
     return [f if f.n_points == n else next(done) for f in features]
 
 
-def clip_to_fov(frame: MapFrame) -> MapFrame:
-    """Intersect every feature with the frame's field-of-view square.
+def clip_pieces(
+    points: np.ndarray, sizes: np.ndarray, polygon: np.ndarray, half: float
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """The one field-of-view clip: k features, feature i being the next
+    sizes[i] rows of the (N, 2) points array and a polygon where the bool
+    polygon[i] is set, intersected with the square [-half, half]^2.
 
-    Features entirely inside pass through untouched. Polylines crossing the
-    boundary are split at the boundary and each surviving piece is
-    resampled back to the feature's own point count; polygons are clipped
-    as rings. Fully-outside features are dropped.
+    Returns (source, pieces, cut), the pieces in feature order: piece j is
+    cut from feature source[j], and cut[i] tells whether feature i reaches
+    outside the square. A feature entirely inside is its own one piece, a
+    view of its rows. A crossing polyline is split at the boundary into
+    one piece per run inside, a crossing polygon is clipped as a ring, and
+    each such piece is resampled to its feature's point count, in one pass
+    per point count, read-only. A feature entirely outside gives none.
     """
-    half = frame.fov_side / 2.0
     lo, hi = -half, half
+    k = len(sizes)
+    owner = np.repeat(np.arange(k), sizes)
+    outside = np.any((points < lo) | (points > hi), axis=1)
+    cut = np.bincount(owner[outside], minlength=k) > 0
+    ends = np.cumsum(sizes).tolist()
+    rows = [points[a:b] for a, b in zip([0, *ends], ends)]
+    per_feature = [[r] for r in rows]
+    crossing = np.flatnonzero(cut).tolist()
+    for i in crossing:
+        per_feature[i] = []
+    seg = np.flatnonzero((owner[:-1] == owner[1:]) & (cut & ~polygon)[owner[:-1]])
+    for i, piece in _clip_polylines(points[seg], points[seg + 1], owner[seg], lo, hi):
+        per_feature[i].append(piece)
+    by_size: dict[int, list[tuple[int, int]]] = {}
+    for i in crossing:
+        if polygon[i]:
+            ring = _clip_polygon_box(rows[i], lo, hi)
+            if ring is not None:
+                per_feature[i].append(ring)
+        by_size.setdefault(len(rows[i]), []).extend((i, s) for s in range(len(per_feature[i])))
+    for n, group in by_size.items():
+        stack = resample_polylines([per_feature[i][s] for i, s in group], n,
+                                   [bool(polygon[i]) for i, _ in group])
+        stack.flags.writeable = False
+        for (i, s), piece in zip(group, stack):
+            per_feature[i][s] = piece
+    source = np.repeat(np.arange(k), list(map(len, per_feature)))
+    return source, list(chain.from_iterable(per_feature)), cut
+
+
+def clip_to_fov(frame: MapFrame) -> MapFrame:
+    """Intersect every feature with the frame's field-of-view square, as
+    clip_pieces does: features entirely inside pass through untouched,
+    each piece of a crossing feature keeps its class, invariance,
+    confidence and point count, and features entirely outside are
+    dropped."""
     feats = frame.features
     if not feats:
         return frame
-    pts = np.concatenate([f.points for f in feats])
-    owner = np.repeat(np.arange(len(feats)), [f.n_points for f in feats])
-    outside = np.any((pts < lo) | (pts > hi), axis=1)
-    clipped = np.bincount(owner[outside], minlength=len(feats)) > 0
-    is_line = np.array([f.invariance is not InvarianceClass.POLYGON for f in feats])
-    seg = np.flatnonzero((owner[:-1] == owner[1:]) & (clipped & is_line)[owner[:-1]])
-    pieces: dict[int, list[np.ndarray]] = {}
-    for i, piece in _clip_polylines(pts[seg], pts[seg + 1], owner[seg], lo, hi):
-        pieces.setdefault(i, []).append(piece)
-    # The cut features, one per surviving piece, are resampled back to their
-    # own point counts in one pass per point count; a slot of out holding
-    # None waits for its piece.
-    out: list[MapFeature | None] = []
-    cut: dict[int, list[tuple[int, MapFeature, np.ndarray]]] = {}
-    for i, feat in enumerate(feats):
-        if not clipped[i]:
-            out.append(feat)
-            continue
-        if is_line[i]:
-            found = pieces.get(i, [])
-        else:
-            ring = _clip_polygon_box(feat.points, lo, hi)
-            found = [] if ring is None else [ring]
-        for piece in found:
-            cut.setdefault(feat.n_points, []).append((len(out), feat, piece))
-            out.append(None)
-    for n, group in cut.items():
-        slots, sources, found = zip(*group)
-        for slot, feat in zip(slots, resampled_pieces(sources, found, n)):
-            out[slot] = feat
+    source, pieces, cut = clip_pieces(
+        np.concatenate([f.points for f in feats]), np.array([f.n_points for f in feats]),
+        np.array([f.invariance is InvarianceClass.POLYGON for f in feats]), frame.fov_side / 2.0)
+    cut = cut.tolist()
+    out = []
+    for i, piece in zip(source.tolist(), pieces):
+        f = feats[i]
+        out.append(MapFeature.from_checked(f.feature_class, f.invariance, piece, f.confidence)
+                   if cut[i] else f)
     return frame.with_features(out)
 
 

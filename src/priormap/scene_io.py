@@ -7,9 +7,9 @@ their shortest exact decimal representation. Readers are strict: unknown
 keys, non-finite numbers, coordinates beyond MAX_COORDINATE, malformed
 records and features no stage can use (zero arc length as a double, or a
 polygon that is no open ring) are rejected with the offending line number
-and field path. Writers refuse what readers refuse of a coordinate,
-fov_side, pose, arc length or polygon: they raise the message the reader
-would give for the line, and write no file.
+and field path. Writers refuse what readers refuse of an id, class,
+coordinate, fov_side, pose, arc length or polygon: they raise the message
+the reader would give for the line, and write no file.
 """
 from __future__ import annotations
 
@@ -192,12 +192,19 @@ def _geometry_ok(pts: np.ndarray, lens: Sequence[int], invariances: Sequence[Inv
 
 
 def _features_ok(features: Sequence[MapFeature]) -> bool:
-    """_geometry_ok of built features."""
+    """Whether built features are what the readers accept: real classes
+    only (no no_object) and _geometry_ok."""
     if not features:
         return True
+    if FeatureClass.NO_OBJECT in map(attrgetter("feature_class"), features):
+        return False
     points = list(map(attrgetter("points"), features))
     return _geometry_ok(np.concatenate(points), list(map(len, points)),
                         list(map(attrgetter("invariance"), features)))
+
+
+def _all_str(values: Iterable) -> bool:
+    return all(isinstance(v, str) for v in values)
 
 
 _FEATURE_FIELDS = itemgetter("class", "invariance", "confidence", "points")
@@ -370,13 +377,14 @@ def _write_records(path: str | Path, records: Iterable[dict]) -> None:
 
 
 def write_scenes(frames: Iterable[MapFrame], path: str | Path) -> None:
-    """Write one frame per line. A coordinate, fov_side, pose, arc length or
-    polygon that read_scenes would refuse is refused with the message it
-    would give for the line, and no file is written."""
+    """Write one frame per line. A frame id, class, coordinate, fov_side,
+    pose, arc length or polygon that read_scenes would refuse is refused
+    with the message it would give for the line, and no file is written."""
     frames = list(frames)
     bounded = [(f.ego_pose.x, f.ego_pose.y, f.fov_side) for f in frames]
     features = list(chain.from_iterable(f.features for f in frames))
-    if not (_within(np.array(bounded), MAX_COORDINATE) and _features_ok(features)):
+    if not (_all_str(map(attrgetter("frame_id"), frames))
+            and _within(np.array(bounded), MAX_COORDINATE) and _features_ok(features)):
         _parse_numbered(path, enumerate(map(frame_to_record, frames), start=1), frame_from_record)
     _write_records(path, map(frame_to_record, frames))
 
@@ -413,26 +421,28 @@ def write_map_version(
     feature_ids: Sequence[str] | None = None,
 ) -> None:
     """Write a world-frame map version: a header line, then one feature per
-    line with an optional stable id. A coordinate, arc length or polygon
-    that read_map_version would refuse is refused with the message it
-    would give for the line, and no file is written."""
+    line with an optional stable id. An id, class, coordinate, arc length
+    or polygon that read_map_version would refuse is refused with the
+    message it would give for the line, and no file is written."""
     if feature_ids is not None and len(feature_ids) != len(features):
         raise ValueError("feature_ids must match features in length")
-    if not _features_ok(features):
-        _parse_numbered(path, ((k + 2, k) for k in range(len(features))),
-                        lambda k: feature_from_record(feature_to_record(features[k]), f"feature[{k}]"))
-    records = map(feature_to_record, features)
+    records = [{"version_id": version_id}, *map(feature_to_record, features)]
     if feature_ids is not None:
-        records = ({"id": i, **rec} for i, rec in zip(feature_ids, records))
-    _write_records(path, chain([{"version_id": version_id}], records))
+        records[1:] = ({"id": i, **rec} for i, rec in zip(feature_ids, records[1:]))
+    ids = () if feature_ids is None else feature_ids
+    if not (_all_str([version_id, *ids]) and _features_ok(features)):
+        _map_version_lines(path, feature_from_record, records)
+    _write_records(path, records)
 
 
 def _map_version_lines(
-    path: str | Path, feature: Callable[[dict, str], _T] | None = None
+    path: str | Path, feature: Callable[[dict, str], _T] | None = None,
+    records: Sequence[dict] | None = None,
 ) -> tuple[str, list, list[str]]:
     """The version id, the feature records and the feature ids of a map
     version file, in line order; with feature given, each record is
-    replaced by feature(record, its path) as its line is read."""
+    replaced by feature(record, its path) as its line is read. With records
+    given, they are read in place of the file's lines, numbered from 1."""
     version_id: str | None = None
     items: list = []
     ids: list[str] = []
@@ -451,7 +461,10 @@ def _map_version_lines(
             ids.append(_as_str(rec.pop("id"), "feature.id"))
         items.append(rec if feature is None else feature(rec, f"feature[{len(items)}]"))
 
-    _read_records(path, parse)
+    if records is None:
+        _read_records(path, parse)
+    else:
+        _parse_numbered(path, enumerate(map(dict, records), start=1), parse)
     if version_id is None:
         raise SceneFormatError(f"{path}: missing version header line")
     return version_id, items, ids
@@ -513,7 +526,7 @@ def _bulk_poses(records: list[dict]) -> list[tuple[float, Pose2D]] | None:
     if flat is None or not _within(flat, _POSE_BOUNDS):
         return None
     t, x, y, yaw = flat.T.tolist()
-    return list(zip(t, map(Pose2D, x, y, yaw)))
+    return list(zip(t, map(Pose2D.from_checked, x, y, yaw)))
 
 
 def read_trajectory(path: str | Path) -> list[tuple[float, Pose2D]]:

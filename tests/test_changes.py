@@ -21,6 +21,7 @@ from priormap import (
     MapVersion,
     Pose2D,
     build_scene_pair,
+    build_scene_pairs,
     change_regions,
     chamfer_distance,
     diff_maps,
@@ -29,7 +30,8 @@ from priormap import (
     mine_frames,
     resample_polyline,
 )
-from priormap.model import world_to_ego
+from priormap.model import clip_pieces, resampled_pieces, ring_fault, world_to_ego
+from test_chain import _case
 
 GATE = 10.0
 
@@ -578,6 +580,20 @@ class TestVersionBoxes:
         assert version.extent == Box(*version.boxes[:, :2].min(axis=0),
                                      *version.boxes[:, 2:].max(axis=0))
 
+    def test_boxes_resolve_signed_zero_ties_as_bounds_does(self):
+        # Coordinates that tie between 0.0 and -0.0: each box must hold the
+        # very zero that bounds() returns, sign included. np.minimum.reduceat
+        # gives -0.0 as min_x and 0.0 as max_y of the first feature, where
+        # bounds() gives 0.0 and -0.0.
+        x = [0.0, -0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0, -0.0, 0.5, 1.0, 1.0, 1.0, -0.0, 0.5, 0.0, 0.5]
+        rng = np.random.default_rng(0)
+        feats = [MapFeature(FeatureClass.LANE_CENTER, InvarianceClass.DIRECTED_POLYLINE, pts)
+                 for pts in [np.column_stack([x, np.negative(x)]),
+                             *(rng.choice([0.0, -0.0, 1.0, -1.0, 0.5], (int(n), 2))
+                               for n in rng.integers(2, 60, 200))]]
+        boxes = MapVersion.build("v", feats).boxes
+        assert boxes.tobytes() == np.array([f.bounds() for f in feats]).tobytes()
+
     def test_boxes_read_only(self):
         version = MapVersion.build("v", [line_feature()])
         with pytest.raises(ValueError, match="read-only"):
@@ -616,11 +632,93 @@ class TestVersionBoxes:
         version = MapVersion.build("v", [centre, *touching, *outside])
         seen = []
 
-        def recording(frame):
-            seen.append(len(frame.features))
-            return clip_to_fov(frame)
+        def recording(points, sizes, polygon, half):
+            seen.append(len(sizes))
+            return clip_pieces(points, sizes, polygon, half)
 
-        monkeypatch.setattr(changes, "clip_to_fov", recording)
+        monkeypatch.setattr(changes, "clip_pieces", recording)
         pair = build_scene_pair(version, version, pose)
         assert seen == [4, 4]
         assert len(pair.prior.features) == 1
+
+
+def oracle_crop(version: MapVersion, pose: Pose2D, fov_side: float, n_points: int,
+                frame_id: str) -> MapFrame:
+    """The crop of one version around one pose as it was done window by
+    window, feature by feature: the oracle for build_scene_pairs."""
+    reach = fov_side * math.sqrt(2.0) / 2.0
+    square = Box(pose.x - reach, pose.y - reach, pose.x + reach, pose.y + reach)
+    nearby = [f for f in version.features if square.intersects(Box(*f.bounds()))]
+    ego = [f.with_points(world_to_ego(f.points, pose)) for f in nearby]
+    frame = MapFrame(frame_id=frame_id, ego_pose=pose, fov_side=fov_side, features=tuple(ego))
+    clipped = clip_to_fov(frame)
+    feats = clipped.features
+    out = resampled_pieces(feats, [f.points for f in feats], n_points, confidence=1.0)
+    for feat in out:
+        fault = ring_fault(feat.points) if feat.invariance is InvarianceClass.POLYGON else None
+        if fault:
+            raise ValueError(fault)
+    return clipped.with_features(out)
+
+
+def _assert_identical(got: MapFrame, want: MapFrame) -> None:
+    assert (got.frame_id, got.ego_pose, got.fov_side) == (want.frame_id, want.ego_pose,
+                                                           want.fov_side)
+    assert len(got.features) == len(want.features)
+    for a, b in zip(got.features, want.features):
+        assert (a.feature_class, a.invariance, a.confidence) == (
+            b.feature_class, b.invariance, b.confidence)
+        assert a.points.shape == b.points.shape and a.points.tobytes() == b.points.tobytes()
+        assert not a.points.flags.writeable
+
+
+def _assert_pairs_match_oracle(old, new, poses, fov_side, n_points):
+    ids = [f"window_{k:04d}" for k in range(len(poses))]
+    pairs = build_scene_pairs(old, new, poses, fov_side=fov_side, n_points=n_points,
+                              frame_ids=ids)
+    assert [p.frame_id for p in pairs] == ids
+    for pose, fid, pair in zip(poses, ids, pairs):
+        _assert_identical(pair.prior, oracle_crop(old, pose, fov_side, n_points, fid))
+        _assert_identical(pair.ground_truth, oracle_crop(new, pose, fov_side, n_points, fid))
+    return pairs
+
+
+class TestBuildScenePairsMatchesOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(_case(), st.sampled_from([None, 60.0]), st.sampled_from([None, 7]))
+    def test_generated_grids_and_drives(self, case, fov_side, n_points):
+        # The grids, changes and drives of the stage-chain property, at its
+        # drawn --fov and --n-points or at 60 m and 7 points.
+        old_feats, new_feats, drive, dims, mine, _ = case
+        fov_side = float(mine[1]) if fov_side is None else fov_side
+        n_points = int(dims[1]) if n_points is None else n_points
+        old, new = MapVersion.build("old", old_feats), MapVersion.build("new", new_feats)
+        poses = [pose for _, pose in drive[::max(1, len(drive) // 16)]
+                 if old.extent.contains_point(pose.x, pose.y)
+                 and new.extent.contains_point(pose.x, pose.y)]
+        _assert_pairs_match_oracle(old, new, poses, fov_side, n_points)
+
+    def test_polygon_across_the_edge_and_an_empty_window(self):
+        # Blocks of 200 m: a driveway of radius 6 at (100, 100) straddles the
+        # edge x = -30 of the 60 m square around (125, 100) at yaw 0, and
+        # across a corner at a turned yaw; around (150, 150) nothing is near.
+        world = grid_world(n_blocks=3, block=200.0, n_points=12)
+        old = MapVersion.build("old", world)
+        new = MapVersion.build("new", [f.with_points(f.points + [0.5, 0.0]) for f in world])
+        poses = [Pose2D(125.0, 100.0, 0.0), Pose2D(150.0, 150.0, 0.3),
+                 Pose2D(125.0, 125.0, math.pi / 4), Pose2D(210.0, 190.0, -1.0)]
+        pairs = _assert_pairs_match_oracle(old, new, poses, 60.0, 7)
+        polygons = [[f for f in pair.prior.features if f.invariance is InvarianceClass.POLYGON]
+                    for pair in pairs]
+        assert len(polygons[0]) == 1 and polygons[0][0].n_points == 7
+        assert pairs[1].prior.features == () and pairs[1].ground_truth.features == ()
+        assert all(pair.prior.features for pair in pairs[2:])
+
+    def test_no_poses(self):
+        version = MapVersion.build("v", grid_world(n_blocks=1))
+        assert build_scene_pairs(version, version, []) == []
+
+    def test_frame_ids_must_match_poses(self):
+        version = MapVersion.build("v", grid_world(n_blocks=1))
+        with pytest.raises(ValueError, match="frame_ids must match poses in length"):
+            build_scene_pairs(version, version, [Pose2D(10.0, 10.0, 0.0)], frame_ids=["a", "b"])

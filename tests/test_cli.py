@@ -462,6 +462,17 @@ class TestRenderCommand:
         assert main(["render", "--scenes", str(bad), "--out-dir", str(out_dir)]) == 0
         assert len(list(out_dir.glob("*.svg"))) == 2
 
+    def test_frame_id_the_file_system_cannot_encode(self, tmp_path, capsys):
+        # A lone surrogate that stands for no raw byte: os.fsencode cannot
+        # encode it. Nothing is written, f0.svg included.
+        frame = MapFrame("f0", Pose2D(0.0, 0.0, 0.0), 90.0, (line_feature(),))
+        bad = tmp_path / "surrogate.jsonl"
+        write_scenes([frame, replace(frame, frame_id="\ud800")], bad)
+        out_dir = tmp_path / "svg"
+        err = _error_of(["render", "--scenes", str(bad), "--out-dir", str(out_dir)], capsys)
+        assert err == f"error: {bad}: frame id(s) that are no plain file name: '\\ud800'\n"
+        assert not out_dir.exists()
+
 
 def _canonical_hash(config: dict) -> str:
     canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
@@ -572,6 +583,7 @@ solver = sys.modules.get("priormap.solver")
 print(json.dumps({"rc": rc, "scipy_optimize": "scipy.optimize" in sys.modules,
                   "solver": solver is not None and solver._solver is not None,
                   "futures": "concurrent.futures" in sys.modules,
+                  "numpy_ma": "numpy.ma" in sys.modules,
                   "modules": sorted(m for m in sys.modules if m.split(".")[0] == "priormap")}))
 """
 
@@ -602,7 +614,8 @@ def _child_env() -> dict:
 def _fresh_process(argv: list[str]) -> dict:
     """Run main(argv) in a new interpreter; report its exit code, whether
     scipy.optimize was loaded by the end, whether a solver was, whether
-    concurrent.futures (the worker-thread pool) was, and which priormap
+    concurrent.futures (the worker-thread pool) was, whether numpy.ma
+    (which np.unique loads, at about 20 ms) was, and which priormap
     modules were."""
     done = subprocess.run([sys.executable, "-c", _STARTUP_PROBE, *argv], env=_child_env(),
                           capture_output=True, text=True, timeout=120, check=True)
@@ -628,7 +641,7 @@ def _startup_argv(command: str, tmp_path, scenes) -> list[str]:
 def test_subcommands_without_assignment_start_without_scipy(tmp_path, scene_file, command):
     probe = _fresh_process(_startup_argv(command, tmp_path, scene_file[0]))
     assert probe == {"rc": 0, "scipy_optimize": False, "solver": False, "futures": False,
-                     "modules": _modules_of(command)}
+                     "numpy_ma": False, "modules": _modules_of(command)}
 
 
 def test_package_import_loads_no_layer():
@@ -679,7 +692,7 @@ def test_solving_subcommands_load_only_the_compiled_kernel(tmp_path, scene_file,
     argv, fresh_outs = _solving_case(command, fresh_dir, scene_file[0])
     # Only a run with worker threads loads the thread pool.
     assert _fresh_process(argv + extra) == {"rc": 0, "scipy_optimize": False, "solver": True,
-                                            "futures": "--jobs" in extra,
+                                            "futures": "--jobs" in extra, "numpy_ma": False,
                                             "modules": _modules_of(command)}
     argv, here_outs = _solving_case(command, here_dir, scene_file[0])
     assert main(argv + extra) == 0
@@ -894,15 +907,16 @@ def test_duplicate_frame_error_names_files_and_id(tmp_path, scene_file, capsys, 
 
 def test_mine_error_names_files_and_frame(tmp_path, capsys, monkeypatch):
     # As above, a crop that fails for one window stands in for a feature
-    # that the crop cannot resample.
-    build = priormap.cli.build_scene_pair
+    # that the crop cannot resample. The crop of all windows fails, and so
+    # does the crop of that window alone.
+    build = priormap.cli.build_scene_pairs
 
-    def fails_on_second_window(old, new, pose, **kwargs):
-        if kwargs["frame_id"] == "window_0001":
+    def fails_on_second_window(old, new, poses, **kwargs):
+        if "window_0001" in kwargs["frame_ids"]:
             raise DegenerateFeatureError("degenerate feature: zero arc length")
-        return build(old, new, pose, **kwargs)
+        return build(old, new, poses, **kwargs)
 
-    monkeypatch.setattr(priormap.cli, "build_scene_pair", fails_on_second_window)
+    monkeypatch.setattr(priormap.cli, "build_scene_pairs", fails_on_second_window)
     world = grid_world(n_blocks=3)
     old, new = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
     write_map_version("v2020", world, old)
@@ -912,6 +926,38 @@ def test_mine_error_names_files_and_frame(tmp_path, capsys, monkeypatch):
                      str(tmp_path / "prior.jsonl"), "--out-gt", str(tmp_path / "gt.jsonl"),
                      "--window", "20"], capsys)
     assert f"{old} to {new}, frame window_0001: degenerate feature" in err
+
+
+def test_mine_resamples_all_windows_in_one_pass(tmp_path, monkeypatch):
+    # A drive of 90 poses, 1 m apart, that sees the change the whole way:
+    # one window of 1000 s, or twelve of 7 s. The crops of all windows go
+    # through one resample_polylines pass per version and point count, so
+    # twelve windows make no more calls than one.
+    world = grid_world(n_blocks=3)
+    old, new, drive = tmp_path / "old.jsonl", tmp_path / "new.jsonl", tmp_path / "drive.jsonl"
+    write_map_version("v2020", world, old)
+    write_map_version("v2023", [*world, line_feature(x0=30.0, x1=31.0, n=12)], new)
+    write_trajectory([(float(t), Pose2D(float(t), 30.0, 0.0)) for t in range(90)], drive)
+    resample = priormap.model.resample_polylines
+
+    def mine(window: str) -> tuple[int, int]:
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return resample(*args, **kwargs)
+
+        monkeypatch.setattr(priormap.model, "resample_polylines", counted)
+        report = tmp_path / "windows.json"
+        assert main(["mine", "--old", str(old), "--new", str(new), "--trajectory", str(drive),
+                     "--out-prior", str(tmp_path / "prior.jsonl"),
+                     "--out-gt", str(tmp_path / "gt.jsonl"), "--report", str(report),
+                     "--window", window]) == 0
+        return len(json.loads(report.read_text())["windows"]), len(calls)
+
+    one, twelve = mine("1000"), mine("7")
+    assert one[0] == 1 and twelve[0] == 12
+    assert 0 < twelve[1] <= one[1]
 
 
 @pytest.mark.parametrize("value, message", [

@@ -323,12 +323,14 @@ def test_pose_errors_name_the_field(tmp_path, kind, pose, message):
     assert str(info.value) == f"{path}: line 1: {message}"
 
 
-# A writer refuses what its reader refuses of a coordinate, fov_side, pose,
-# arc length or polygon: it raises the reader's error for the same records,
-# naming the line, and leaves no file.
+# A writer refuses what its reader refuses of an id, class, coordinate,
+# fov_side, pose, arc length or polygon: it raises the reader's error for the
+# same records, naming the line, and leaves no file.
 
 _FAR = line_feature(x0=0.0, x1=2e9, n=3)
 _FLAT = line_feature(x0=1.0, x1=1.0, n=3)
+#: The padding class on real geometry; the constructor takes it.
+_NO_OBJECT = replace(line_feature(), feature_class=FeatureClass.NO_OBJECT)
 #: A polygon that repeats its closing vertex; the constructor refuses it.
 _CLOSED_RING = MapFeature.from_checked(
     FeatureClass.DRIVEWAY, InvarianceClass.POLYGON,
@@ -361,10 +363,14 @@ class TestWritersRefuseWhatReadersRefuse:
         (dict(features=(_FLAT,)), "frame 'f1'.features[0].points: zero arc length"),
         (dict(features=(_CLOSED_RING,)),
          "frame 'f1'.features[0].points: polygons must not repeat the closing vertex"),
-    ], ids=["fov_side", "pose", "coordinate", "zero arc length", "polygon rule"])
+        (dict(features=(line_feature(), _NO_OBJECT)),
+         "frame 'f1'.features[1].class: 'no_object' is not allowed in input files"),
+        (dict(frame_id=7), "frame.frame_id: expected a string"),
+    ], ids=["fov_side", "pose", "coordinate", "zero arc length", "polygon rule", "class",
+            "frame id"])
     def test_write_scenes(self, tmp_path, change, message):
         good = MapFrame("f0", Pose2D(0.0, 0.0, 0.0), 90.0, (line_feature(),))
-        frames = [good, replace(good, frame_id="f1", **change), good]
+        frames = [good, replace(good, **{"frame_id": "f1", **change}), good]
         got = _refused_like_read(tmp_path, lambda path: write_scenes(frames, path), read_scenes,
                                  [sio.frame_to_record(f) for f in frames])
         assert got == f"line 2: {message}"
@@ -373,14 +379,27 @@ class TestWritersRefuseWhatReadersRefuse:
         (_FAR, f"feature[1].points[2][0]: {_AT_BOUND}"),
         (_FLAT, "feature[1].points: zero arc length"),
         (_CLOSED_RING, "feature[1].points: polygons must not repeat the closing vertex"),
-    ], ids=["coordinate", "zero arc length", "polygon rule"])
+        (_NO_OBJECT, "feature[1].class: 'no_object' is not allowed in input files"),
+    ], ids=["coordinate", "zero arc length", "polygon rule", "class"])
     def test_write_map_version(self, tmp_path, feature, message):
-        features, ids = [line_feature(), feature], ["a", "b"]
-        records = [{"version_id": "v"},
+        assert self._map_version_refused(tmp_path, "v", [line_feature(), feature], ["a", "b"]) == (
+            f"line 3: {message}")
+
+    @pytest.mark.parametrize("version_id, ids, message", [
+        (7, ["a", "b"], "line 1: header.version_id: expected a string"),
+        ("v", ["a", 7], "line 3: feature.id: expected a string"),
+    ], ids=["version id", "feature id"])
+    def test_write_map_version_ids(self, tmp_path, version_id, ids, message):
+        features = [line_feature(), line_feature(y=5.0)]
+        assert self._map_version_refused(tmp_path, version_id, features, ids) == message
+
+    @staticmethod
+    def _map_version_refused(tmp_path, version_id, features, ids) -> str:
+        records = [{"version_id": version_id},
                    *({"id": i, **sio.feature_to_record(f)} for i, f in zip(ids, features))]
-        got = _refused_like_read(tmp_path, lambda path: write_map_version("v", features, path, ids),
-                                 read_map_version, records)
-        assert got == f"line 3: {message}"
+        return _refused_like_read(
+            tmp_path, lambda path: write_map_version(version_id, features, path, ids),
+            read_map_version, records)
 
     @pytest.mark.parametrize("pose, message", [
         (Pose2D(2e9, 0.0, 0.0), f"pose.x: {_AT_BOUND}"),
