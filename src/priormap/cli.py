@@ -378,19 +378,33 @@ def _plain_file_name(frame_id: str) -> bool:
             and len(encoded) <= _NAME_MAX)
 
 
-def _file_name_faults(path: str, frames: Sequence[MapFrame]) -> list[str]:
+def _fits_xml_comment(text: str) -> bool:
+    """Whether text can stand inside an XML comment: no '--', and only the
+    characters XML 1.0 allows (its Char rule: tab, newline, carriage
+    return, and from U+0020 up but surrogates, U+FFFE and U+FFFF)."""
+    return "--" not in text and all(
+        ch in "\t\n\r" or (ch >= " " and not "\ud800" <= ch <= "\udfff" and ch not in "\ufffe\uffff")
+        for ch in text)
+
+
+def _frame_id_faults(path: str, frames: Sequence[MapFrame]) -> list[str]:
     """What keeps the frame ids of a scene file from naming one SVG file
-    each in the output directory: ids that repeat, and ids that are no
-    plain file name (_plain_file_name)."""
+    each in the output directory, and from standing in its XML comment:
+    ids that repeat, ids that are no plain file name (_plain_file_name),
+    and of the rest, ids that hold '--' or a character XML 1.0 forbids."""
     ids = [f.frame_id for f in frames]
     repeated = sorted(i for i, n in Counter(ids).items() if n > 1)
     unsafe = sorted({i for i in ids if not _plain_file_name(i)})
+    unfit = sorted({i for i in ids if not _fits_xml_comment(i)} - set(unsafe))
     faults = []
     if repeated:
         faults.append(f"{path}: repeated frame id(s): {', '.join(map(repr, repeated))}")
     if unsafe:
         faults.append(f"{path}: frame id(s) that are no plain file name: "
                       f"{', '.join(map(repr, unsafe))}")
+    if unfit:
+        faults.append(f"{path}: frame id(s) that an XML comment cannot hold: "
+                      f"{', '.join(map(repr, unfit))}")
     return faults
 
 
@@ -400,9 +414,9 @@ def cmd_render(args: argparse.Namespace) -> Run:
     are checked before any file is written."""
     frames = read_scenes(args.scenes)
     overlay = read_scenes(args.overlay) if args.overlay else None
-    faults = _file_name_faults(args.scenes, frames)
+    faults = _frame_id_faults(args.scenes, frames)
     if overlay is not None:
-        faults += _file_name_faults(args.overlay, overlay)
+        faults += _frame_id_faults(args.overlay, overlay)
         by_id = {f.frame_id: f for f in overlay}
         missing = sorted(f.frame_id for f in frames if f.frame_id not in by_id)
         if missing:

@@ -90,10 +90,11 @@ def ring_fault(points: np.ndarray) -> str | None:
 class MapFeature:
     """One vectorized feature: a control-point sequence plus its classes.
 
-    Polygons are stored as an open ring of at least 3 points (no repeated
-    closing vertex), and the constructor refuses any other (ring_fault);
-    closure is implied by the invariance class. Confidence is 1.0 for
-    labels and priors, and a model score for predictions.
+    Polylines have at least 2 points. Polygons are stored as an open ring
+    of at least 3 points (no repeated closing vertex), and the constructor
+    refuses any other (ring_fault for polygons); closure is implied by the
+    invariance class. Confidence is 1.0 for labels and priors, and a model
+    score for predictions.
     """
 
     feature_class: FeatureClass
@@ -111,6 +112,8 @@ class MapFeature:
             fault = ring_fault(self.points)
             if fault:
                 raise ValueError(fault)
+        elif len(self.points) < 2:
+            raise ValueError(f"points must be at least 2 [x, y] pairs, got {len(self.points)}")
 
     @classmethod
     def from_checked(
@@ -122,8 +125,8 @@ class MapFeature:
     ) -> "MapFeature":
         """A feature from fields the caller has already checked: points a
         read-only (n, 2) float64 array of finite values, confidence a float
-        in [0, 1]. It skips __post_init__ and so every check, the polygon
-        rule included."""
+        in [0, 1]. It skips __post_init__ and so every check, the point
+        count and the polygon rule included."""
         new = object.__new__(cls)
         new.__dict__.update(
             feature_class=feature_class, invariance=invariance, points=points, confidence=confidence
@@ -151,8 +154,8 @@ class MapFeature:
 
     def with_points(self, points: np.ndarray) -> "MapFeature":
         """A copy with new points. Only the points are checked (as_points),
-        not the polygon rule; the other fields are copied as they are,
-        already valid."""
+        not the point count or the polygon rule; the other fields are
+        copied as they are, already valid."""
         return self.from_checked(self.feature_class, self.invariance, as_points(points),
                                  self.confidence)
 

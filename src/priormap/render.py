@@ -35,22 +35,64 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _layer_svg(features, half: float, scale: float, dash: str, width: float) -> str:
-    """The SVG elements of one layer, one feature per line, in one
-    formatting pass: one transform over the layer's stacked points, one
-    tolist, and one '%' over a template of the whole layer ('%.2f' formats
-    a double exactly as '{:.2f}' does)."""
-    # -y + half is half - y bit for bit, signed zeros included.
-    px = (np.concatenate([f.points for f in features]) * _FLIP_Y + half) * scale
-    dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-    style = f'stroke-width="{_fmt(width)}"{dash_attr} stroke-linecap="round"/>'
-    template = []
-    for feature in features:
-        tag = "polygon" if feature.invariance is InvarianceClass.POLYGON else "polyline"
-        points = " ".join(["%.2f,%.2f"] * feature.n_points)
-        color = CLASS_COLORS[feature.feature_class]
-        template.append(f'<{tag} points="{points}" fill="none" stroke="{color}" {style}')
-    return "\n".join(template) % tuple(px.ravel().tolist())
+#: The two pieces around the points of a feature's element, by class and
+#: then by whether the feature is a polygon: the tag up to the points
+#: attribute, and the stroke after it.
+_PIECES = {
+    cls: tuple((f'<{tag} points="', f'" fill="none" stroke="{color}" ')
+               for tag in ("polyline", "polygon"))
+    for cls, color in CLASS_COLORS.items()
+}
+
+
+def _template_texts(px: np.ndarray, lens: Sequence[int]) -> list[str]:
+    """The points attribute of each feature, whose pixel rows are the
+    consecutive runs of lens rows of px: '%.2f,%.2f' per row, joined by
+    spaces, from one '%' over a template of every feature."""
+    template = "\n".join([" ".join(["%.2f,%.2f"] * n) for n in lens])
+    return (template % tuple(px.ravel().tolist())).split("\n")
+
+
+def _points_texts(px: np.ndarray, lens: Sequence[int]) -> list[str]:
+    """_template_texts(px, lens), byte for byte, from fixed-point digits.
+
+    Take a value v whose sign bit is clear, below 1000, and whose product
+    w = 100 v as computed lies more than spacing(w) from a half-integer.
+    w is off the exact product by at most half spacing(w), so k = rint(w)
+    is the correctly rounded 100 v that '%.2f' prints; if k is below
+    100000, the value has at most three integer digits. Each value is
+    written as three integer digits, '.', two decimals and a separator
+    (',' after x, ' ' after y, '\n' after a feature's last y) into one
+    uint8 row; a mask drops the leading zeros, and one decode and one split
+    cut the features apart. Any other value (negative or -0.0, 999.995 or
+    more, next to a tie or on one, not finite) sends the whole call to the
+    template."""
+    v = px.ravel()
+    if np.signbit(v).any() or not (v < 1000.0).all():
+        return _template_texts(px, lens)
+    w = v * 100.0
+    k = np.rint(w)
+    if not ((k < 100000.0) & (np.abs(w - np.floor(w) - 0.5) > np.spacing(w))).all():
+        return _template_texts(px, lens)
+    k = k.astype(np.int32)
+    whole = k // 100
+    cents = k - whole * 100
+    tens = whole // 10
+    dimes = cents // 10
+    buf = np.empty((k.size, 7), dtype=np.uint8)
+    buf[:, 0] = tens // 10 + 48  # 48 is '0'
+    buf[:, 1] = tens % 10 + 48
+    buf[:, 2] = whole - tens * 10 + 48
+    buf[:, 3] = ord(".")
+    buf[:, 4] = dimes + 48
+    buf[:, 5] = cents - dimes * 10 + 48
+    buf[0::2, 6] = ord(",")
+    buf[1::2, 6] = ord(" ")
+    buf[2 * np.cumsum(lens) - 1, 6] = ord("\n")
+    keep = np.ones(buf.shape, dtype=bool)
+    keep[:, 0] = k >= 10000
+    keep[:, 1] = k >= 1000
+    return buf[keep].tobytes().decode("ascii")[:-1].split("\n")
 
 
 def frame_svg(layers: Sequence[tuple[str, MapFrame]]) -> str:
@@ -71,12 +113,22 @@ def frame_svg(layers: Sequence[tuple[str, MapFrame]]) -> str:
         f'<rect x="0" y="0" width="{SIZE_PX}" height="{SIZE_PX}" fill="#ffffff" '
         f'stroke="#444444" stroke-width="1"/>',
     ]
+    # The points of every feature of every layer, formatted in one pass.
+    features = [f for _, frame in layers for f in frame.features]
+    texts = iter(())
+    if features:
+        # -y + half is half - y bit for bit, signed zeros included.
+        px = (np.concatenate([f.points for f in features]) * _FLIP_Y + half) * scale
+        texts = iter(_points_texts(px, [len(f.points) for f in features]))
     for k, (name, frame) in enumerate(layers):
         dash = LAYER_DASH.get(name, "")
-        width = 2.5 if k == 0 else 1.8
+        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+        style = f'stroke-width="{_fmt(2.5 if k == 0 else 1.8)}"{dash_attr} stroke-linecap="round"/>'
         parts.append(f"<g><!-- {name}: {frame.frame_id} -->")
-        if frame.features:
-            parts.append(_layer_svg(frame.features, half, scale, dash, width))
+        for feature, text in zip(frame.features, texts):
+            polygon = feature.invariance is InvarianceClass.POLYGON
+            head, stroke = _PIECES[feature.feature_class][polygon]
+            parts.append(f"{head}{text}{stroke}{style}")
         parts.append("</g>")
     # Ego marker at the origin.
     cx = cy = SIZE_PX / 2.0

@@ -9,9 +9,12 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import priormap
 from conftest import grid_world, line_feature, random_frame
@@ -34,7 +37,8 @@ from priormap import (
     write_scenes,
     write_trajectory,
 )
-from priormap.cli import build_parser, main
+from priormap.cli import _frame_id_faults, build_parser, main
+from priormap.render import frame_svg
 from priormap.scene_io import frame_to_record
 
 
@@ -433,6 +437,10 @@ class TestRenderCommand:
         ("a/b", "frame id(s) that are no plain file name: 'a/b'"),
         ("..", "frame id(s) that are no plain file name: '..'"),
         ("frame_1", "repeated frame id(s): 'frame_1'"),
+        ("a--b", "frame id(s) that an XML comment cannot hold: 'a--b'"),
+        ("ctl\u0001x", "frame id(s) that an XML comment cannot hold: 'ctl\\x01x'"),
+        # os.fsencode takes this surrogate to the byte 0x80, but UTF-8 cannot encode it
+        ("s\udc80", "frame id(s) that an XML comment cannot hold: 's\\udc80'"),
     ])
     def test_frame_ids_must_name_one_file_each(self, tmp_path, scene_file, capsys,
                                                side, frame_id, fault):
@@ -472,6 +480,15 @@ class TestRenderCommand:
         err = _error_of(["render", "--scenes", str(bad), "--out-dir", str(out_dir)], capsys)
         assert err == f"error: {bad}: frame id(s) that are no plain file name: '\\ud800'\n"
         assert not out_dir.exists()
+
+    @settings(max_examples=300, deadline=None)
+    @given(frame_id=st.text(st.one_of(st.sampled_from("-\x01\x7f\ufffe\ud800\udc80"),
+                                      st.characters()), min_size=1, max_size=12))
+    def test_svg_of_an_accepted_frame_id_is_xml(self, frame_id):
+        frame = MapFrame(frame_id, Pose2D(0.0, 0.0, 0.0), 90.0, (line_feature(n=3),))
+        assume(not _frame_id_faults("scenes.jsonl", [frame]))
+        svg = frame_svg([("ground_truth", frame), ("prediction", frame)])
+        assert ElementTree.fromstring(svg).tag == "{http://www.w3.org/2000/svg}svg"
 
 
 def _canonical_hash(config: dict) -> str:
@@ -584,6 +601,7 @@ print(json.dumps({"rc": rc, "scipy_optimize": "scipy.optimize" in sys.modules,
                   "solver": solver is not None and solver._solver is not None,
                   "futures": "concurrent.futures" in sys.modules,
                   "numpy_ma": "numpy.ma" in sys.modules,
+                  "numpy_strings": "numpy.strings" in sys.modules or "numpy.char" in sys.modules,
                   "modules": sorted(m for m in sys.modules if m.split(".")[0] == "priormap")}))
 """
 
@@ -641,7 +659,7 @@ def _startup_argv(command: str, tmp_path, scenes) -> list[str]:
 def test_subcommands_without_assignment_start_without_scipy(tmp_path, scene_file, command):
     probe = _fresh_process(_startup_argv(command, tmp_path, scene_file[0]))
     assert probe == {"rc": 0, "scipy_optimize": False, "solver": False, "futures": False,
-                     "numpy_ma": False, "modules": _modules_of(command)}
+                     "numpy_ma": False, "numpy_strings": False, "modules": _modules_of(command)}
 
 
 def test_package_import_loads_no_layer():
@@ -693,6 +711,7 @@ def test_solving_subcommands_load_only_the_compiled_kernel(tmp_path, scene_file,
     # Only a run with worker threads loads the thread pool.
     assert _fresh_process(argv + extra) == {"rc": 0, "scipy_optimize": False, "solver": True,
                                             "futures": "--jobs" in extra, "numpy_ma": False,
+                                            "numpy_strings": False,
                                             "modules": _modules_of(command)}
     argv, here_outs = _solving_case(command, here_dir, scene_file[0])
     assert main(argv + extra) == 0

@@ -368,9 +368,14 @@ class TestWithPoints:
             for points in (new, new.tolist(), new.astype(np.float32), np.asfortranarray(new),
                            new[::-1], new.astype(np.int64)):
                 got = feat.with_points(points)
-                if feat.invariance is InvarianceClass.POLYGON and ring_fault(got.points):
-                    # with_points checks the points alone, not the polygon rule.
-                    with pytest.raises(ValueError, match=ring_fault(got.points)):
+                # with_points checks the points alone, not the point count or
+                # the polygon rule.
+                if feat.invariance is InvarianceClass.POLYGON:
+                    fault = ring_fault(got.points)
+                else:
+                    fault = len(got.points) < 2 and "points must be at least 2 "
+                if fault:
+                    with pytest.raises(ValueError, match=fault):
                         dataclasses.replace(feat, points=points)
                     continue
                 assert self._same(got, dataclasses.replace(feat, points=points)), k
@@ -719,3 +724,18 @@ class TestPolygonRule:
             MapFeature(FeatureClass.DRIVEWAY, InvarianceClass.POLYGON, points)
         if len(points) >= 2:  # a polyline may take the same points
             MapFeature(FeatureClass.LANE_DIVIDER, InvarianceClass.UNDIRECTED_POLYLINE, points)
+
+
+class TestPointCountRule:
+    @pytest.mark.parametrize("invariance", [InvarianceClass.DIRECTED_POLYLINE,
+                                            InvarianceClass.UNDIRECTED_POLYLINE])
+    @pytest.mark.parametrize("points", [np.zeros((0, 2)), [[1.0, 2.0]]])
+    def test_map_feature_refuses_fewer_than_2_points(self, points, invariance):
+        n = len(points)
+        fault = f"points must be at least 2 [x, y] pairs, got {n}"
+        with pytest.raises(ValueError, match=f"^{re.escape(fault)}$"):
+            MapFeature(FeatureClass.LANE_CENTER, invariance, points)
+        # The unchecked constructors stay unchecked.
+        pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+        assert MapFeature.from_checked(FeatureClass.LANE_CENTER, invariance, pts, 1.0).n_points == n
+        assert line_feature(n=4).with_points(pts).n_points == n

@@ -4,9 +4,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import priormap.render as render
 from conftest import random_frame
-from priormap import FeatureClass, InvarianceClass, MapFeature
+from priormap import FeatureClass, InvarianceClass, MapFeature, MapFrame, Pose2D
 from priormap.render import CLASS_COLORS, LAYER_DASH, SIZE_PX, frame_svg, write_frame_svg
 
 
@@ -123,3 +126,92 @@ def test_document_bytes_match_per_feature_oracle(seed):
     for shown in ("<polygon", 'stroke-dasharray="6,4"', 'stroke-dasharray="2,3"', "-0.00,",
                   "-->\n</g>"):
         assert shown in svg
+
+
+def _nudged(value: st.SearchStrategy) -> st.SearchStrategy:
+    """The value, or the double one ulp below or above it."""
+    return st.tuples(value, st.sampled_from([-np.inf, None, np.inf])).map(
+        lambda t: t[0] if t[1] is None else float(np.nextafter(t[0], t[1])))
+
+
+#: Pixel values where fixed-point digits and '%.2f' part ways if the kernel
+#: is wrong, each category with its own strategy.
+_PIXELS = {
+    # the double nearest each .xx5 edge below 1000, and its neighbours
+    "edge": _nudged(st.integers(0, 99999).map(lambda n: (n + 0.5) / 100)),
+    # exact binary ties: '%.2f' rounds them to even
+    "tie": _nudged(st.tuples(st.integers(0, 999), st.sampled_from([0.125, 0.375, 0.625, 0.875]))
+                   .map(sum)),
+    "zero": st.one_of(st.sampled_from([0.0, -0.0, -5e-324, -1e-300, -1e-9, -0.004, -0.005]),
+                      st.floats(-0.01, 0.0)),
+    "thousand": st.floats(999.994, 1000.005),
+    "huge": st.floats(1e13, 1e300),
+    "plain": st.floats(0.0, 999.99),
+}
+
+
+def _draw_pixels(data, min_points: int) -> tuple[np.ndarray, list[int]]:
+    """Pixel rows drawn from one to three _PIXELS categories, and the point
+    counts of the features whose rows they are, in order."""
+    names = data.draw(st.lists(st.sampled_from(sorted(_PIXELS)), min_size=1, max_size=3))
+    lens = data.draw(st.lists(st.integers(min_points, 5), min_size=1, max_size=6))
+    n = 2 * sum(lens)
+    values = st.one_of([_PIXELS[name] for name in names])
+    return np.array(data.draw(st.lists(values, min_size=n, max_size=n))).reshape(-1, 2), lens
+
+
+def _no_template(px, lens):
+    raise AssertionError("took the template")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_kernel_matches_template_at_rounding_edges(data):
+    """_points_texts against _template_texts on pixel values of every
+    category, all categories in one call and each value alone."""
+    px, lens = _draw_pixels(data, 1)
+    assert render._points_texts(px, lens) == render._template_texts(px, lens)
+    for v in px.ravel():
+        assert render._points_texts(np.array([[v, v]]), [1]) == [f"{v:.2f},{v:.2f}"]
+
+
+def test_kernel_takes_the_template_only_outside_its_range(monkeypatch):
+    monkeypatch.setattr(render, "_template_texts", _no_template)
+    # 999.99 is the largest value the kernel prints. 0.005 lies a hair above
+    # its edge, but 100 times it rounds onto the tie 0.5: the template prints
+    # it, as it does the exact ties 0.125 and 0.375.
+    assert render._points_texts(np.array([[0.0, 999.99], [0.0051, 12.0]]), [1, 1]) == [
+        "0.00,999.99", "0.01,12.00"]
+    for v in (-0.0, -1e-9, 999.995, 0.005, 0.125, 0.375, 1e13, np.inf):
+        with pytest.raises(AssertionError, match="took the template"):
+            render._points_texts(np.array([[1.0, v]]), [1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), fov=st.sampled_from([800.0, 100.0, 25.0, 90.0, 37.5]))
+def test_document_bytes_match_oracle_at_rounding_edges(data, fov):
+    """frame_svg against old_frame_svg on features whose pixels are drawn
+    from _PIXELS. With a power-of-two scale, pixel values in [200, 800]
+    come out exactly as drawn."""
+    half, scale = fov / 2.0, SIZE_PX / fov
+    px, lens = _draw_pixels(data, 2)
+    points = np.column_stack([px[:, 0] / scale - half, half - px[:, 1] / scale])
+    classes = data.draw(st.lists(st.sampled_from(list(CLASS_COLORS)), min_size=len(lens),
+                                 max_size=len(lens)))
+    features = [MapFeature(cls, InvarianceClass.UNDIRECTED_POLYLINE, points[end - n:end])
+                for n, end, cls in zip(lens, np.cumsum(lens), classes)]
+    frame = MapFrame("edges", Pose2D(0.0, 0.0, 0.0), fov, tuple(features))
+    layers = [("ground_truth", frame), ("prior", frame.with_features(features[::-1]))]
+    assert frame_svg(layers) == old_frame_svg(layers)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_in_fov_frames_never_take_the_template(monkeypatch, seed):
+    rng = np.random.default_rng(70 + seed)
+    fov = float(rng.choice([90.0, 60.0, 37.5, 120.0]))
+    layers = [(name, random_frame(rng, f"f{seed}", n_features=int(rng.integers(1, 40)),
+                                  n_points=int(rng.integers(2, 30)), fov_side=fov))
+              for name in ("ground_truth", "prediction", "prior")]
+    want = old_frame_svg(layers)
+    monkeypatch.setattr(render, "_template_texts", _no_template)
+    assert frame_svg(layers) == want
