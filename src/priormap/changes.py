@@ -29,6 +29,7 @@ from .model import (
     Pose2D,
     clip_pieces,
     clip_to_fov,  # unused here; bench/tracing.py times calls through it
+    group_indices,
     resample_polyline,  # unused here; bench/tracing.py counts calls through it
     resampled_pieces,
     ring_fault,
@@ -65,10 +66,7 @@ def _bounds(features: Sequence[MapFeature]) -> np.ndarray:
     order, as bounds() reduces it, so a tie between 0.0 and -0.0 resolves
     the same way (np.minimum.reduceat resolves some differently)."""
     boxes = np.empty((len(features), 4))
-    by_size: dict[int, list[int]] = {}
-    for i, f in enumerate(features):
-        by_size.setdefault(f.n_points, []).append(i)
-    for rows in by_size.values():
+    for rows in group_indices(f.n_points for f in features).values():
         block = np.stack([features[i].points for i in rows])
         boxes[rows, :2] = block.min(axis=1)
         boxes[rows, 2:] = block.max(axis=1)
@@ -178,6 +176,8 @@ def diff_maps(
     so a feature moved beyond the gate shows as one of each. Matched pairs
     within modify_tol are unchanged; pairs above it are modified.
     """
+    if not modify_tol >= 0.0:
+        raise ValueError(f"modify_tol must be a non-negative distance, got {modify_tol}")
     if not max_match_dist >= 0.0:
         raise ValueError(f"max_match_dist must be a non-negative distance, got {max_match_dist}")
     if old.has_ids and new.has_ids:
@@ -243,6 +243,8 @@ def change_regions(report: ChangeReport, buffer: float = 20.0) -> tuple[Box, ...
     boxes are pairwise disjoint. Every merge is forced in any such grouping,
     so it is unique and does not depend on the order of the changes.
     """
+    if not 0.0 <= buffer < math.inf:
+        raise ValueError(f"buffer must be a finite non-negative distance, got {buffer}")
     boxes = report.change_bounds + np.array([-buffer, -buffer, buffer, buffer])
     merged = True
     while merged:
@@ -290,8 +292,8 @@ def mine_frames(
     times = [t for t, _ in trajectory]
     if any(b < a for a, b in zip(times, times[1:])):
         raise ValueError("trajectory must be sorted by time")
-    if not window >= 0.0:
-        raise ValueError(f"window must be a non-negative duration, got {window}")
+    if not 0.0 <= window < math.inf:
+        raise ValueError(f"window must be a finite non-negative duration, got {window}")
     # Each pose's FOV square, axis-aligned in the world frame and ignoring
     # yaw: a conservative superset used only for the intersection test.
     half = fov_side / 2.0

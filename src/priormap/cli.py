@@ -90,8 +90,12 @@ def _write_manifest(
     _write_json(out_path.with_name(out_path.name + ".manifest.json"), manifest)
 
 
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n", encoding="utf-8")
+    path.write_text(_json_text(payload), encoding="utf-8")
 
 
 def _parallel_map(fn: Callable, items: Sequence, jobs: int) -> list:
@@ -348,10 +352,14 @@ def cmd_mine(args: argparse.Namespace) -> Run:
                 "poses": len(win.pose_indices),
             }
         )
+    # Encoded before any file is written: a report that JSON cannot hold (a
+    # t_end that overflows) fails the run with no output.
+    with _naming(f"windows report {args.report}"):
+        report_text = _json_text({"windows": window_rows}) if args.report else None
     write_scenes(priors, args.out_prior)
     write_scenes(gts, args.out_gt)
-    if args.report:
-        _write_json(Path(args.report), {"windows": window_rows})
+    if report_text is not None:
+        Path(args.report).write_text(report_text, encoding="utf-8")
     notes = [f"{skipped} off-map window(s) skipped"] if skipped else []
     if overfull:
         notes.append(f"{overfull} window(s) over m={dims.m} features skipped")

@@ -24,6 +24,7 @@ from .model import (
     FeatureClass,
     MapFeature,
     MapFrame,
+    group_indices,
     resample_polyline,  # unused here; bench/tracing.py counts calls through it
     resampled_features,
 )
@@ -124,10 +125,7 @@ def chamfer_pairs(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> np.ndarra
     pairs (or of one feature pair, if that alone is larger).
     """
     out = np.empty(len(a))
-    groups: dict[tuple[int, int], list[int]] = {}
-    for p, (pa, pb) in enumerate(zip(a, b)):
-        groups.setdefault((len(pa), len(pb)), []).append(p)
-    for (na, nb), idx in groups.items():
+    for (na, nb), idx in group_indices(zip(map(len, a), map(len, b))).items():
         step = max(1, _BLOCK_ELEMENTS // max(1, na * nb))
         for k in range(0, len(idx), step):
             block = idx[k : k + step]
@@ -148,19 +146,13 @@ def _distance_rows(preds: Sequence[MapFeature], gts: Sequence[MapFeature]) -> li
     """Chamfer distance of every (prediction, label) pair, one row per
     prediction: one chamfer_matrix call per pair of point counts."""
     dist = np.empty((len(preds), len(gts)))
-    gt_groups = [(idx, np.stack([gts[j].points for j in idx])) for idx in _by_point_count(gts)]
-    for idx in _by_point_count(preds):
+    gt_groups = [(idx, np.stack([gts[j].points for j in idx]))
+                 for idx in group_indices(f.n_points for f in gts).values()]
+    for idx in group_indices(f.n_points for f in preds).values():
         pa = np.stack([preds[i].points for i in idx])
         for gt_idx, pb in gt_groups:
             dist[np.ix_(idx, gt_idx)] = chamfer_matrix(pa, pb)
     return dist.tolist()
-
-
-def _by_point_count(features: Sequence[MapFeature]) -> list[list[int]]:
-    groups: dict[int, list[int]] = {}
-    for k, f in enumerate(features):
-        groups.setdefault(f.n_points, []).append(k)
-    return list(groups.values())
 
 
 def _confidence_order(preds: Sequence[MapFeature]) -> list[int]:

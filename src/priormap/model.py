@@ -485,6 +485,14 @@ def _clip_polygon_box(pts: np.ndarray, lo: float, hi: float) -> np.ndarray | Non
     return ring
 
 
+def group_indices(keys: Iterable) -> dict:
+    """The indices of equal keys, by key, in first-seen order."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return groups
+
+
 def resampled_pieces(
     sources: Sequence[MapFeature], pieces: Sequence[np.ndarray], n: int,
     confidence: float | None = None,
@@ -525,9 +533,9 @@ def clip_pieces(
     cut from feature source[j], and cut[i] tells whether feature i reaches
     outside the square. A feature entirely inside is its own one piece, a
     view of its rows. A crossing polyline is split at the boundary into
-    one piece per run inside, a crossing polygon is clipped as a ring, and
-    each such piece is resampled to its feature's point count, in one pass
-    per point count, read-only. A feature entirely outside gives none.
+    one piece per run inside, and a crossing polygon is clipped as a ring;
+    these pieces are exact, not resampled. A feature entirely outside gives
+    none.
     """
     lo, hi = -half, half
     k = len(sizes)
@@ -535,27 +543,13 @@ def clip_pieces(
     outside = np.any((points < lo) | (points > hi), axis=1)
     cut = np.bincount(owner[outside], minlength=k) > 0
     ends = np.cumsum(sizes).tolist()
-    rows = [points[a:b] for a, b in zip([0, *ends], ends)]
-    per_feature = [[r] for r in rows]
-    crossing = np.flatnonzero(cut).tolist()
-    for i in crossing:
-        per_feature[i] = []
+    per_feature = [[points[a:b]] for a, b in zip([0, *ends], ends)]
+    for i in np.flatnonzero(cut).tolist():
+        ring = _clip_polygon_box(per_feature[i][0], lo, hi) if polygon[i] else None
+        per_feature[i] = [] if ring is None else [ring]
     seg = np.flatnonzero((owner[:-1] == owner[1:]) & (cut & ~polygon)[owner[:-1]])
     for i, piece in _clip_polylines(points[seg], points[seg + 1], owner[seg], lo, hi):
         per_feature[i].append(piece)
-    by_size: dict[int, list[tuple[int, int]]] = {}
-    for i in crossing:
-        if polygon[i]:
-            ring = _clip_polygon_box(rows[i], lo, hi)
-            if ring is not None:
-                per_feature[i].append(ring)
-        by_size.setdefault(len(rows[i]), []).extend((i, s) for s in range(len(per_feature[i])))
-    for n, group in by_size.items():
-        stack = resample_polylines([per_feature[i][s] for i, s in group], n,
-                                   [bool(polygon[i]) for i, _ in group])
-        stack.flags.writeable = False
-        for (i, s), piece in zip(group, stack):
-            per_feature[i][s] = piece
     source = np.repeat(np.arange(k), list(map(len, per_feature)))
     return source, list(chain.from_iterable(per_feature)), cut
 
@@ -563,21 +557,23 @@ def clip_pieces(
 def clip_to_fov(frame: MapFrame) -> MapFrame:
     """Intersect every feature with the frame's field-of-view square, as
     clip_pieces does: features entirely inside pass through untouched,
-    each piece of a crossing feature keeps its class, invariance,
-    confidence and point count, and features entirely outside are
-    dropped."""
+    each piece of a crossing feature keeps its class, invariance and
+    confidence and is resampled to its feature's point count (one
+    resampled_pieces pass per point count), and features entirely outside
+    are dropped."""
     feats = frame.features
     if not feats:
         return frame
     source, pieces, cut = clip_pieces(
         np.concatenate([f.points for f in feats]), np.array([f.n_points for f in feats]),
         np.array([f.invariance is InvarianceClass.POLYGON for f in feats]), frame.fov_side / 2.0)
-    cut = cut.tolist()
-    out = []
-    for i, piece in zip(source.tolist(), pieces):
-        f = feats[i]
-        out.append(MapFeature.from_checked(f.feature_class, f.invariance, piece, f.confidence)
-                   if cut[i] else f)
+    out = [feats[i] for i in source.tolist()]
+    crossing = np.flatnonzero(cut[source]).tolist()
+    for n, group in group_indices(out[j].n_points for j in crossing).items():
+        rows = [crossing[g] for g in group]
+        redone = resampled_pieces([out[j] for j in rows], [pieces[j] for j in rows], n)
+        for j, feat in zip(rows, redone):
+            out[j] = feat
     return frame.with_features(out)
 
 

@@ -26,12 +26,12 @@ from priormap import (
     chamfer_distance,
     diff_maps,
     evaluate,
-    clip_to_fov,
     mine_frames,
     resample_polyline,
 )
-from priormap.model import clip_pieces, resampled_pieces, ring_fault, world_to_ego
+from priormap.model import clip_pieces, world_to_ego
 from test_chain import _case
+from test_model import _oracle_clip_polygon, _oracle_clip_polyline, reference_length
 
 GATE = 10.0
 
@@ -196,6 +196,17 @@ class TestDiffMaps:
         with pytest.raises(ValueError, match="max_match_dist"):
             diff_maps(version, version, max_match_dist=gate)
 
+    @pytest.mark.parametrize("tol", [-1.0, float("nan")])
+    def test_invalid_modify_tol_rejected(self, tol):
+        # Accepted, nan would lose the 0.5 m move, and -1 would mark the
+        # unmoved feature (Chamfer 0.0) modified.
+        old = self._version([line_feature(y=0.0), line_feature(y=30.0)], "old")
+        new = self._version([line_feature(y=0.0), line_feature(y=30.5)], "new")
+        with pytest.raises(ValueError, match=f"^modify_tol must be a non-negative distance, "
+                                             f"got {tol}$"):
+            diff_maps(old, new, modify_tol=tol)
+        assert diff_maps(old, new, modify_tol=0.0).modified == (("1", "1", 0.5),)
+
     def test_beyond_gate_becomes_add_remove(self):
         old = [line_feature(y=0.0)]
         new = [line_feature(y=GATE + 15.0)]
@@ -280,6 +291,16 @@ class TestChangeRegions:
         rows = [(3.0, 0.0, 4.0, 0.5), (0.0, 0.0, 1.0, 1.0), (1.0, 1.0, 5.0, 2.0)]
         regions = change_regions(_report_with_bounds(rows), buffer=0.0)
         assert regions == (Box(0.0, 0.0, 5.0, 2.0),) == oracle_regions(rows, 0.0)
+
+    @pytest.mark.parametrize("buffer", [-100.0, -1e-300, float("nan"), float("inf")])
+    def test_invalid_buffer_rejected(self, buffer):
+        # Accepted, -100 would give an inverted region that no window
+        # touches, and nan or inf regions that JSON cannot hold.
+        report = _report_with_bounds([(0.0, 0.0, 10.0, 10.0)])
+        with pytest.raises(ValueError, match=f"^buffer must be a finite non-negative distance, "
+                                             f"got {buffer}$"):
+            change_regions(report, buffer=buffer)
+        assert change_regions(report, buffer=0.0) == (Box(0.0, 0.0, 10.0, 10.0),)
 
     def test_no_changes_no_regions(self):
         report = diff_maps(
@@ -387,9 +408,9 @@ class TestMineFrames:
         assert [(w.anchor_index, w.t_start, w.t_end, w.pose_indices) for w in got] == want
         assert want
 
-    @pytest.mark.parametrize("window", [-1.0, float("nan")])
+    @pytest.mark.parametrize("window", [-1.0, float("nan"), float("inf")])
     def test_invalid_window_rejected(self, window):
-        with pytest.raises(ValueError, match="window"):
+        with pytest.raises(ValueError, match="^window must be a finite non-negative duration"):
             mine_frames([(0.0, Pose2D(0, 0, 0))], [Box(-1, -1, 1, 1)], window=window)
 
 
@@ -479,23 +500,17 @@ class TestBuildScenePair:
 
     @pytest.mark.parametrize("yaw", [0.0, 0.7, -2.0])
     def test_crop_matches_per_feature_resample(self, yaw):
-        # The one stacked resample per crop against resampling each clipped
-        # feature alone and rebuilding it with the constructor's checks.
-        # Confidences below 1, which the crop sets to 1.
+        # The one stacked resample per crop against cutting each feature
+        # exactly and resampling each piece alone, rebuilt with the
+        # constructor's checks. Confidences below 1, which the crop sets to 1.
         world = MapVersion.build("old", [replace(f, confidence=0.25 + 0.5 * (k % 2)) for k, f in
                                          enumerate(grid_world(n_blocks=3, block=60.0, n_points=9))])
         pose = Pose2D(170.0, 95.0, yaw)
-        ego = [f.with_points(world_to_ego(f.points, pose)) for f in world.features]
-        clipped = clip_to_fov(MapFrame("f", pose, 90.0, tuple(ego))).features
-        want = [replace(f, points=resample_polyline(
-                    f.points, 13, closed=f.invariance is InvarianceClass.POLYGON), confidence=1.0)
-                for f in clipped]
-        got = build_scene_pair(world, world, pose, n_points=13, frame_id="f").prior.features
-        assert got == tuple(want)
-        assert len(got) > 10
-        assert any(f.invariance is InvarianceClass.POLYGON for f in got)
-        for a, b in zip(got, want):
-            assert a.points.tobytes() == b.points.tobytes() and not a.points.flags.writeable
+        got = build_scene_pair(world, world, pose, n_points=13, frame_id="f").prior
+        _assert_identical(got, oracle_crop(world, pose, 90.0, 13, "f"))
+        assert len(got.features) > 10
+        assert any(f.invariance is InvarianceClass.POLYGON for f in got.features)
+        assert any(np.abs(f.points).max() == 45.0 for f in got.features)
 
     def test_crop_keeps_the_polygon_rule(self):
         world = self._world()
@@ -642,23 +657,37 @@ class TestVersionBoxes:
         assert len(pair.prior.features) == 1
 
 
+def _oracle_pieces(points: np.ndarray, polygon: bool, half: float) -> list[np.ndarray]:
+    """The exact pieces of one ego-frame feature inside the square
+    [-half, half]^2, cut by the reference clipper of test_model: the
+    feature itself when it lies inside, and no resample."""
+    lo, hi = -half, half
+    if np.all((points >= lo) & (points <= hi)):
+        return [points]
+    if polygon:
+        ring = _oracle_clip_polygon(points, lo, hi)
+        return [] if ring is None else [ring]
+    return [p for p in _oracle_clip_polyline(points, lo, hi) if reference_length(p) > 0.0]
+
+
 def oracle_crop(version: MapVersion, pose: Pose2D, fov_side: float, n_points: int,
                 frame_id: str) -> MapFrame:
-    """The crop of one version around one pose as it was done window by
-    window, feature by feature: the oracle for build_scene_pairs."""
+    """The crop of one version around one pose, window by window and
+    feature by feature: each feature near the pose, in the ego frame, cut
+    exactly at the square's edge, and each piece resampled once to
+    n_points and built with the constructor's checks, confidence 1. The
+    oracle for build_scene_pairs."""
     reach = fov_side * math.sqrt(2.0) / 2.0
     square = Box(pose.x - reach, pose.y - reach, pose.x + reach, pose.y + reach)
-    nearby = [f for f in version.features if square.intersects(Box(*f.bounds()))]
-    ego = [f.with_points(world_to_ego(f.points, pose)) for f in nearby]
-    frame = MapFrame(frame_id=frame_id, ego_pose=pose, fov_side=fov_side, features=tuple(ego))
-    clipped = clip_to_fov(frame)
-    feats = clipped.features
-    out = resampled_pieces(feats, [f.points for f in feats], n_points, confidence=1.0)
-    for feat in out:
-        fault = ring_fault(feat.points) if feat.invariance is InvarianceClass.POLYGON else None
-        if fault:
-            raise ValueError(fault)
-    return clipped.with_features(out)
+    out = []
+    for f in version.features:
+        if not square.intersects(Box(*f.bounds())):
+            continue
+        polygon = f.invariance is InvarianceClass.POLYGON
+        for piece in _oracle_pieces(world_to_ego(f.points, pose), polygon, fov_side / 2.0):
+            out.append(MapFeature(f.feature_class, f.invariance,
+                                  resample_polyline(piece, n_points, closed=polygon)))
+    return MapFrame(frame_id=frame_id, ego_pose=pose, fov_side=fov_side, features=tuple(out))
 
 
 def _assert_identical(got: MapFrame, want: MapFrame) -> None:
@@ -722,3 +751,51 @@ class TestBuildScenePairsMatchesOracle:
         version = MapVersion.build("v", grid_world(n_blocks=1))
         with pytest.raises(ValueError, match="frame_ids must match poses in length"):
             build_scene_pairs(version, version, [Pose2D(10.0, 10.0, 0.0)], frame_ids=["a", "b"])
+
+
+def _distance_to_polyline(points: np.ndarray, line: np.ndarray) -> np.ndarray:
+    """Each point's distance to the nearest point of the polyline."""
+    a, ab = line[:-1], np.diff(line, axis=0)
+    ap = points[:, None] - a
+    length2 = (ab * ab).sum(axis=1)
+    t = np.clip((ap * ab).sum(axis=2) / np.where(length2 > 0.0, length2, 1.0), 0.0, 1.0)
+    return np.linalg.norm(ap - t[..., None] * ab, axis=2).min(axis=1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(-math.pi, math.pi), st.booleans(), st.integers(3, 40))
+def test_mined_crossing_pieces_lie_on_the_clipped_feature(seed, yaw, polygon, n_points):
+    # A curved road of 20 points about 6 m apart, or a driveway ring of 12,
+    # across the edge x = 45 of the 90 m square in the ego frame: every
+    # mined point lies on the exactly clipped piece, as one resample of it
+    # puts it, and an open piece keeps the clipped ends.
+    rng = np.random.default_rng(seed)
+    edge = np.array([45.0, rng.uniform(-40.0, 40.0)])
+    if polygon:
+        cls = FeatureClass.DRIVEWAY
+        angle = np.sort(rng.uniform(0.0, 2.0 * math.pi, 12))
+        radius = rng.uniform(5.0, 15.0, 12)
+        ego = edge + [rng.uniform(-4.0, 4.0), 0.0] + radius[:, None] * np.column_stack(
+            [np.cos(angle), np.sin(angle)])
+    else:
+        cls = FeatureClass.LANE_CENTER
+        heading = rng.uniform(-math.pi, math.pi) + np.cumsum(rng.normal(0.0, 0.4, 19))
+        walk = np.cumsum(np.column_stack([np.cos(heading), np.sin(heading)]) * 6.0, axis=0)
+        walk = np.vstack([[0.0, 0.0], walk])
+        ego = walk - walk[10] + edge + [1.0, 0.0]
+    pose = Pose2D(*rng.uniform(-100.0, 100.0, 2), yaw)
+    c, s = math.cos(yaw), math.sin(yaw)
+    world = ego @ np.array([[c, s], [-s, c]]) + [pose.x, pose.y]
+    anchor = MapFeature(FeatureClass.LANE_DIVIDER, InvarianceClass.UNDIRECTED_POLYLINE,
+                        [[pose.x - 1.0, pose.y], [pose.x + 1.0, pose.y]])
+    version = MapVersion.build("v", [MapFeature(cls, DEFAULT_INVARIANCE[cls], world), anchor])
+    pair = build_scene_pair(version, version, pose, n_points=n_points)
+    mined = [f for f in pair.prior.features if f.feature_class is cls]
+    exact = _oracle_pieces(world_to_ego(world, pose), polygon, 45.0)
+    assert len(mined) == len(exact)
+    for feat, piece in zip(mined, exact):
+        line = np.vstack([piece, piece[:1]]) if polygon else piece
+        assert _distance_to_polyline(feat.points, line).max() <= 1e-9
+        if not polygon:
+            assert feat.points[[0, -1]].tolist() == piece[[0, -1]].tolist()
+            assert np.abs(feat.points[[0, -1]]).max() == 45.0

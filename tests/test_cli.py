@@ -305,8 +305,8 @@ def _drive(tmp_path):
 
 #: Both diff forms find the same changes, so mine writes the same bytes.
 _MINED = {
-    "prior.jsonl": "7bafe68a1b08be9478d7d819f44c310eb1d7edbb32f5245922a105580bcf9858",
-    "gt.jsonl": "c51508266d3ca7cf8cca8edee8c93522b2358dbf31b187d70d33e29be1b895f8",
+    "prior.jsonl": "031c8a330eced4eda09416a255bf4687eac14ee6fe82180939bbbb5fdee16d92",
+    "gt.jsonl": "9c9c22ecf6d5484f0bb73d75ef940bb05799765d28a5b4041967fa4256f6f952",
     "windows.json": "ef2fd65981b8a945df5b7fd2febcff5e044bec847c0d53ab9c18acae79f13a6b",
 }
 
@@ -349,7 +349,9 @@ class TestDiffMineCommands:
                      "--out", str(tmp_path / "eval.json")]) == 0
 
     #: sha256 of diff.json and of mine's prior, ground truth and windows
-    #: report for _changed_grid, computed before diff and mine were batched.
+    #: report for _changed_grid. diff.json and the report were computed
+    #: before diff and mine were batched; the prior and ground truth since
+    #: the crop resamples each piece once (tests/test_changes.py::oracle_crop).
     PINNED = {
         False: {"diff.json": "cc483e22b57f4cc13b6dc5596caef8bc9325febd6e142d5c32e5158ae9af9f49",
                 **_MINED},
@@ -950,8 +952,8 @@ def test_mine_error_names_files_and_frame(tmp_path, capsys, monkeypatch):
 def test_mine_resamples_all_windows_in_one_pass(tmp_path, monkeypatch):
     # A drive of 90 poses, 1 m apart, that sees the change the whole way:
     # one window of 1000 s, or twelve of 7 s. The crops of all windows go
-    # through one resample_polylines pass per version and point count, so
-    # twelve windows make no more calls than one.
+    # through one resample_polylines pass per version, straight to
+    # --n-points: two calls, however many windows and point counts.
     world = grid_world(n_blocks=3)
     old, new, drive = tmp_path / "old.jsonl", tmp_path / "new.jsonl", tmp_path / "drive.jsonl"
     write_map_version("v2020", world, old)
@@ -974,9 +976,61 @@ def test_mine_resamples_all_windows_in_one_pass(tmp_path, monkeypatch):
                      "--window", window]) == 0
         return len(json.loads(report.read_text())["windows"]), len(calls)
 
-    one, twelve = mine("1000"), mine("7")
-    assert one[0] == 1 and twelve[0] == 12
-    assert 0 < twelve[1] <= one[1]
+    assert mine("1000") == (1, 2)
+    assert mine("7") == (12, 2)
+
+
+def _two_feature_maps(tmp_path) -> list[str]:
+    """--old and --new options naming two 2-feature versions, one feature
+    of which moved 0.5 m."""
+    world = [line_feature(y=0.0), line_feature(y=30.0)]
+    old, new = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
+    write_map_version("a", world, old)
+    write_map_version("b", [world[0], world[1].with_points(world[1].points + [0.0, 0.5])], new)
+    return ["--old", str(old), "--new", str(new)]
+
+
+@pytest.mark.parametrize("command", ["diff", "mine"])
+@pytest.mark.parametrize("option, value, message", [
+    ("--modify-tol", "nan", "modify_tol must be a non-negative distance, got nan"),
+    ("--modify-tol", "-1", "modify_tol must be a non-negative distance, got -1.0"),
+    ("--buffer", "-100", "buffer must be a finite non-negative distance, got -100.0"),
+    ("--buffer", "nan", "buffer must be a finite non-negative distance, got nan"),
+    ("--buffer", "inf", "buffer must be a finite non-negative distance, got inf"),
+])
+def test_diff_settings_out_of_range_write_nothing(tmp_path, capsys, command, option, value,
+                                                  message):
+    # Accepted, nan and -1 would give diffs that lose or invent a change,
+    # --buffer -100 an inverted region, and nan or inf a JSON error that
+    # names no option. Each is refused before any file is written.
+    maps = _two_feature_maps(tmp_path)
+    outs = (["--out", str(tmp_path / "diff.json")] if command == "diff" else
+            ["--trajectory", str(_drive(tmp_path)), "--out-prior", str(tmp_path / "prior.jsonl"),
+             "--out-gt", str(tmp_path / "gt.jsonl"), "--report", str(tmp_path / "windows.json")])
+    before = set(tmp_path.iterdir())
+    err = _error_of([command, *maps, *outs, f"{option}={value}"], capsys)
+    assert err.splitlines() == [f"error: {message}"]
+    assert set(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("window, t0", [("inf", 0.0), ("1e308", 1e308)])
+def test_mine_window_report_that_json_cannot_hold_writes_nothing(tmp_path, capsys, window, t0):
+    # A window of inf is refused, and a t_end that overflows fails the
+    # report's encoding, both before the scene files are written, so the
+    # failed run writes no file.
+    maps = _two_feature_maps(tmp_path)
+    drive = tmp_path / "drive.jsonl"
+    write_trajectory([(t0, Pose2D(t - 20.0, 15.0, 0.0)) for t in range(40)], drive)
+    before = set(tmp_path.iterdir())
+    err = _error_of(["mine", *maps, "--trajectory", str(drive), f"--window={window}",
+                     "--out-prior", str(tmp_path / "prior.jsonl"),
+                     "--out-gt", str(tmp_path / "gt.jsonl"),
+                     "--report", str(tmp_path / "r.json")], capsys)
+    assert set(tmp_path.iterdir()) == before
+    want = ("window must be a finite non-negative duration, got inf" if window == "inf" else
+            f"windows report {tmp_path / 'r.json'}: Out of range float values are not JSON "
+            "compliant: inf")
+    assert err.splitlines() == [f"error: {want}"]
 
 
 @pytest.mark.parametrize("value, message", [

@@ -1,5 +1,6 @@
-"""Lint: every name a priormap module imports is used in that module, and
-scene_io opens files in one line reader and one line writer only.
+"""Lint: every name a priormap module imports is used in that module,
+scene_io opens files in one line reader and one line writer only, and
+model alone calls the stacked resample.
 
 The one exemption from the first rule is an import line marked
 `# unused here; bench/tracing.py`: the benchmark's tracing counts calls
@@ -78,3 +79,14 @@ def test_scene_io_opens_files_in_one_reader_and_one_writer():
     opened_in = [enclosing.get(node) for node in ast.walk(tree) if isinstance(node, ast.Call)
                  and getattr(node.func, "id", getattr(node.func, "attr", None)) == "open"]
     assert sorted(opened_in) == ["_numbered_lines", "_write_records"]
+
+
+def test_model_alone_calls_the_stacked_resample():
+    # Every other layer resamples through model's views on the one pass
+    # (resampled_pieces, resampled_features, MapFeature.resampled), so a
+    # point count is reached by one resample of each piece.
+    callers = {path.name for path in SRC.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Call) and getattr(
+                   node.func, "id", getattr(node.func, "attr", None)) == "resample_polylines"}
+    assert callers == {"model.py"}
