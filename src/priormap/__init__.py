@@ -38,10 +38,10 @@ _EXPORTS = {
     ),
     "perlin": ("PerlinParams", "WarpField"),
     "perturb": (
-        "MutationKind", "MutationSpec", "PerturbRecipe", "apply_recipe", "corrupt_class",
-        "drop_features", "duplicate_features", "jitter_control_points", "localization_noise",
-        "low_all_noise_recipe", "perlin_warp", "recipe_from_dict", "recipe_to_dict",
-        "shift_features",
+        "CHUNK_FRAMES", "MutationKind", "MutationSpec", "PerturbRecipe", "apply_recipe",
+        "corrupt_class", "drop_features", "duplicate_features", "jitter_control_points",
+        "localization_noise", "low_all_noise_recipe", "perlin_warp", "perturb_frames",
+        "recipe_from_dict", "recipe_to_dict", "shift_features",
     ),
     "render": ("frame_svg", "write_frame_svg"),
     "rng": ("MutationStream", "philox_stream", "stable_key"),

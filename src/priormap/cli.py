@@ -20,6 +20,7 @@ import time
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, replace
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterator, Sequence, TypeVar
 
@@ -132,11 +133,11 @@ def _load_config(path: str, cls: type[T], where: str) -> T:
         return read_config(cls, load_json_config(path), where)
 
 
-def _dims_args(parser: argparse.ArgumentParser, points: Callable[[str], int] = int,
+def _dims_args(parser: argparse.ArgumentParser, points: Callable[[str], int] | None = None,
                points_help: str = "control points per feature") -> None:
-    parser.add_argument("--n-points", type=points, default=DEFAULT_DIMS.n_points,
-                        help=points_help)
-    parser.add_argument("--m-max", type=int, default=DEFAULT_DIMS.m,
+    parser.add_argument("--n-points", type=points or _int_at_least(2),
+                        default=DEFAULT_DIMS.n_points, help=points_help)
+    parser.add_argument("--m-max", type=_int_at_least(1), default=DEFAULT_DIMS.m,
                         help="prediction/label slot count")
 
 
@@ -160,16 +161,24 @@ def _thresholds(text: str) -> tuple[float, ...]:
             f"expected comma-separated numbers, got {text!r}") from None
 
 
-def _polygon_points(text: str) -> int:
-    """mine's --n-points option: an integer of at least 3, since every
-    cropped feature, a polygon included, is resampled to it."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n < 3:
-        raise argparse.ArgumentTypeError(f"must be at least 3 (a polygon needs 3 points), got {n}")
-    return n
+def _int_at_least(low: int, why: str = "") -> Callable[[str], int]:
+    """An option type: an integer of at least low; why, if given, says in
+    the usage error why."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}{why}, got {n}")
+        return n
+
+    return parse
+
+
+#: mine's --n-points: every cropped feature, a polygon included, is
+#: resampled to it.
+_polygon_points = _int_at_least(3, " (a polygon needs 3 points)")
 
 
 def _fov(text: str) -> float:
@@ -198,12 +207,20 @@ def cmd_perturb(args: argparse.Namespace) -> Run:
             recipe = replace(recipe, master_seed=args.seed)
     dims = ModelDims(m=args.m_max)
     frames = read_scenes(args.scenes)
+    size = min(CHUNK_FRAMES, max(1, -(-len(frames) // args.jobs)))
 
-    def perturb(frame: MapFrame) -> MapFrame:
-        with _naming(f"{args.scenes}, frame {frame.frame_id}"):
-            return apply_recipe(frame, recipe, dims)
+    def perturb(chunk: list[MapFrame]) -> list[MapFrame]:
+        try:
+            return perturb_frames(chunk, recipe, dims)
+        except ValueError as exc:
+            # Perturb again frame by frame, to name the first frame that fails.
+            for frame in chunk:
+                with _naming(f"{args.scenes}, frame {frame.frame_id}"):
+                    apply_recipe(frame, recipe, dims)
+            raise ValueError(f"{args.scenes}: {exc}") from exc
 
-    out_frames = _parallel_map(perturb, frames, args.jobs)
+    chunks = [frames[i : i + size] for i in range(0, len(frames), size)]
+    out_frames = list(chain.from_iterable(_parallel_map(perturb, chunks, args.jobs)))
     out_path = Path(args.out)
     write_scenes(out_frames, out_path)
     print(f"perturbed {len(out_frames)} frame(s) -> {out_path}")
@@ -456,8 +473,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--recipe", required=True, help="mutation recipe JSON")
     p.add_argument("--out", required=True, help="output scene file")
     p.add_argument("--seed", type=int, default=None, help="override the recipe master seed")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads over frames")
-    p.add_argument("--m-max", type=int, default=DEFAULT_DIMS.m,
+    p.add_argument("--jobs", type=_int_at_least(1), default=1,
+                   help="worker threads, over at most this many chunks of frames")
+    p.add_argument("--m-max", type=_int_at_least(1), default=DEFAULT_DIMS.m,
                    help="most features a frame keeps, after duplication and the final clip")
     p.set_defaults(fn=cmd_perturb)
 
@@ -466,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True, help="label scene file")
     p.add_argument("--weights", default=None, help="loss weights JSON")
     p.add_argument("--out", required=True, help="output report JSON")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads over frames")
+    p.add_argument("--jobs", type=_int_at_least(1), default=1, help="worker threads over frames")
     _dims_args(p)
     p.set_defaults(fn=cmd_loss)
 

@@ -377,11 +377,19 @@ def apply_rigid_transform(frame: MapFrame, dx: float, dy: float, dyaw: float) ->
     relative to the robot, not the other way round."""
     if dx == 0.0 and dy == 0.0 and dyaw == 0.0:
         return frame
+    return frame.with_features(
+        f.with_points(rigid_transformed(f.points, dx, dy, dyaw)) for f in frame.features)
+
+
+def rigid_transformed(points: np.ndarray, dx: float, dy: float, dyaw: float) -> np.ndarray:
+    """The (n, 2) points rotated by dyaw about the origin, then translated
+    by (dx, dy), in one matrix product. A row's result should depend on
+    that row alone, so that a stack of features gets the bits each feature
+    gets on its own; tests/test_perturb.py checks this against the product
+    per feature, since a BLAS might round rows differently by shape."""
     c, s = math.cos(dyaw), math.sin(dyaw)
     rot = np.array([[c, -s], [s, c]], dtype=np.float64)
-    offset = np.array([dx, dy], dtype=np.float64)
-    feats = tuple(f.with_points(f.points @ rot.T + offset) for f in frame.features)
-    return frame.with_features(feats)
+    return points @ rot.T + np.array([dx, dy], dtype=np.float64)
 
 
 def pad_feature(n_points: int) -> MapFeature:
@@ -554,27 +562,71 @@ def clip_pieces(
     return source, list(chain.from_iterable(per_feature)), cut
 
 
+def feature_rows(sizes: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The row indices, in order, of features idx of a stack whose feature
+    i is the next sizes[i] rows."""
+    take = sizes[idx]
+    starts = np.cumsum(sizes) - sizes
+    return np.repeat(starts[idx] - (np.cumsum(take) - take), take) + np.arange(take.sum())
+
+
+def clip_features(
+    points: np.ndarray, sizes: np.ndarray, polygon: np.ndarray, half: np.ndarray
+) -> tuple[np.ndarray, list[np.ndarray | None]]:
+    """clip_to_fov on k stacked features, as clip_pieces takes them, each
+    with its own square [-half[i], half[i]]^2: one clip_pieces pass per
+    distinct half and one resample_polylines pass per point count.
+
+    Returns (source, pieces) in feature order: piece j comes from feature
+    source[j]. It is None when that feature lies entirely inside, and so
+    passes through as it is, and else a read-only cut piece resampled to
+    the feature's point count (as a closed ring for a polygon).
+    """
+    groups = group_indices(half.tolist())
+    sources, pieces, crossing = [], [], []
+    for h, idx in groups.items():
+        idx = np.array(idx)
+        stack = ((points, sizes, polygon) if len(groups) == 1 else
+                 (points[feature_rows(sizes, idx)], sizes[idx], polygon[idx]))
+        source, cut_pieces, cut = clip_pieces(*stack, h)
+        sources.append(idx[source])
+        pieces += cut_pieces
+        crossing.append(cut[source])
+    source = np.concatenate(sources)
+    crossing = np.concatenate(crossing)
+    if len(groups) > 1:
+        order = np.argsort(source, kind="stable")
+        source, crossing = source[order], crossing[order]
+        pieces = [pieces[j] for j in order.tolist()]
+    out: list[np.ndarray | None] = [None] * len(pieces)
+    redo = np.flatnonzero(crossing).tolist()
+    redo_sizes = sizes[source[redo]].tolist()
+    for n, group in group_indices(redo_sizes).items():
+        rows = [redo[g] for g in group]
+        stack = resample_polylines([pieces[j] for j in rows], n, polygon[source[rows]])
+        stack.flags.writeable = False
+        for j, piece in zip(rows, stack):
+            out[j] = piece
+    return source, out
+
+
 def clip_to_fov(frame: MapFrame) -> MapFrame:
     """Intersect every feature with the frame's field-of-view square, as
-    clip_pieces does: features entirely inside pass through untouched,
+    clip_features does: features entirely inside pass through untouched,
     each piece of a crossing feature keeps its class, invariance and
-    confidence and is resampled to its feature's point count (one
-    resampled_pieces pass per point count), and features entirely outside
-    are dropped."""
+    confidence and is resampled to its feature's point count, and features
+    entirely outside are dropped."""
     feats = frame.features
     if not feats:
         return frame
-    source, pieces, cut = clip_pieces(
+    source, pieces = clip_features(
         np.concatenate([f.points for f in feats]), np.array([f.n_points for f in feats]),
-        np.array([f.invariance is InvarianceClass.POLYGON for f in feats]), frame.fov_side / 2.0)
-    out = [feats[i] for i in source.tolist()]
-    crossing = np.flatnonzero(cut[source]).tolist()
-    for n, group in group_indices(out[j].n_points for j in crossing).items():
-        rows = [crossing[g] for g in group]
-        redone = resampled_pieces([out[j] for j in rows], [pieces[j] for j in rows], n)
-        for j, feat in zip(rows, redone):
-            out[j] = feat
-    return frame.with_features(out)
+        np.array([f.invariance is InvarianceClass.POLYGON for f in feats]),
+        np.full(len(feats), frame.fov_side / 2.0))
+    return frame.with_features(
+        feats[i] if piece is None else MapFeature.from_checked(
+            feats[i].feature_class, feats[i].invariance, piece, feats[i].confidence)
+        for i, piece in zip(source.tolist(), pieces))
 
 
 def world_to_ego(points: np.ndarray, pose: Pose2D) -> np.ndarray:

@@ -18,10 +18,19 @@ point, so the grid, and the mean and standard deviation taken over it, is
 bit-identical to evaluating the 16,384 grid points one by one.
 
 Memory is laid out so that building and sampling fields touches the same
-pages every time, whatever the state of the heap: the broadcast work and
-the grid itself run in per-thread scratch arrays that are allocated once
-and reused, and every other temporary stays at 8 KB or less (lists of
-points are evaluated 1,024 kernel cells at a time).
+pages every time, whatever the state of the heap. An array above glibc's
+mmap threshold (about 128 KB) that is allocated per pass is mapped fresh,
+or not, depending on the heap, and a fresh mapping costs its page faults
+on every pass. So the broadcast work (32,768 kernel cells per pass, 256 KB
+per array) and the grid itself run in per-thread scratch arrays that are
+allocated once and reused; each pass sums its octaves straight into the
+caller's output; and every other temporary is a single-axis array of at
+most 2,048 cells for a list of points (16 KB), or of the 128 grid values
+per octave row (8 KB at the default 4 octaves, 64 KB at 32). Larger point
+passes do not pay: a dozen 64 KB temporaries per pass (8,192 cells) are
+each below the threshold, but freeing them lets glibc trim the heap, and
+the next pass faults the pages in again (ru_minflt over 8 warp frames rose
+from about 6,300 to 29,700).
 """
 from __future__ import annotations
 
@@ -42,14 +51,14 @@ _MASK = _TABLE - 1
 #: Renormalization grid resolution per axis.
 _NORM_GRID = 128
 #: Kernel cells (octave rows x points) per pass: at most this many per
-#: single-axis array (8 KB of float64), and at most _GRID_CELLS per
-#: broadcast array, which live in the scratch arrays (64 KB each).
-_AXIS_CELLS = 1024
-_GRID_CELLS = 8192
+#: single-axis array (16 KB of float64), and at most _GRID_CELLS per
+#: broadcast array, which live in the scratch arrays (256 KB each).
+_AXIS_CELLS = 2048
+_GRID_CELLS = 32768
 
-#: Most octaves a field stacks: up to it, one normalization-grid line of
-#: every octave row fits the _GRID_CELLS scratch budget.
-MAX_OCTAVES = _GRID_CELLS // (2 * _NORM_GRID)
+#: Most octaves a field stacks. One normalization-grid line of every
+#: octave row (2 * 32 * 128 cells) must fit the _GRID_CELLS budget.
+MAX_OCTAVES = 32
 #: Ceiling on the highest octave frequency, in cycles per meter (a
 #: micrometer wavelength): below it, points within 1e9 m of the pose keep
 #: their lattice coordinates under 2**53, where floor and cast are exact.
@@ -179,18 +188,19 @@ class WarpField:
         lines = _GRID_CELLS // (rows * _NORM_GRID)
         raw = _scratch("grid", (_NORM_GRID * _NORM_GRID, 2))
         for i in range(0, _NORM_GRID, lines):
-            block = self._raw_chunk(axis[None, :], axis[i : i + lines, None])
-            raw[i * _NORM_GRID : i * _NORM_GRID + len(block)] = block
+            self._raw_chunk(axis[None, :], axis[i : i + lines, None],
+                            raw[i * _NORM_GRID : (i + lines) * _NORM_GRID])
         return raw
 
-    def _raw_chunk(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Unnormalized octave-summed noise per axis at the points (x, y).
+    def _raw_chunk(self, x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
+        """Unnormalized octave-summed noise per axis at the points (x, y),
+        into out, (points, 2) in C order of the broadcast.
 
         x and y are 2-D and broadcast against each other: (1, n) each for a
         list of points, (1, k) and (l, 1) for a grid of l lines of k points.
         Everything that depends on one coordinate is computed at that
         coordinate's shape; the broadcast work runs in this thread's
-        scratch arrays. Returns (points, 2) in C order of the broadcast.
+        scratch arrays.
         """
         cx = x * self._freq + self._off_x
         cy = y * self._freq + self._off_y
@@ -221,24 +231,23 @@ class WarpField:
         gx = self._gx
         gy = self._gy
 
-        def corner(dx: np.ndarray, dy: np.ndarray, out: np.ndarray) -> None:
-            """out = gx[h] * dx + gy[h] * dy, the corner's gradient dot. The
-            hashes are always in range; mode="clip" only spares the copy
+        def corner(dx: np.ndarray, dy: np.ndarray, out: np.ndarray, up: int) -> None:
+            """out = gx[h + up] * dx + gy[h + up] * dy, the corner's gradient
+            dot; the tables from up on give gx[h + 1] without an add over h.
+            The hashes are always in range; mode="clip" only spares the copy
             take's default mode makes when given out."""
-            gx.take(h, out=t, mode="clip")
+            gx[up:].take(h, out=t, mode="clip")
             np.multiply(t, dx, out=t)
-            gy.take(h, out=out, mode="clip")
+            gy[up:].take(h, out=out, mode="clip")
             out *= dy
             out += t
 
         np.add(px0, iy, out=h)
-        corner(xf, yf, n00)
-        h += 1
-        corner(xf, ym, n01)
+        corner(xf, yf, n00, 0)
+        corner(xf, ym, n01, 1)
         np.add(px1, iy, out=h)
-        corner(xm, yf, n10)
-        h += 1
-        corner(xm, ym, n11)
+        corner(xm, yf, n10, 0)
+        corner(xm, ym, n11, 1)
         n10 -= n00
         n10 *= u
         n10 += n00  # nx0
@@ -253,19 +262,17 @@ class WarpField:
         # more pairwise when they are the contiguous axis (a chunk of one
         # point), and a point's warp would then depend on the call it is in.
         octaves = n11.reshape(2, self.params.octaves, -1)
-        total = octaves[:, 0].copy()
+        total = out.T
+        np.copyto(total, octaves[:, 0])
         for k in range(1, octaves.shape[1]):
             total += octaves[:, k]
-        return total.T
 
     def _raw(self, pts: np.ndarray) -> np.ndarray:
         step = _AXIS_CELLS // (2 * self.params.octaves)
-        if pts.shape[0] <= step:
-            return self._raw_chunk(pts[None, :, 0], pts[None, :, 1])
         out = np.empty((pts.shape[0], 2), dtype=np.float64)
         for start in range(0, pts.shape[0], step):
             chunk = pts[start : start + step]
-            out[start : start + step] = self._raw_chunk(chunk[None, :, 0], chunk[None, :, 1])
+            self._raw_chunk(chunk[None, :, 0], chunk[None, :, 1], out[start : start + step])
         return out
 
     def __call__(self, pts) -> np.ndarray:

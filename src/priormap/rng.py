@@ -4,20 +4,33 @@ Every random draw in the perturbation pipeline comes from a Philox stream
 whose key is derived from (master seed, frame key, mutation index, feature
 index). Draws are therefore independent of evaluation order, worker count,
 and scheduling. Python's built-in hash() is salted per process, so string
-keys are hashed with BLAKE2 instead.
+keys are hashed with BLAKE2 instead: a stream's key is the BLAKE2b-128
+digest of its integer parts, each taken modulo 2**64 as 8 little-endian
+bytes. This module alone builds Philox generators and derives their keys.
 
 Each thread owns one Philox bit generator and one Generator over it;
-philox_stream resets that pair to the requested key, a zero counter and
-an empty buffer, which is exactly the state a freshly constructed
+keyed_stream resets that pair to the given key, a zero counter and an
+empty buffer, which is exactly the state a freshly constructed
 Generator(Philox(key=...)) starts from. A returned generator is therefore
-valid only until the next philox_stream call on the same thread: draw
-from it, then ask for the next stream.
+valid only until the next keyed_stream or philox_stream call on the same
+thread: draw from it, then ask for the next stream.
+
+Philox is counter-based (Salmon et al., "Parallel Random Numbers: As Easy
+as 1, 2, 3", SC 2011): each block of four 64-bit words is a pure function
+of (key, counter). So kernel_uniforms computes the first draw of many
+streams in one array pass of Philox4x64-10, numpy's Philox, at counter 1,
+the block a fresh stream's first draw takes; first_uniforms takes it from
+KERNEL_KEYS keys on, where the pass is the cheaper. The contract: both
+give for a key bit for bit keyed_stream(key).uniform(), that is
+(word0 >> 11) * 2**-53. The kernel's temporaries are a few arrays of one
+word per key.
 """
 from __future__ import annotations
 
 import hashlib
 import threading
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -32,17 +45,48 @@ def stable_key(text: str) -> int:
     return int.from_bytes(digest, "little")
 
 
-_ZEROS = np.zeros(4, dtype=np.uint64)
-_ZEROS.flags.writeable = False
+def stream_keys(parts: np.ndarray) -> np.ndarray:
+    """The (k, 2) uint64 Philox keys of k streams: row i is the key that
+    philox_stream(*parts[i]) uses, for a (k, p) uint64 array of parts."""
+    raw = np.ascontiguousarray(parts, dtype="<u8")
+    step = 8 * raw.shape[1]
+    data = raw.tobytes()
+    blake2b = hashlib.blake2b
+    digests = b"".join([blake2b(data[i : i + step], digest_size=16).digest()
+                        for i in range(0, len(data), step)])
+    return np.frombuffer(digests, dtype=np.uint64).reshape(-1, 2)
+
+
+def words(values) -> np.ndarray:
+    """Integers modulo 2**64, as philox_stream takes its key parts, in a
+    uint64 array."""
+    return np.array([int(v) & _U64 for v in values], dtype=np.uint64)
+
+
+def mutation_keys(master_seed: int, frame_keys: np.ndarray, mutation_index: int,
+                  indices: np.ndarray | None = None) -> np.ndarray:
+    """The (k, 2) keys of k streams of one mutation: stream i is
+    MutationStream(master_seed, frame_keys[i], mutation_index).feature(
+    indices[i]) for a uint64 array of frame keys, or its frame() stream
+    when indices is None."""
+    parts = np.empty((len(frame_keys), 4), dtype=np.uint64)
+    parts[:, 0] = master_seed & _U64
+    parts[:, 1] = frame_keys
+    parts[:, 2] = mutation_index & _U64
+    parts[:, 3] = _FRAME_SLOT if indices is None else indices
+    return stream_keys(parts)
+
+
+#: Python ints, not numpy arrays: the state setter reads each word, and
+#: reads a Python int in half the time.
+_ZEROS = (0, 0, 0, 0)
 _local = threading.local()
 
 
-def philox_stream(*key_parts: int) -> np.random.Generator:
-    """This thread's Generator, reset to the Philox stream keyed by integer
-    parts; valid until the next call on the same thread."""
-    raw = b"".join((int(p) & _U64).to_bytes(8, "little") for p in key_parts)
-    digest = hashlib.blake2b(raw, digest_size=16).digest()
-    key = np.frombuffer(digest, dtype=np.uint64)
+def keyed_stream(key: Sequence[int]) -> np.random.Generator:
+    """This thread's Generator, reset to the Philox stream with the given
+    2-word key (two ints, as a list for speed); valid until the next call
+    on the same thread."""
     try:
         gen = _local.gen
     except AttributeError:
@@ -56,6 +100,65 @@ def philox_stream(*key_parts: int) -> np.random.Generator:
         "uinteger": 0,
     }
     return gen
+
+
+def philox_stream(*key_parts: int) -> np.random.Generator:
+    """This thread's Generator, reset to the Philox stream keyed by integer
+    parts; valid until the next call on the same thread."""
+    raw = b"".join((int(p) & _U64).to_bytes(8, "little") for p in key_parts)
+    digest = hashlib.blake2b(raw, digest_size=16).digest()
+    return keyed_stream(np.frombuffer(digest, dtype=np.uint64).tolist())
+
+
+#: Philox4x64 round multipliers (for counter words 0 and 2) and key
+#: increments (Weyl constants), as columns against (2, k) word pairs.
+_MULTIPLIERS = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_MUL_LO = _MULTIPLIERS & 0xFFFFFFFF
+_MUL_HI = _MULTIPLIERS >> 32
+_WEYL = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+_ROUNDS = 10
+
+
+#: Fewest keys first_uniforms takes through the kernel: below it, the
+#: kernel's fixed cost (about 0.25 ms of numpy calls) is more than one
+#: draw from each key's stream costs (about 3 us).
+KERNEL_KEYS = 80
+
+
+def first_uniforms(keys: np.ndarray) -> np.ndarray:
+    """keyed_stream(key).uniform() for each row of the (k, 2) uint64 keys,
+    bit for bit: kernel_uniforms from KERNEL_KEYS keys on, and each key's
+    own stream below that."""
+    if len(keys) < KERNEL_KEYS:
+        return np.array([keyed_stream(key).uniform() for key in keys.tolist()])
+    return kernel_uniforms(keys)
+
+
+def kernel_uniforms(keys: np.ndarray) -> np.ndarray:
+    """first_uniforms in one array pass: word 0 of Philox4x64-10 at counter
+    (1, 0, 0, 0), to 53 bits."""
+    key = keys.T.copy()
+    even = np.zeros_like(key)  # counter words 0 and 2
+    even[0] = 1
+    odd = np.zeros_like(key)  # counter words 1 and 3
+    for r in range(_ROUNDS):
+        if r:
+            key += _WEYL
+        # The 128-bit products of the even words and the multipliers, from
+        # 32-bit halves: hi:lo.
+        lo32 = even & 0xFFFFFFFF
+        hi32 = even >> 32
+        cross_lh = lo32 * _MUL_HI
+        cross_hl = hi32 * _MUL_LO
+        carry = (lo32 * _MUL_LO >> 32) + (cross_lh & 0xFFFFFFFF) + (cross_hl & 0xFFFFFFFF)
+        hi = hi32 * _MUL_HI + (cross_lh >> 32) + (cross_hl >> 32) + (carry >> 32)
+        lo = even * _MULTIPLIERS
+        # (w0, w1, w2, w3) <- (hi1 ^ w1 ^ k0, lo1, hi0 ^ w3 ^ k1, lo0)
+        hi ^= odd[::-1]
+        hi ^= key[::-1]
+        even = hi[::-1]
+        odd = lo[::-1]
+    return (even[0] >> 11) * 2.0**-53
 
 
 @dataclass(frozen=True)

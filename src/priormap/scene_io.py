@@ -9,15 +9,20 @@ records and features no stage can use (zero arc length as a double, or a
 polygon that is no open ring) are rejected with the offending line number
 and field path. Writers refuse what readers refuse of an id, class,
 coordinate, fov_side, pose, arc length or polygon: they raise the message
-the reader would give for the line, and write no file.
+the reader would give for the line, and write no file. A writer writes to
+a temporary file beside its target and renames it over the target only
+once every line is written, so a refused or failed write leaves no new
+file and an existing one as it was; write_scenes checks its frames a chunk
+at a time as it writes them, so its memory does not grow with the file.
 """
 from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 from collections import Counter
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
@@ -369,24 +374,60 @@ def _read_records(path: str | Path, parse: Callable[[dict], _T]) -> list[_T]:
 
 
 def _write_records(path: str | Path, records: Iterable[dict]) -> None:
-    """Write one record per line."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for record in records:
-            fh.write(_ENCODER.encode(record))
-            fh.write("\n")
+    """Write one record per line, into a temporary file beside path that
+    replaces path once the last record is written. records may raise as
+    it is consumed: the temporary file is then deleted, and path is left
+    as it was. A path that exists but is no regular file (a device, a
+    pipe) cannot be replaced, and is written in place."""
+    target = os.path.realpath(path)
+    in_place = os.path.exists(target) and not os.path.isfile(target)
+    head, name = os.path.split(target)
+    tmp = target if in_place else os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            for record in records:
+                fh.write(_ENCODER.encode(record))
+                fh.write("\n")
+        if not in_place:
+            os.replace(tmp, target)
+    except BaseException as exc:
+        if not in_place:
+            try:
+                os.unlink(tmp)
+            except FileNotFoundError:
+                pass
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            exc.filename = os.fspath(path)
+        raise
+
+
+#: Frames write_scenes checks at once, before it writes them. The check
+#: stacks a chunk's points: 64 frames of 40 features take about 2.4 MB of
+#: temporaries, 256 frames about 9 MB, which showed in perturb's peak RSS.
+_WRITE_CHUNK = 64
 
 
 def write_scenes(frames: Iterable[MapFrame], path: str | Path) -> None:
     """Write one frame per line. A frame id, class, coordinate, fov_side,
     pose, arc length or polygon that read_scenes would refuse is refused
-    with the message it would give for the line, and no file is written."""
-    frames = list(frames)
-    bounded = [(f.ego_pose.x, f.ego_pose.y, f.fov_side) for f in frames]
-    features = list(chain.from_iterable(f.features for f in frames))
-    if not (_all_str(map(attrgetter("frame_id"), frames))
-            and _within(np.array(bounded), MAX_COORDINATE) and _features_ok(features)):
-        _parse_numbered(path, enumerate(map(frame_to_record, frames), start=1), frame_from_record)
-    _write_records(path, map(frame_to_record, frames))
+    with the message it would give for the line, and no file is written.
+    The frames are checked _WRITE_CHUNK at a time, each chunk before it is
+    written."""
+
+    def records() -> Iterator[dict]:
+        frames_left = iter(frames)
+        start = 1
+        while chunk := list(islice(frames_left, _WRITE_CHUNK)):
+            bounded = [(f.ego_pose.x, f.ego_pose.y, f.fov_side) for f in chunk]
+            if not (_all_str(map(attrgetter("frame_id"), chunk))
+                    and _within(np.array(bounded), MAX_COORDINATE)
+                    and _features_ok(list(chain.from_iterable(f.features for f in chunk)))):
+                _parse_numbered(path, enumerate(map(frame_to_record, chunk), start=start),
+                                frame_from_record)
+            start += len(chunk)
+            yield from map(frame_to_record, chunk)
+
+    _write_records(path, records())
 
 
 def read_scenes(path: str | Path) -> list[MapFrame]:

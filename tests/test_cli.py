@@ -25,12 +25,14 @@ from priormap import (
     MapFrame,
     ModelDims,
     Pose2D,
+    apply_recipe,
     combined_cost_matrix,
     hungarian_assign,
     label_set_from_frame,
     prediction_set_from_frame,
     read_map_version,
     read_scenes,
+    recipe_from_dict,
     recipe_to_dict,
     low_all_noise_recipe,
     write_map_version,
@@ -742,11 +744,12 @@ def _error_of(argv: list[str], capsys) -> str:
 
 def test_perturb_error_names_file_and_frame(tmp_path, scene_file, capsys, monkeypatch):
     # A recipe's bounds are checked at load time, so no recipe makes a frame
-    # fail; a mutation that moves points to infinity stands in for one.
-    def to_infinity(frame, sigma, stream):
-        return frame.with_features(f.with_points(f.points + np.inf) for f in frame.features)
+    # fail; a jitter pass that moves points to infinity stands in for one.
+    def to_infinity(columns, sigma, master_seed, mutation):
+        columns.points += np.inf
+        return True
 
-    monkeypatch.setattr(priormap.perturb, "jitter_control_points", to_infinity)
+    monkeypatch.setattr(priormap.perturb, "_jitter", to_infinity)
     src, _ = scene_file
     recipe = tmp_path / "recipe.json"
     recipe.write_text(json.dumps(
@@ -754,6 +757,31 @@ def test_perturb_error_names_file_and_frame(tmp_path, scene_file, capsys, monkey
     err = _error_of(["perturb", "--scenes", str(src), "--recipe", str(recipe),
                      "--out", str(tmp_path / "out.jsonl")], capsys)
     assert f"{src}, frame frame_0: points must be finite" in err
+
+
+@pytest.mark.parametrize("jobs", ["1", "3"])
+def test_perturb_error_in_a_later_chunk_leaves_the_output_as_it_was(
+        tmp_path, scene_file, capsys, monkeypatch, jobs):
+    # The last of four one-frame chunks fails: it is named, as the first
+    # frame of one chunk is above, and the existing output is left as it was.
+    def last_to_infinity(columns, sigma, master_seed, mutation):
+        bad = [i for i, f in enumerate(columns.frames) if f.frame_id == "frame_3"]
+        columns.points[np.repeat(np.isin(columns.frame, bad), columns.sizes)] = np.inf
+        return True
+
+    monkeypatch.setattr(priormap.perturb, "_jitter", last_to_infinity)
+    monkeypatch.setattr(priormap.cli, "CHUNK_FRAMES", 1)
+    src, _ = scene_file
+    recipe, out = tmp_path / "recipe.json", tmp_path / "out" / "out.jsonl"
+    recipe.write_text(json.dumps(
+        {"master_seed": 1, "mutations": [{"kind": "jitter_control_points", "sigma": 0.1}]}))
+    out.parent.mkdir()
+    out.write_text("kept\n")
+    err = _error_of(["perturb", "--scenes", str(src), "--recipe", str(recipe), "--out", str(out),
+                     "--jobs", jobs], capsys)
+    assert f"{src}, frame frame_3: points must be finite" in err
+    assert out.read_text() == "kept\n"
+    assert [p.name for p in out.parent.iterdir()] == ["out.jsonl"]
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
@@ -1047,6 +1075,58 @@ def test_mine_n_points_below_3_is_a_usage_error(tmp_path, capsys, value, message
 def test_mine_fov_beyond_the_coordinate_bound_is_a_usage_error(tmp_path, capsys, value):
     assert _mine_usage_error(tmp_path, capsys, [f"--fov={value}"]) == (
         f"priormap mine: error: argument --fov: must be positive and at most 1e+09 m, got {value}")
+
+
+@pytest.mark.parametrize("command, option, value, message", [
+    ("perturb", "--m-max", "0", "must be at least 1, got 0"),
+    ("perturb", "--jobs", "0", "must be at least 1, got 0"),
+    ("perturb", "--jobs", "x", "invalid int value: 'x'"),
+    ("loss", "--n-points", "1", "must be at least 2, got 1"),
+    ("loss", "--m-max", "-2", "must be at least 1, got -2"),
+    ("loss", "--jobs", "-3", "must be at least 1, got -3"),
+])
+def test_counts_out_of_range_are_usage_errors(tmp_path, scene_file, recipe_file, capsys,
+                                              command, option, value, message):
+    # Each once ran: --m-max 0 and --n-points 1 failed as a library error
+    # (exit 1), and --jobs 0 or -3 ran serially.
+    src, _ = scene_file
+    out = tmp_path / "out.json"
+    inputs = (["--scenes", str(src), "--recipe", str(recipe_file)] if command == "perturb" else
+              ["--pred", str(src), "--labels", str(src)])
+    with pytest.raises(SystemExit) as info:
+        main([command, *inputs, "--out", str(out), f"{option}={value}"])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"priormap {command}: error: argument {option}: {message}")
+    assert not out.exists()
+
+
+def test_mine_m_max_below_1_is_a_usage_error(tmp_path, capsys):
+    assert _mine_usage_error(tmp_path, capsys, ["--m-max", "0"]) == (
+        "priormap mine: error: argument --m-max: must be at least 1, got 0")
+
+
+@pytest.mark.parametrize("frames, chunk", [(1, 256), (7, 256), (11, 256), (7, 2), (10, 3)])
+def test_perturb_chunks_keep_every_frame_in_order(tmp_path, monkeypatch, frames, chunk):
+    # --jobs N splits the frames into at most N ordered chunks of at most
+    # CHUNK_FRAMES; whatever the split, every frame is perturbed once, in
+    # input order, as apply_recipe perturbs it alone.
+    monkeypatch.setattr(priormap.cli, "CHUNK_FRAMES", chunk)
+    rng = np.random.default_rng(frames)
+    scenes = [random_frame(rng, f"frame_{i}", n_features=int(rng.integers(0, 6)),
+                           fov_side=float(rng.choice([40.0, 90.0]))) for i in range(frames)]
+    src, recipe = tmp_path / "scenes.jsonl", tmp_path / "recipe.json"
+    write_scenes(scenes, src)
+    raw = recipe_to_dict(low_all_noise_recipe(9))
+    raw["mutations"].append({"kind": "perlin_warp", "sigma": 1.0, "perlin": {"octaves": 2}})
+    recipe.write_text(json.dumps(raw))
+    want = tmp_path / "want.jsonl"
+    write_scenes([apply_recipe(f, recipe_from_dict(raw), ModelDims(m=3)) for f in scenes], want)
+    for jobs in ("1", "2", "3"):
+        out = tmp_path / f"out{jobs}.jsonl"
+        assert main(["perturb", "--scenes", str(src), "--recipe", str(recipe), "--out", str(out),
+                     "--jobs", jobs, "--m-max", "3"]) == 0
+        assert out.read_bytes() == want.read_bytes()
 
 
 def _mine_usage_error(tmp_path, capsys, option: list[str]) -> str:

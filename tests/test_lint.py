@@ -1,6 +1,7 @@
 """Lint: every name a priormap module imports is used in that module,
-scene_io opens files in one line reader and one line writer only, and
-model alone calls the stacked resample.
+scene_io opens files in one line reader and one line writer only, model
+alone calls the stacked resample, and rng alone builds Philox generators
+and derives stream keys.
 
 The one exemption from the first rule is an import line marked
 `# unused here; bench/tracing.py`: the benchmark's tracing counts calls
@@ -90,3 +91,12 @@ def test_model_alone_calls_the_stacked_resample():
                if isinstance(node, ast.Call) and getattr(
                    node.func, "id", getattr(node.func, "attr", None)) == "resample_polylines"}
     assert callers == {"model.py"}
+
+
+def test_rng_alone_builds_philox_streams_and_derives_their_keys():
+    # The stream keying (BLAKE2 of the key parts) and the Philox generator
+    # are the determinism contract; every other layer asks rng for them.
+    owners = {path.name for path in SRC.glob("*.py")
+              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if getattr(node, "id", getattr(node, "attr", None)) in {"Philox", "blake2b"}}
+    assert owners == {"rng.py"}

@@ -4,11 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import line_feature, random_feature, random_frame, ring_feature
 from priormap import (
+    DEFAULT_DIMS,
     DEFAULT_INVARIANCE,
+    REAL_CLASSES,
     FeatureClass,
+    InvarianceClass,
     MapFeature,
     MapFrame,
     ModelDims,
@@ -28,12 +33,16 @@ from priormap import (
     localization_noise,
     low_all_noise_recipe,
     perlin_warp,
+    perturb_frames,
     recipe_from_dict,
     recipe_to_dict,
     shift_features,
     stable_key,
 )
+from priormap.model import ring_fault
 from priormap.perturb import MAX_SIGMA
+from priormap.rng import KERNEL_KEYS
+from test_model import oracle_clip_to_fov
 
 
 def _stream(seed=1, frame="f", index=0) -> MutationStream:
@@ -461,3 +470,238 @@ class TestRecipeConfig:
     def test_perlin_defaults_filled(self):
         spec = MutationSpec(MutationKind.PERLIN_WARP, sigma=0.5)
         assert spec.perlin == PerlinParams()
+
+
+# The per-feature mutations that the column passes replaced, kept as the
+# oracle: one stream per feature and mutation, and one MapFeature per
+# feature and mutation.
+
+
+def oracle_drop(frame, p, stream):
+    if p == 0.0 or not frame.features:
+        return frame
+    return frame.with_features(
+        f for i, f in enumerate(frame.features) if not stream.feature(i).uniform() < p)
+
+
+def oracle_duplicate(frame, p, m_max, stream):
+    if p == 0.0 or not frame.features:
+        return frame
+    flags = [stream.feature(i).uniform() < p for i in range(len(frame.features))]
+    budget = max(0, m_max - len(frame.features))
+    out = []
+    for feat, dup in zip(frame.features, flags):
+        out.append(feat)
+        if dup and budget > 0:
+            out.append(feat)
+            budget -= 1
+    return frame.with_features(out)
+
+
+def oracle_corrupt(frame, p, stream):
+    if p == 0.0 or not frame.features:
+        return frame
+    out = []
+    for i, feat in enumerate(frame.features):
+        gen = stream.feature(i)
+        if gen.uniform() < p:
+            ring = ring_fault(feat.points) is None
+            others = [c for c in REAL_CLASSES if c is not feat.feature_class
+                      and (ring or DEFAULT_INVARIANCE[c] is not InvarianceClass.POLYGON)]
+            new_class = others[int(gen.integers(len(others)))]
+            feat = MapFeature(new_class, DEFAULT_INVARIANCE[new_class], feat.points,
+                              feat.confidence)
+        out.append(feat)
+    return frame.with_features(out)
+
+
+def oracle_jitter(frame, sigma, stream):
+    if sigma == 0.0 or not frame.features:
+        return frame
+    return frame.with_features(
+        f.with_points(f.points + stream.feature(i).standard_normal(f.points.shape) * sigma)
+        for i, f in enumerate(frame.features))
+
+
+def oracle_shift(frame, sigma, stream):
+    if sigma == 0.0 or not frame.features:
+        return frame
+    return frame.with_features(
+        f.with_points(f.points + stream.feature(i).standard_normal(2) * sigma)
+        for i, f in enumerate(frame.features))
+
+
+def oracle_localization(frame, sigma_xy, sigma_yaw_deg, stream):
+    if sigma_xy == 0.0 and sigma_yaw_deg == 0.0:
+        return frame
+    gen = stream.frame()
+    dx, dy = gen.standard_normal(2) * sigma_xy
+    dyaw = math.radians(gen.standard_normal() * sigma_yaw_deg)
+    # apply_rigid_transform: one matrix product per feature.
+    return apply_rigid_transform(frame, float(dx), float(dy), dyaw)
+
+
+def oracle_warp(frame, sigma, params, stream):
+    if sigma == 0.0 or not frame.features:
+        return frame
+    seed = int(stream.frame().integers(0, 1 << 62))
+    warp = WarpField(params, sigma, seed, fov_side=frame.fov_side)
+    return frame.with_features(f.with_points(f.points + warp(f.points)) for f in frame.features)
+
+
+def _oracle_one(frame, spec, stream, dims):
+    kind = spec.kind
+    if kind is MutationKind.DROP_FEATURES:
+        return oracle_drop(frame, spec.p, stream)
+    if kind is MutationKind.DUPLICATE_FEATURES:
+        return oracle_duplicate(frame, spec.p, dims.m, stream)
+    if kind is MutationKind.WRONG_CLASS:
+        return oracle_corrupt(frame, spec.p, stream)
+    if kind is MutationKind.JITTER_CONTROL_POINTS:
+        return oracle_jitter(frame, spec.sigma, stream)
+    if kind is MutationKind.SHIFT_FEATURES:
+        return oracle_shift(frame, spec.sigma, stream)
+    if kind is MutationKind.LOCALIZATION_NOISE:
+        return oracle_localization(frame, spec.sigma, spec.sigma_yaw_deg, stream)
+    return oracle_warp(frame, spec.sigma, spec.perlin, stream)
+
+
+def oracle_apply_recipe(frame, recipe, dims=DEFAULT_DIMS):
+    """apply_recipe as it was: each mutation on one frame, then the
+    per-segment clip, then the first dims.m features."""
+    frame_key = stable_key(frame.frame_id)
+    current = frame
+    for index, spec in enumerate(recipe.mutations):
+        current = _oracle_one(current, spec, MutationStream(recipe.master_seed, frame_key, index),
+                              dims)
+    clipped = oracle_clip_to_fov(current)
+    return clipped.with_features(clipped.features[: dims.m])
+
+
+def _same_frames(got, want) -> bool:
+    return got == want and all(
+        a.points.tobytes() == b.points.tobytes() and not a.points.flags.writeable
+        for g, w in zip(got, want) for a, b in zip(g.features, w.features))
+
+
+_KINDS = list(MutationKind)
+_WARP = MutationSpec(MutationKind.PERLIN_WARP, sigma=1.0,
+                     perlin=PerlinParams(grid_scale=9.0, octaves=2))
+
+
+def _spec(kind, rng) -> MutationSpec:
+    """One mutation of a kind, with a random parameter that is sometimes 0."""
+    value = float(rng.choice([0.0, 0.1, 0.5, 1.0])) if rng.random() < 0.8 else 0.0
+    if kind in (MutationKind.DROP_FEATURES, MutationKind.DUPLICATE_FEATURES,
+                MutationKind.WRONG_CLASS):
+        return MutationSpec(kind, p=value)
+    sigma = value * float(rng.choice([0.1, 1.0, 8.0]))
+    if kind is MutationKind.LOCALIZATION_NOISE:
+        return MutationSpec(kind, sigma=sigma, sigma_yaw_deg=float(rng.choice([0.0, 2.0, 40.0])))
+    if kind is MutationKind.PERLIN_WARP:
+        return MutationSpec(kind, sigma=sigma, perlin=_WARP.perlin)
+    return MutationSpec(kind, sigma=sigma)
+
+
+def _chunk(rng) -> list[MapFrame]:
+    """Frames of 0 to 9 features, polygons among them, some reaching past
+    the field of view, with fov_side differing between frames."""
+    frames = []
+    for k in range(int(rng.integers(1, 5))):
+        fov = float(rng.choice([20.0, 60.0, 90.0]))
+        feats = [random_feature(rng, n=int(rng.integers(2, 12)), span=fov * 1.4)
+                 for _ in range(int(rng.integers(0, 10)))]
+        frames.append(MapFrame(f"f{k}-{int(rng.integers(1000))}", Pose2D(0, 0, 0), fov,
+                               tuple(feats)))
+    return frames
+
+
+class TestColumnsMatchTheOracle:
+    """perturb_frames and every one-frame view against the per-feature
+    oracle above, bit for bit."""
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(_KINDS + ["low", "warp"]),
+           st.sampled_from([1, 2, 50]))
+    @settings(max_examples=120, deadline=None)
+    def test_perturb_frames_is_apply_recipe_per_frame(self, seed, kind, m_max):
+        rng = np.random.default_rng(seed)
+        frames = _chunk(rng)
+        if kind in ("low", "warp"):
+            recipe = low_all_noise_recipe(seed)
+            if kind == "warp":
+                recipe = PerturbRecipe(recipe.mutations + (_WARP,), seed)
+        else:
+            recipe = PerturbRecipe((_spec(kind, rng), _spec(kind, rng)), seed)
+        dims = ModelDims(m=m_max)
+        want = [oracle_apply_recipe(f, recipe, dims) for f in frames]
+        assert _same_frames(perturb_frames(frames, recipe, dims), want)
+        assert _same_frames([apply_recipe(f, recipe, dims) for f in frames], want)
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(_KINDS), st.sampled_from([1, 2, 50]))
+    @settings(max_examples=120, deadline=None)
+    def test_each_mutation_is_its_oracle(self, seed, kind, m_max):
+        rng = np.random.default_rng(seed)
+        frame = _chunk(rng)[0]
+        spec = _spec(kind, rng)
+        stream = MutationStream(seed, int(rng.integers(0, 2**63)), int(rng.integers(0, 9)))
+        views = {
+            MutationKind.DROP_FEATURES: lambda: drop_features(frame, spec.p, stream),
+            MutationKind.DUPLICATE_FEATURES:
+                lambda: duplicate_features(frame, spec.p, m_max, stream),
+            MutationKind.WRONG_CLASS: lambda: corrupt_class(frame, spec.p, stream),
+            MutationKind.JITTER_CONTROL_POINTS:
+                lambda: jitter_control_points(frame, spec.sigma, stream),
+            MutationKind.SHIFT_FEATURES: lambda: shift_features(frame, spec.sigma, stream),
+            MutationKind.LOCALIZATION_NOISE:
+                lambda: localization_noise(frame, spec.sigma, spec.sigma_yaw_deg, stream),
+            MutationKind.PERLIN_WARP: lambda: perlin_warp(frame, spec.sigma, spec.perlin, stream),
+        }
+        got = views[kind]()
+        want = _oracle_one(frame, spec, stream, ModelDims(m=m_max))
+        assert _same_frames([got], [want])
+        if want is frame:  # zero probability or magnitude
+            assert got is frame
+
+    def test_chunk_of_mixed_fields_of_view_and_empty_frames(self):
+        rng = np.random.default_rng(7)
+        frames = [random_frame(rng, "a", n_features=6, fov_side=30.0),
+                  MapFrame("empty", Pose2D(0, 0, 0), 90.0, ()),
+                  random_frame(rng, "b", n_features=9, fov_side=90.0),
+                  random_frame(rng, "c", n_features=4, fov_side=30.0)]
+        recipe = PerturbRecipe((MutationSpec(MutationKind.SHIFT_FEATURES, sigma=6.0), _WARP), 3)
+        got = perturb_frames(frames, recipe)
+        assert _same_frames(got, [oracle_apply_recipe(f, recipe) for f in frames])
+        assert got[1].features == ()
+        assert perturb_frames([], recipe) == []
+
+    @pytest.mark.parametrize("m_max", [1, 2, 50])
+    def test_chunk_past_kernel_keys_is_the_oracle(self, m_max):
+        # The property above draws chunks of fewer than KERNEL_KEYS
+        # features, whose uniforms come from each feature's stream; these
+        # take them from the kernel.
+        rng = np.random.default_rng(m_max)
+        frames = [random_frame(rng, f"k{i}", n_features=int(rng.integers(6, 16)),
+                               fov_side=float(rng.choice([30.0, 90.0]))) for i in range(12)]
+        assert sum(len(f.features) for f in frames) >= KERNEL_KEYS
+        discrete = tuple(MutationSpec(kind, p=0.3) for kind in _KINDS[:3])
+        low = low_all_noise_recipe(m_max)
+        dims = ModelDims(m=m_max)
+        for recipe in (PerturbRecipe(discrete * 2, 4), low,
+                       PerturbRecipe(low.mutations + (_WARP,), 5)):
+            want = [oracle_apply_recipe(f, recipe, dims) for f in frames]
+            assert _same_frames(perturb_frames(frames, recipe, dims), want)
+
+    def test_stacked_rigid_product_is_the_per_feature_product(self):
+        # A BLAS may round a matrix product by its shape; the localization
+        # pass relies on a frame's stacked product matching each feature's.
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            sizes = rng.integers(2, 41, int(rng.integers(1, 120)))
+            points = rng.uniform(-60.0, 60.0, (int(sizes.sum()), 2)) * rng.choice([1e-3, 1.0, 1e6])
+            dx, dy, dyaw = (float(v) for v in rng.normal(0.0, [1.0, 1.0, 0.5]))
+            frame = MapFrame("r", Pose2D(0, 0, 0), 90.0, tuple(
+                line_feature().with_points(q) for q in np.split(points, np.cumsum(sizes)[:-1])))
+            whole = apply_rigid_transform(frame.with_features([line_feature().with_points(points)]),
+                                          dx, dy, dyaw).features[0].points
+            per = np.concatenate([f.points for f in apply_rigid_transform(frame, dx, dy, dyaw).features])
+            assert whole.tobytes() == per.tobytes()

@@ -4,8 +4,19 @@ import hashlib
 import threading
 
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from priormap import MutationStream, philox_stream, stable_key
+from priormap.rng import (
+    KERNEL_KEYS,
+    first_uniforms,
+    kernel_uniforms,
+    keyed_stream,
+    mutation_keys,
+    stream_keys,
+    words,
+)
 
 
 def test_stable_key_is_fixed():
@@ -145,3 +156,42 @@ def test_interleaved_threads_get_the_serial_draws():
         serial = [stream.feature(i).standard_normal(3) for i in range(steps)]
         assert len(got[name]) == steps
         assert all(x.tobytes() == y.tobytes() for x, y in zip(got[name], serial))
+
+
+_PART = st.one_of(st.just(0), st.just((1 << 64) - 1), st.integers(0, (1 << 64) - 1))
+
+
+@given(st.lists(st.lists(_PART, min_size=4, max_size=4), min_size=1, max_size=40),
+       st.integers(1, 6))
+@example([[0, 0, 0, 0], [(1 << 64) - 1] * 4, [0, (1 << 64) - 1, 0, 1]], 4)
+@settings(max_examples=150, deadline=None)
+def test_kernel_uniforms_are_the_streams_first_draws(rows, width):
+    parts = np.array([row[:width] for row in rows], dtype=np.uint64)
+    keys = stream_keys(parts)
+    want = np.array([philox_stream(*map(int, row)).uniform() for row in parts]).tobytes()
+    assert kernel_uniforms(keys).tobytes() == want
+    assert first_uniforms(keys).tobytes() == want
+    for key, row in zip(keys, parts):
+        fresh = _fresh(*map(int, row))
+        assert _same(_draws(keyed_stream(key), 3), _draws(fresh, 3))
+
+
+def test_mutation_keys_are_the_mutation_streams():
+    frame_keys = [stable_key("a"), stable_key("b"), (1 << 64) - 1, 0]
+    indices = np.array([0, 7, (1 << 64) - 2, 3], dtype=np.uint64)
+    for seed, index in ((5, 2), ((1 << 64) - 1, 0)):
+        streams = [MutationStream(seed, k, index) for k in frame_keys]
+        by_feature = first_uniforms(mutation_keys(seed, words(frame_keys), index, indices))
+        by_frame = first_uniforms(mutation_keys(seed, words(frame_keys), index))
+        assert by_feature.tolist() == [s.feature(int(i)).uniform() for s, i in zip(streams, indices)]
+        assert by_frame.tolist() == [s.frame().uniform() for s in streams]
+    assert words([-1, 1 << 64, 5]).tolist() == [(1 << 64) - 1, 0, 5]
+    empty = stream_keys(np.empty((0, 4), dtype=np.uint64))
+    assert first_uniforms(empty).shape == kernel_uniforms(empty).shape == (0,)
+
+
+def test_first_uniforms_either_side_of_kernel_keys_are_the_streams_first_draws():
+    for k in (KERNEL_KEYS - 1, KERNEL_KEYS, 3 * KERNEL_KEYS):
+        parts = np.arange(4 * k, dtype=np.uint64).reshape(k, 4) * np.uint64(0x9E3779B97F4A7C15)
+        want = [philox_stream(*map(int, row)).uniform() for row in parts]
+        assert first_uniforms(stream_keys(parts)).tolist() == want

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
+import stat
 from dataclasses import replace
 
 import numpy as np
@@ -418,6 +420,64 @@ class TestWritersRefuseWhatReadersRefuse:
         with pytest.raises(SceneFormatError):
             write_trajectory([(float("inf"), Pose2D(0.0, 0.0, 0.0))], path)
         assert path.read_text() == "kept\n"
+
+
+class TestWritersCheckAsTheyWrite:
+    """write_scenes checks a chunk of frames before writing it, into a
+    temporary file that replaces the target only once every line is
+    written."""
+
+    @staticmethod
+    def _frames(n: int, bad_at: int | None = None) -> list[MapFrame]:
+        good = MapFrame("f", Pose2D(0.0, 0.0, 0.0), 90.0, (line_feature(),))
+        return [replace(good, frame_id=f"f{k}", features=(_FLAT,) if k == bad_at else good.features)
+                for k in range(n)]
+
+    @pytest.mark.parametrize("existing", [None, "kept\n"])
+    def test_refused_last_chunk_leaves_no_file(self, tmp_path, monkeypatch, existing):
+        monkeypatch.setattr(sio, "_WRITE_CHUNK", 2)
+        path = tmp_path / "out.jsonl"
+        if existing is not None:
+            path.write_text(existing)
+        with pytest.raises(SceneFormatError) as info:
+            write_scenes(self._frames(5, bad_at=4), path)
+        assert str(info.value) == f"{path}: line 5: frame 'f4'.features[0].points: zero arc length"
+        assert (path.read_text() if path.exists() else None) == existing
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["out.jsonl"] if existing else [])
+
+    def test_chunks_write_the_bytes_of_one_pass(self, tmp_path, monkeypatch):
+        frames = self._frames(7)
+        write_scenes(frames, tmp_path / "one.jsonl")
+        monkeypatch.setattr(sio, "_WRITE_CHUNK", 3)
+        write_scenes(iter(frames), tmp_path / "three.jsonl")
+        assert (tmp_path / "one.jsonl").read_bytes() == (tmp_path / "three.jsonl").read_bytes()
+        assert read_scenes(tmp_path / "three.jsonl") == frames
+
+    def test_writes_through_a_symlink_and_names_the_target(self, tmp_path):
+        real = tmp_path / "real.jsonl"
+        real.write_text("old\n")
+        link = tmp_path / "link.jsonl"
+        link.symlink_to(real)
+        write_scenes(self._frames(2), link)
+        assert link.is_symlink() and read_scenes(real) == self._frames(2)
+        missing = tmp_path / "no_dir" / "out.jsonl"
+        with pytest.raises(FileNotFoundError, match=re.escape(repr(str(missing)))):
+            write_scenes(self._frames(1), missing)
+
+    def test_writes_a_fifo_in_place(self, tmp_path):
+        # A target that is no regular file is written, not replaced.
+        write_scenes(self._frames(2), tmp_path / "want.jsonl")
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            write_scenes(self._frames(2), fifo)
+            got = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert got == (tmp_path / "want.jsonl").read_bytes()
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe", "want.jsonl"]
 
 
 #: 401 digits: a JSON integer too large for a double.
