@@ -9,12 +9,12 @@ bit-identically.
 
 perturb_frames applies a recipe to a chunk of frames at once, on stacked
 columns: one (N, 2) points array and per-feature columns. A mutation is one
-pass over them: the uniform draw of every feature comes from one Philox
-array pass (rng.first_uniforms, which below rng.KERNEL_KEYS features
-draws from each feature's stream instead, the cheaper there), normals
-from each feature's scalar stream into its rows, and the final clip is
-one clip_features pass. Each output feature is built once. apply_recipe and each public mutation are views of
-this on one frame, bit for bit what they computed feature by feature.
+pass over them: the first uniform draw of every feature comes from
+rng.first_uniforms over the chunk's keys, normals from each feature's
+scalar stream into its rows, and the final clip is one clip_features
+pass. Each output feature is built once. apply_recipe and each public
+mutation are views of this on one frame, bit for bit what they computed
+feature by feature.
 """
 from __future__ import annotations
 

@@ -15,15 +15,12 @@ Generator(Philox(key=...)) starts from. A returned generator is therefore
 valid only until the next keyed_stream or philox_stream call on the same
 thread: draw from it, then ask for the next stream.
 
-Philox is counter-based (Salmon et al., "Parallel Random Numbers: As Easy
-as 1, 2, 3", SC 2011): each block of four 64-bit words is a pure function
-of (key, counter). So kernel_uniforms computes the first draw of many
-streams in one array pass of Philox4x64-10, numpy's Philox, at counter 1,
-the block a fresh stream's first draw takes; first_uniforms takes it from
-KERNEL_KEYS keys on, where the pass is the cheaper. The contract: both
-give for a key bit for bit keyed_stream(key).uniform(), that is
-(word0 >> 11) * 2**-53. The kernel's temporaries are a few arrays of one
-word per key.
+first_uniforms takes the first uniform() of many streams from their keys,
+one reset of this thread's generator per key. Philox is counter-based
+(Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC 2011),
+so one array pass over the keys could compute them all; on chunks of a
+few hundred features that saves about 1.6 ms per mutation, too little to
+measure in a perturb run, so the keys are taken one by one.
 """
 from __future__ import annotations
 
@@ -110,55 +107,9 @@ def philox_stream(*key_parts: int) -> np.random.Generator:
     return keyed_stream(np.frombuffer(digest, dtype=np.uint64).tolist())
 
 
-#: Philox4x64 round multipliers (for counter words 0 and 2) and key
-#: increments (Weyl constants), as columns against (2, k) word pairs.
-_MULTIPLIERS = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
-_MUL_LO = _MULTIPLIERS & 0xFFFFFFFF
-_MUL_HI = _MULTIPLIERS >> 32
-_WEYL = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
-_ROUNDS = 10
-
-
-#: Fewest keys first_uniforms takes through the kernel: below it, the
-#: kernel's fixed cost (about 0.25 ms of numpy calls) is more than one
-#: draw from each key's stream costs (about 3 us).
-KERNEL_KEYS = 80
-
-
 def first_uniforms(keys: np.ndarray) -> np.ndarray:
-    """keyed_stream(key).uniform() for each row of the (k, 2) uint64 keys,
-    bit for bit: kernel_uniforms from KERNEL_KEYS keys on, and each key's
-    own stream below that."""
-    if len(keys) < KERNEL_KEYS:
-        return np.array([keyed_stream(key).uniform() for key in keys.tolist()])
-    return kernel_uniforms(keys)
-
-
-def kernel_uniforms(keys: np.ndarray) -> np.ndarray:
-    """first_uniforms in one array pass: word 0 of Philox4x64-10 at counter
-    (1, 0, 0, 0), to 53 bits."""
-    key = keys.T.copy()
-    even = np.zeros_like(key)  # counter words 0 and 2
-    even[0] = 1
-    odd = np.zeros_like(key)  # counter words 1 and 3
-    for r in range(_ROUNDS):
-        if r:
-            key += _WEYL
-        # The 128-bit products of the even words and the multipliers, from
-        # 32-bit halves: hi:lo.
-        lo32 = even & 0xFFFFFFFF
-        hi32 = even >> 32
-        cross_lh = lo32 * _MUL_HI
-        cross_hl = hi32 * _MUL_LO
-        carry = (lo32 * _MUL_LO >> 32) + (cross_lh & 0xFFFFFFFF) + (cross_hl & 0xFFFFFFFF)
-        hi = hi32 * _MUL_HI + (cross_lh >> 32) + (cross_hl >> 32) + (carry >> 32)
-        lo = even * _MULTIPLIERS
-        # (w0, w1, w2, w3) <- (hi1 ^ w1 ^ k0, lo1, hi0 ^ w3 ^ k1, lo0)
-        hi ^= odd[::-1]
-        hi ^= key[::-1]
-        even = hi[::-1]
-        odd = lo[::-1]
-    return (even[0] >> 11) * 2.0**-53
+    """keyed_stream(key).uniform() for each row of the (k, 2) uint64 keys."""
+    return np.array([keyed_stream(key).uniform() for key in keys.tolist()])
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 import sys
 from collections import Counter
 from itertools import accumulate, chain, islice
@@ -373,14 +374,27 @@ def _read_records(path: str | Path, parse: Callable[[dict], _T]) -> list[_T]:
     return _parse_numbered(path, lines, lambda line: parse(_loads(line)))
 
 
+def _replaceable(target: str) -> bool:
+    """Whether a new file renamed over target leaves it what it was: target
+    is missing, or a regular file with one link, owned by this user, that
+    this user may write, in a directory this user may write."""
+    try:
+        st = os.stat(target)
+    except OSError:
+        return True  # open() reports what is wrong
+    return (stat.S_ISREG(st.st_mode) and st.st_nlink == 1 and st.st_uid == os.geteuid()
+            and os.access(target, os.W_OK) and os.access(os.path.dirname(target), os.W_OK))
+
+
 def _write_records(path: str | Path, records: Iterable[dict]) -> None:
     """Write one record per line, into a temporary file beside path that
-    replaces path once the last record is written. records may raise as
-    it is consumed: the temporary file is then deleted, and path is left
-    as it was. A path that exists but is no regular file (a device, a
-    pipe) cannot be replaced, and is written in place."""
+    replaces path once the last record is written, with path's permission
+    bits. records may raise as it is consumed: the temporary file is then
+    deleted, and path is left as it was. A path that a replacement would
+    change (a device, a pipe, a hard link, another user's file, a file in
+    a read-only directory) is written in place."""
     target = os.path.realpath(path)
-    in_place = os.path.exists(target) and not os.path.isfile(target)
+    in_place = not _replaceable(target)
     head, name = os.path.split(target)
     tmp = target if in_place else os.path.join(head, f".{name}.{os.getpid()}.tmp")
     try:
@@ -389,6 +403,8 @@ def _write_records(path: str | Path, records: Iterable[dict]) -> None:
                 fh.write(_ENCODER.encode(record))
                 fh.write("\n")
         if not in_place:
+            if os.path.exists(target):
+                os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
             os.replace(tmp, target)
     except BaseException as exc:
         if not in_place:

@@ -41,7 +41,6 @@ from priormap import (
 )
 from priormap.model import ring_fault
 from priormap.perturb import MAX_SIGMA
-from priormap.rng import KERNEL_KEYS
 from test_model import oracle_clip_to_fov
 
 
@@ -675,14 +674,12 @@ class TestColumnsMatchTheOracle:
         assert perturb_frames([], recipe) == []
 
     @pytest.mark.parametrize("m_max", [1, 2, 50])
-    def test_chunk_past_kernel_keys_is_the_oracle(self, m_max):
-        # The property above draws chunks of fewer than KERNEL_KEYS
-        # features, whose uniforms come from each feature's stream; these
-        # take them from the kernel.
+    def test_chunk_of_many_features_is_the_oracle(self, m_max):
+        # The property above draws small chunks; this one has over a
+        # hundred features, in frames of both fields of view.
         rng = np.random.default_rng(m_max)
         frames = [random_frame(rng, f"k{i}", n_features=int(rng.integers(6, 16)),
                                fov_side=float(rng.choice([30.0, 90.0]))) for i in range(12)]
-        assert sum(len(f.features) for f in frames) >= KERNEL_KEYS
         discrete = tuple(MutationSpec(kind, p=0.3) for kind in _KINDS[:3])
         low = low_all_noise_recipe(m_max)
         dims = ModelDims(m=m_max)

@@ -8,15 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from priormap import MutationStream, philox_stream, stable_key
-from priormap.rng import (
-    KERNEL_KEYS,
-    first_uniforms,
-    kernel_uniforms,
-    keyed_stream,
-    mutation_keys,
-    stream_keys,
-    words,
-)
+from priormap.rng import first_uniforms, keyed_stream, mutation_keys, stream_keys, words
 
 
 def test_stable_key_is_fixed():
@@ -165,11 +157,10 @@ _PART = st.one_of(st.just(0), st.just((1 << 64) - 1), st.integers(0, (1 << 64) -
        st.integers(1, 6))
 @example([[0, 0, 0, 0], [(1 << 64) - 1] * 4, [0, (1 << 64) - 1, 0, 1]], 4)
 @settings(max_examples=150, deadline=None)
-def test_kernel_uniforms_are_the_streams_first_draws(rows, width):
+def test_first_uniforms_are_the_streams_first_draws(rows, width):
     parts = np.array([row[:width] for row in rows], dtype=np.uint64)
     keys = stream_keys(parts)
     want = np.array([philox_stream(*map(int, row)).uniform() for row in parts]).tobytes()
-    assert kernel_uniforms(keys).tobytes() == want
     assert first_uniforms(keys).tobytes() == want
     for key, row in zip(keys, parts):
         fresh = _fresh(*map(int, row))
@@ -187,11 +178,4 @@ def test_mutation_keys_are_the_mutation_streams():
         assert by_frame.tolist() == [s.frame().uniform() for s in streams]
     assert words([-1, 1 << 64, 5]).tolist() == [(1 << 64) - 1, 0, 5]
     empty = stream_keys(np.empty((0, 4), dtype=np.uint64))
-    assert first_uniforms(empty).shape == kernel_uniforms(empty).shape == (0,)
-
-
-def test_first_uniforms_either_side_of_kernel_keys_are_the_streams_first_draws():
-    for k in (KERNEL_KEYS - 1, KERNEL_KEYS, 3 * KERNEL_KEYS):
-        parts = np.arange(4 * k, dtype=np.uint64).reshape(k, 4) * np.uint64(0x9E3779B97F4A7C15)
-        want = [philox_stream(*map(int, row)).uniform() for row in parts]
-        assert first_uniforms(stream_keys(parts)).tolist() == want
+    assert first_uniforms(empty).shape == (0,)

@@ -464,6 +464,46 @@ class TestWritersCheckAsTheyWrite:
         with pytest.raises(FileNotFoundError, match=re.escape(repr(str(missing)))):
             write_scenes(self._frames(1), missing)
 
+    @pytest.mark.parametrize("mode", [0o600, 0o640, 0o755])
+    def test_replaced_target_keeps_its_permission_bits(self, tmp_path, mode):
+        path = tmp_path / "out.jsonl"
+        path.write_text("old\n")
+        path.chmod(mode)
+        write_scenes(self._frames(2), path)
+        assert stat.S_IMODE(os.stat(path).st_mode) == mode
+        assert read_scenes(path) == self._frames(2)
+
+    def test_writes_a_hard_link_in_place(self, tmp_path):
+        path = tmp_path / "out.jsonl"
+        path.write_text("old\n")
+        other = tmp_path / "other.jsonl"
+        os.link(path, other)
+        write_scenes(self._frames(2), path)
+        assert os.path.samefile(path, other) and read_scenes(other) == self._frames(2)
+
+    @pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() != 0,
+                        reason="giving a file to another user needs root")
+    def test_writes_another_users_file_in_place(self, tmp_path):
+        path = tmp_path / "out.jsonl"
+        path.write_text("old\n")
+        os.chown(path, 4321, -1)
+        inode = os.stat(path).st_ino
+        write_scenes(self._frames(2), path)
+        assert (os.stat(path).st_ino, os.stat(path).st_uid) == (inode, 4321)
+        assert read_scenes(path) == self._frames(2)
+
+    def test_writes_in_place_in_a_directory_it_cannot_write(self, tmp_path, monkeypatch):
+        # The test may run as root, which chmod does not stop: the check is
+        # made to see the directory as read-only instead.
+        path = tmp_path / "out.jsonl"
+        path.write_text("old\n")
+        inode = os.stat(path).st_ino
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda p, m: os.fspath(p) != str(tmp_path) and access(p, m))
+        write_scenes(self._frames(2), path)
+        assert os.stat(path).st_ino == inode and read_scenes(path) == self._frames(2)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl"]
+
     def test_writes_a_fifo_in_place(self, tmp_path):
         # A target that is no regular file is written, not replaced.
         write_scenes(self._frames(2), tmp_path / "want.jsonl")
