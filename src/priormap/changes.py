@@ -30,6 +30,7 @@ from .model import (
     clip_pieces,
     clip_to_fov,  # unused here; bench/tracing.py times calls through it
     group_indices,
+    positive_length,
     resample_polyline,  # unused here; bench/tracing.py counts calls through it
     resampled_pieces,
     ring_fault,
@@ -333,7 +334,9 @@ class ScenePair:
 def _crop(version: MapVersion, frames: Sequence[MapFrame], n_points: int) -> list[MapFrame]:
     """Each frame, empty and of one fov_side, filled with the version's
     features in its field of view, in its ego frame, each piece resampled
-    to n_points with confidence 1: in one pass over all frames."""
+    to n_points with confidence 1: in one pass over all frames. A feature
+    that the ego transform rounds to a point gives no piece, as a cut piece
+    of zero length gives none. A fault raises `frame <id>: <message>`."""
     if not frames:
         return []
     fov_side = frames[0].fov_side
@@ -352,17 +355,21 @@ def _crop(version: MapVersion, frames: Sequence[MapFrame], n_points: int) -> lis
     for frame, a, b in zip(frames, rows, rows[1:]):
         ego[a:b] = world_to_ego(ego[a:b], frame.ego_pose)
     if not np.isfinite(ego).all():
-        raise ValueError("points must be finite (no NaN/Inf)")
+        row = np.flatnonzero(~np.isfinite(ego).all(axis=1))[0]
+        frame = frames[window[np.searchsorted(starts, row, side="right") - 1]]
+        raise ValueError(f"frame {frame.frame_id}: points must be finite (no NaN/Inf)")
     polygon = np.fromiter((f.invariance is InvarianceClass.POLYGON for f in feats), dtype=bool,
                           count=len(feats))
     source, pieces, _ = clip_pieces(ego, sizes, polygon, fov_side / 2.0)
+    keep = positive_length(ego, sizes, polygon)[source]
+    source, pieces = source[keep], [p for p, k in zip(pieces, keep.tolist()) if k]
     out = resampled_pieces(list(map(feats.__getitem__, source.tolist())), pieces, n_points,
                            confidence=1.0)
     # The one MapFeature check that resampled_pieces skips: the polygon rule.
-    for feat in out:
-        fault = ring_fault(feat.points) if feat.invariance is InvarianceClass.POLYGON else None
+    for j in np.flatnonzero(polygon[source]).tolist():
+        fault = ring_fault(out[j].points)
         if fault:
-            raise ValueError(fault)
+            raise ValueError(f"frame {frames[window[source[j]]].frame_id}: {fault}")
     ends = np.searchsorted(window[source], range(len(frames) + 1)).tolist()
     return [frame.with_features(out[a:b]) for frame, a, b in zip(frames, ends, ends[1:])]
 
@@ -378,7 +385,8 @@ def build_scene_pairs(
     """Cut both map versions to the yaw-aligned FOV square around each pose,
     in one pass per version: the old version becomes the prior, the new
     one the ground truth. Pair k is named frame_ids[k], by default after
-    its pose's position."""
+    its pose's position, and a fault in its crop is raised as
+    `frame <frame_ids[k]>: <message>`."""
     for pose in poses:
         for version in (old, new):
             if not version.extent.contains_point(pose.x, pose.y):

@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import importlib
 import json
+import math
 import os
 import sys
 import time
@@ -113,8 +114,9 @@ def _parallel_map(fn: Callable, items: Sequence, jobs: int) -> list:
 
 @contextmanager
 def _naming(where: str) -> Iterator[None]:
-    """Prefix a ValueError raised inside the block with where it arose: the
-    input file(s) and, for per-frame work, the frame id."""
+    """Prefix a ValueError raised inside the block with where it arose, the
+    input file(s). A per-frame error then reads `<inputs>: frame <id>:
+    <message>`."""
     try:
         yield
     except ValueError as exc:
@@ -135,18 +137,22 @@ def _load_config(path: str, cls: type[T], where: str) -> T:
 
 def _dims_args(parser: argparse.ArgumentParser, points: Callable[[str], int] | None = None,
                points_help: str = "control points per feature") -> None:
-    parser.add_argument("--n-points", type=points or _int_at_least(2),
+    parser.add_argument("--n-points", type=points or _number_in(int, 2, math.inf, "at least 2"),
                         default=DEFAULT_DIMS.n_points, help=points_help)
-    parser.add_argument("--m-max", type=_int_at_least(1), default=DEFAULT_DIMS.m,
+    parser.add_argument("--m-max", type=_positive, default=DEFAULT_DIMS.m,
                         help="prediction/label slot count")
 
 
 def _diff_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--modify-tol", type=float, default=0.25,
+    # Each option accepts what diff_maps or change_regions accepts.
+    distance = _number_in(float, 0.0, math.inf, "a non-negative distance")
+    parser.add_argument("--modify-tol", type=distance, default=0.25,
                         help="Chamfer tolerance below which a matched pair is unchanged")
-    parser.add_argument("--max-match-dist", type=float, default=10.0,
+    parser.add_argument("--max-match-dist", type=distance, default=10.0,
                         help="Chamfer gate above which features are add/remove, not modified")
-    parser.add_argument("--buffer", type=float, default=20.0, help="region buffer in meters")
+    parser.add_argument("--buffer", type=_number_in(float, 0.0, sys.float_info.max,
+                                                    "a finite non-negative distance"),
+                        default=20.0, help="region buffer in meters")
 
 
 def _thresholds(text: str) -> tuple[float, ...]:
@@ -161,37 +167,29 @@ def _thresholds(text: str) -> tuple[float, ...]:
             f"expected comma-separated numbers, got {text!r}") from None
 
 
-def _int_at_least(low: int, why: str = "") -> Callable[[str], int]:
-    """An option type: an integer of at least low; why, if given, says in
-    the usage error why."""
-    def parse(text: str) -> int:
+def _number_in(kind: type, low: float, high: float, what: str) -> Callable[[str], float]:
+    """An option type: a number of kind (int or float) in [low, high], not
+    NaN; what names the range in the usage error, as the library does."""
+    def parse(text: str) -> float:
         try:
-            n = int(text)
+            x = kind(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if n < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}{why}, got {n}")
-        return n
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if not low <= x <= high:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {x}")
+        return x
 
     return parse
 
 
 #: mine's --n-points: every cropped feature, a polygon included, is
 #: resampled to it.
-_polygon_points = _int_at_least(3, " (a polygon needs 3 points)")
-
-
-def _fov(text: str) -> float:
-    """mine's --fov option: a positive side of at most MAX_COORDINATE, the
-    largest field of view that the scene readers accept."""
-    try:
-        side = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not 0.0 < side <= MAX_COORDINATE:
-        raise argparse.ArgumentTypeError(
-            f"must be positive and at most {MAX_COORDINATE:g} m, got {text}")
-    return side
+_polygon_points = _number_in(int, 3, math.inf, "at least 3 (a polygon needs 3 points)")
+_positive = _number_in(int, 1, math.inf, "at least 1")
+#: mine's --fov: at most MAX_COORDINATE, the largest field of view that
+#: the scene readers accept; math.ulp(0.0) is the least positive double.
+_fov = _number_in(float, math.ulp(0.0), MAX_COORDINATE,
+                  f"positive and at most {MAX_COORDINATE:g} m")
 
 
 def _dims_from(args: argparse.Namespace) -> ModelDims:
@@ -208,19 +206,10 @@ def cmd_perturb(args: argparse.Namespace) -> Run:
     dims = ModelDims(m=args.m_max)
     frames = read_scenes(args.scenes)
     size = min(CHUNK_FRAMES, max(1, -(-len(frames) // args.jobs)))
-
-    def perturb(chunk: list[MapFrame]) -> list[MapFrame]:
-        try:
-            return perturb_frames(chunk, recipe, dims)
-        except ValueError as exc:
-            # Perturb again frame by frame, to name the first frame that fails.
-            for frame in chunk:
-                with _naming(f"{args.scenes}, frame {frame.frame_id}"):
-                    apply_recipe(frame, recipe, dims)
-            raise ValueError(f"{args.scenes}: {exc}") from exc
-
     chunks = [frames[i : i + size] for i in range(0, len(frames), size)]
-    out_frames = list(chain.from_iterable(_parallel_map(perturb, chunks, args.jobs)))
+    with _naming(args.scenes):
+        out_frames = list(chain.from_iterable(_parallel_map(
+            lambda chunk: perturb_frames(chunk, recipe, dims), chunks, args.jobs)))
     out_path = Path(args.out)
     write_scenes(out_frames, out_path)
     print(f"perturbed {len(out_frames)} frame(s) -> {out_path}")
@@ -242,7 +231,7 @@ def cmd_loss(args: argparse.Namespace) -> Run:
 
     def score(pair):
         pred_frame, label_frame = pair
-        with _naming(f"{args.pred} against {args.labels}, frame {label_frame.frame_id}"):
+        with _naming(f"{args.pred} against {args.labels}: frame {label_frame.frame_id}"):
             loss = matched_loss(
                 prediction_set_from_frame(pred_frame, dims),
                 label_set_from_frame(label_frame, dims),
@@ -338,16 +327,9 @@ def cmd_mine(args: argparse.Namespace) -> Run:
               if old.extent.contains_point(pose.x, pose.y)
               and new.extent.contains_point(pose.x, pose.y)]
     skipped = len(windows) - len(usable)
-    crop = {"fov_side": args.fov, "n_points": dims.n_points}
-    try:
-        pairs = build_scene_pairs(old, new, [pose for _, _, pose in usable],
-                                  frame_ids=[fid for fid, _, _ in usable], **crop)
-    except ValueError:
-        # Crop again window by window, to name the first frame that fails.
-        for fid, _, pose in usable:
-            with _naming(f"{args.old} to {args.new}, frame {fid}"):
-                build_scene_pairs(old, new, [pose], frame_ids=[fid], **crop)
-        raise
+    with _naming(f"{args.old} to {args.new}"):
+        pairs = build_scene_pairs(old, new, [pose for _, _, pose in usable], args.fov,
+                                  dims.n_points, [fid for fid, _, _ in usable])
     priors = []
     gts = []
     window_rows = []
@@ -473,9 +455,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--recipe", required=True, help="mutation recipe JSON")
     p.add_argument("--out", required=True, help="output scene file")
     p.add_argument("--seed", type=int, default=None, help="override the recipe master seed")
-    p.add_argument("--jobs", type=_int_at_least(1), default=1,
+    p.add_argument("--jobs", type=_positive, default=1,
                    help="worker threads, over at most this many chunks of frames")
-    p.add_argument("--m-max", type=_int_at_least(1), default=DEFAULT_DIMS.m,
+    p.add_argument("--m-max", type=_positive, default=DEFAULT_DIMS.m,
                    help="most features a frame keeps, after duplication and the final clip")
     p.set_defaults(fn=cmd_perturb)
 
@@ -484,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True, help="label scene file")
     p.add_argument("--weights", default=None, help="loss weights JSON")
     p.add_argument("--out", required=True, help="output report JSON")
-    p.add_argument("--jobs", type=_int_at_least(1), default=1, help="worker threads over frames")
+    p.add_argument("--jobs", type=_positive, default=1, help="worker threads over frames")
     _dims_args(p)
     p.set_defaults(fn=cmd_loss)
 
@@ -510,7 +492,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trajectory", required=True, help="timestamped pose file")
     _diff_args(p)
     p.add_argument("--fov", type=_fov, default=90.0, help="field-of-view side in meters")
-    p.add_argument("--window", type=float, default=30.0, help="window duration in seconds")
+    p.add_argument("--window", type=_number_in(float, 0.0, sys.float_info.max,
+                                               "a finite non-negative duration"),
+                   default=30.0, help="window duration in seconds")
     _dims_args(p, _polygon_points, "control points per feature, at least 3")
     p.add_argument("--out-prior", required=True, help="output prior scene file")
     p.add_argument("--out-gt", required=True, help="output ground-truth scene file")

@@ -362,6 +362,25 @@ def resample_polyline(points: Sequence | np.ndarray, n: int, closed: bool = Fals
     return resample_polylines([points], n, closed)[0]
 
 
+def positive_length(points: np.ndarray, sizes: Sequence[int], polygon: np.ndarray) -> np.ndarray:
+    """For each feature stacked as clip_pieces takes them, whether its
+    length is positive by resample_polyline's rule: some step, a polygon's
+    closing step included, has dx**2 + dy**2 positive as a double."""
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    # The step out of each point: to the next point of its feature, and out
+    # of a feature's last point back to its first, which counts for
+    # polygons only.
+    step = np.empty_like(points)
+    step[:-1] = points[1:]
+    step[ends - 1] = points[starts]
+    step -= points
+    step *= step
+    positive = step[:, 0] + step[:, 1] > 0.0
+    positive[(ends - 1)[~polygon]] = False
+    return np.logical_or.reduceat(positive, starts)
+
+
 def polyline_length(points: np.ndarray, closed: bool = False) -> float:
     """Total arc length of a polyline (perimeter when closed)."""
     pts = np.asarray(points, dtype=np.float64)
@@ -423,8 +442,8 @@ def pad_to_fixed(features: Sequence[MapFeature], dims: ModelDims = DEFAULT_DIMS)
 _HALFPLANES = ((0, False), (0, True), (1, False), (1, True))
 
 
-def _crossing(p: np.ndarray, q: np.ndarray, axis: int, below: bool, bound: float):
-    """Test the ends of the segments p -> q against one half-plane.
+def _crossing(p: np.ndarray, q: np.ndarray, axis: int, below: bool, bound: float | np.ndarray):
+    """Test the ends of the segments p -> q against one half-plane (bound: one or one per segment).
 
     Returns (p inside, q inside, crossing mask, crossing points). Crossing
     points get the boundary coordinate assigned exactly, so clipped ends sit
@@ -437,20 +456,20 @@ def _crossing(p: np.ndarray, q: np.ndarray, axis: int, below: bool, bound: float
     cut = p_in != q_in
     t = fp[cut] / (fp[cut] - fq[cut])
     cross = p[cut] + t[:, None] * (q[cut] - p[cut])
-    cross[:, axis] = bound
+    cross[:, axis] = np.broadcast_to(bound, cut.shape)[cut]
     return p_in, q_in, cut, cross
 
 
-def _clip_polylines(a: np.ndarray, b: np.ndarray, owner: np.ndarray, lo: float, hi: float):
-    """Clip the stacked segments a[i] -> b[i] against the box, in place, into
-    (owner, piece) pairs, one per run of surviving segments: a piece goes on
-    while the next segment of its owner survives and starts where the last
-    ended. Pieces of zero length are dropped."""
+def _clip_polylines(a: np.ndarray, b: np.ndarray, owner: np.ndarray, half: np.ndarray):
+    """Clip the stacked segments a[i] -> b[i] against [-half[i], half[i]]^2, in
+    place, into (owner, piece) pairs, one per run of surviving segments: a
+    piece goes on while the next segment of its owner survives and starts
+    where the last ended. Pieces of zero length are dropped."""
     if not len(a):
         return []
     alive = np.ones(len(a), dtype=bool)
     for axis, below in _HALFPLANES:
-        a_in, b_in, cut, cross = _crossing(a, b, axis, below, hi if below else lo)
+        a_in, b_in, cut, cross = _crossing(a, b, axis, below, half if below else -half)
         alive &= a_in | b_in
         rows, exits = np.flatnonzero(cut), a_in[cut]
         b[rows[exits]] = cross[exits]
@@ -470,13 +489,14 @@ def _clip_polylines(a: np.ndarray, b: np.ndarray, owner: np.ndarray, lo: float, 
     return [(i, piece) for i, piece, positive in pieces if positive]
 
 
-def _clip_polygon_box(pts: np.ndarray, lo: float, hi: float) -> np.ndarray | None:
-    """Sutherland-Hodgman clip of a closed ring against the box; returns an
-    open ring (no repeated closing vertex) or None when nothing remains."""
+def _clip_polygon_box(pts: np.ndarray, half: float) -> np.ndarray | None:
+    """Sutherland-Hodgman clip of a closed ring against [-half, half]^2;
+    returns an open ring (no repeated closing vertex) or None when nothing
+    remains."""
     ring = pts
     for axis, below in _HALFPLANES:
         prev = np.roll(ring, 1, axis=0)
-        _, cur_in, cut, cross = _crossing(prev, ring, axis, below, hi if below else lo)
+        _, cur_in, cut, cross = _crossing(prev, ring, axis, below, half if below else -half)
         # Each vertex emits the crossing into it, if any, then itself if inside.
         emitted = np.empty((len(ring), 2, 2))
         emitted[cut, 0] = cross
@@ -531,32 +551,33 @@ def resampled_features(features: Sequence[MapFeature], n: int) -> list[MapFeatur
 
 
 def clip_pieces(
-    points: np.ndarray, sizes: np.ndarray, polygon: np.ndarray, half: float
+    points: np.ndarray, sizes: np.ndarray, polygon: np.ndarray, half: float | np.ndarray
 ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
     """The one field-of-view clip: k features, feature i being the next
     sizes[i] rows of the (N, 2) points array and a polygon where the bool
-    polygon[i] is set, intersected with the square [-half, half]^2.
+    polygon[i] is set, intersected with its square [-half[i], half[i]]^2;
+    half is one half-side for every feature or one per feature.
 
     Returns (source, pieces, cut), the pieces in feature order: piece j is
     cut from feature source[j], and cut[i] tells whether feature i reaches
-    outside the square. A feature entirely inside is its own one piece, a
+    outside its square. A feature entirely inside is its own one piece, a
     view of its rows. A crossing polyline is split at the boundary into
     one piece per run inside, and a crossing polygon is clipped as a ring;
     these pieces are exact, not resampled. A feature entirely outside gives
     none.
     """
-    lo, hi = -half, half
     k = len(sizes)
+    half = np.broadcast_to(np.asarray(half, dtype=np.float64), (k,))
     owner = np.repeat(np.arange(k), sizes)
-    outside = np.any((points < lo) | (points > hi), axis=1)
+    outside = np.any(np.abs(points) > half[owner, None], axis=1)
     cut = np.bincount(owner[outside], minlength=k) > 0
     ends = np.cumsum(sizes).tolist()
     per_feature = [[points[a:b]] for a, b in zip([0, *ends], ends)]
     for i in np.flatnonzero(cut).tolist():
-        ring = _clip_polygon_box(per_feature[i][0], lo, hi) if polygon[i] else None
+        ring = _clip_polygon_box(per_feature[i][0], half[i]) if polygon[i] else None
         per_feature[i] = [] if ring is None else [ring]
     seg = np.flatnonzero((owner[:-1] == owner[1:]) & (cut & ~polygon)[owner[:-1]])
-    for i, piece in _clip_polylines(points[seg], points[seg + 1], owner[seg], lo, hi):
+    for i, piece in _clip_polylines(points[seg], points[seg + 1], owner[seg], half[owner[seg]]):
         per_feature[i].append(piece)
     source = np.repeat(np.arange(k), list(map(len, per_feature)))
     return source, list(chain.from_iterable(per_feature)), cut
@@ -571,37 +592,21 @@ def feature_rows(sizes: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def clip_features(
-    points: np.ndarray, sizes: np.ndarray, polygon: np.ndarray, half: np.ndarray
+    points: np.ndarray, sizes: np.ndarray, polygon: np.ndarray, half: float | np.ndarray
 ) -> tuple[np.ndarray, list[np.ndarray | None]]:
     """clip_to_fov on k stacked features, as clip_pieces takes them, each
-    with its own square [-half[i], half[i]]^2: one clip_pieces pass per
-    distinct half and one resample_polylines pass per point count.
+    with its own square: one clip_pieces pass and one resample_polylines
+    pass per point count.
 
     Returns (source, pieces) in feature order: piece j comes from feature
     source[j]. It is None when that feature lies entirely inside, and so
     passes through as it is, and else a read-only cut piece resampled to
     the feature's point count (as a closed ring for a polygon).
     """
-    groups = group_indices(half.tolist())
-    sources, pieces, crossing = [], [], []
-    for h, idx in groups.items():
-        idx = np.array(idx)
-        stack = ((points, sizes, polygon) if len(groups) == 1 else
-                 (points[feature_rows(sizes, idx)], sizes[idx], polygon[idx]))
-        source, cut_pieces, cut = clip_pieces(*stack, h)
-        sources.append(idx[source])
-        pieces += cut_pieces
-        crossing.append(cut[source])
-    source = np.concatenate(sources)
-    crossing = np.concatenate(crossing)
-    if len(groups) > 1:
-        order = np.argsort(source, kind="stable")
-        source, crossing = source[order], crossing[order]
-        pieces = [pieces[j] for j in order.tolist()]
+    source, pieces, cut = clip_pieces(points, sizes, polygon, half)
     out: list[np.ndarray | None] = [None] * len(pieces)
-    redo = np.flatnonzero(crossing).tolist()
-    redo_sizes = sizes[source[redo]].tolist()
-    for n, group in group_indices(redo_sizes).items():
+    redo = np.flatnonzero(cut[source]).tolist()
+    for n, group in group_indices(sizes[source[redo]].tolist()).items():
         rows = [redo[g] for g in group]
         stack = resample_polylines([pieces[j] for j in rows], n, polygon[source[rows]])
         stack.flags.writeable = False
@@ -621,8 +626,7 @@ def clip_to_fov(frame: MapFrame) -> MapFrame:
         return frame
     source, pieces = clip_features(
         np.concatenate([f.points for f in feats]), np.array([f.n_points for f in feats]),
-        np.array([f.invariance is InvarianceClass.POLYGON for f in feats]),
-        np.full(len(feats), frame.fov_side / 2.0))
+        np.array([f.invariance is InvarianceClass.POLYGON for f in feats]), frame.fov_side / 2.0)
     return frame.with_features(
         feats[i] if piece is None else MapFeature.from_checked(
             feats[i].feature_class, feats[i].invariance, piece, feats[i].confidence)

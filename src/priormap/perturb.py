@@ -14,7 +14,8 @@ rng.first_uniforms over the chunk's keys, normals from each feature's
 scalar stream into its rows, and the final clip is one clip_features
 pass. Each output feature is built once. apply_recipe and each public
 mutation are views of this on one frame, bit for bit what they computed
-feature by feature.
+feature by feature. A point that a mutation leaves non-finite raises
+`frame <id>: points must be finite (no NaN/Inf)`, naming its frame.
 """
 from __future__ import annotations
 
@@ -343,7 +344,9 @@ def _one_frame(frame: MapFrame, stream: MutationStream, mutate, *params) -> MapF
 
 def _check_finite(c: _Columns) -> None:
     if not np.isfinite(c.points).all():
-        raise ValueError("points must be finite (no NaN/Inf)")
+        row = np.flatnonzero(~np.isfinite(c.points).all(axis=1))[0]
+        frame = c.frames[c.frame[np.searchsorted(np.cumsum(c.sizes), row, side="right")]]
+        raise ValueError(f"frame {frame.frame_id}: points must be finite (no NaN/Inf)")
 
 
 def drop_features(frame: MapFrame, p: float, stream: MutationStream) -> MapFrame:

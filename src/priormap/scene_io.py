@@ -10,9 +10,9 @@ polygon that is no open ring) are rejected with the offending line number
 and field path. Writers refuse what readers refuse of an id, class,
 coordinate, fov_side, pose, arc length or polygon: they raise the message
 the reader would give for the line, and write no file. A writer writes to
-a temporary file beside its target and renames it over the target only
-once every line is written, so a refused or failed write leaves no new
-file and an existing one as it was; write_scenes checks its frames a chunk
+a temporary file and puts it in the target's place only once every line
+is written, so a refused or failed write leaves no new file and an
+existing one as it was; write_scenes checks its frames a chunk
 at a time as it writes them, so its memory does not grow with the file.
 """
 from __future__ import annotations
@@ -22,7 +22,9 @@ import math
 import os
 import stat
 import sys
+import tempfile
 from collections import Counter
+from contextlib import nullcontext
 from itertools import accumulate, chain, islice
 from operator import attrgetter, itemgetter
 from pathlib import Path
@@ -38,6 +40,7 @@ from .model import (
     MapFrame,
     Pose2D,
     polyline_length,
+    positive_length,
     ring_fault,
 )
 
@@ -183,18 +186,8 @@ def _geometry_ok(pts: np.ndarray, lens: Sequence[int], invariances: Sequence[Inv
     polygon = InvarianceClass.POLYGON
     if any(ring_fault(pts[a:b]) for inv, a, b in zip(invariances, starts, ends) if inv is polygon):
         return False
-    # The step out of each point: to the next point of its feature, and out
-    # of a feature's last point back to its first, which counts for polygons
-    # only. The coordinate bound keeps every square finite.
-    last = np.array(ends) - 1
-    step = np.empty_like(pts)
-    step[:-1] = pts[1:]
-    step[last] = pts[starts]
-    step -= pts
-    step *= step
-    positive = step[:, 0] + step[:, 1] > 0.0
-    positive[last[[inv is not polygon for inv in invariances]]] = False
-    return bool(np.logical_or.reduceat(positive, starts).all())
+    # The coordinate bound keeps every square finite.
+    return bool(positive_length(pts, lens, np.array([inv is polygon for inv in invariances])).all())
 
 
 def _features_ok(features: Sequence[MapFeature]) -> bool:
@@ -389,19 +382,24 @@ def _replaceable(target: str) -> bool:
 def _write_records(path: str | Path, records: Iterable[dict]) -> None:
     """Write one record per line, into a temporary file beside path that
     replaces path once the last record is written, with path's permission
-    bits. records may raise as it is consumed: the temporary file is then
-    deleted, and path is left as it was. A path that a replacement would
-    change (a device, a pipe, a hard link, another user's file, a file in
-    a read-only directory) is written in place."""
+    bits. records may raise as it is consumed: path is then left as it was.
+    A path that a replacement would change (a device, a pipe, a hard link,
+    another user's file, a file in a read-only directory) gets the lines of
+    an anonymous temporary file, copied in once the last one is written."""
     target = os.path.realpath(path)
     in_place = not _replaceable(target)
     head, name = os.path.split(target)
     tmp = target if in_place else os.path.join(head, f".{name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            for record in records:
-                fh.write(_ENCODER.encode(record))
-                fh.write("\n")
+        with (tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n") if in_place
+              else nullcontext()) as spool:
+            lines = (line for record in records for line in (_ENCODER.encode(record), "\n"))
+            if in_place:
+                spool.writelines(lines)
+                spool.seek(0)
+                lines = spool
+            with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+                fh.writelines(lines)
         if not in_place:
             if os.path.exists(target):
                 os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))

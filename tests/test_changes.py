@@ -27,7 +27,9 @@ from priormap import (
     diff_maps,
     evaluate,
     mine_frames,
+    read_map_version,
     resample_polyline,
+    write_map_version,
 )
 from priormap.model import clip_pieces, world_to_ego
 from test_chain import _case
@@ -514,8 +516,37 @@ class TestBuildScenePair:
 
     def test_crop_keeps_the_polygon_rule(self):
         world = self._world()
-        with pytest.raises(ValueError, match="^polygons need at least 3 points$"):
+        with pytest.raises(ValueError,
+                           match="^frame pose_180.000_180.000: polygons need at least 3 points$"):
             build_scene_pair(world, world, Pose2D(180.0, 180.0, 0.0), n_points=2)
+
+    def test_feature_the_ego_transform_rounds_to_a_point_gives_no_piece(self, tmp_path):
+        # Features one ulp long, which every reader accepts; the shift to the
+        # ego origin of a pose 19 m away rounds each to a point. Each gives
+        # no piece, as a cut piece of zero length gives none; the crop's
+        # resample used to fail on them with "zero arc length".
+        one = math.nextafter(1.0, 2.0)
+        lane = MapFeature(FeatureClass.LANE_CENTER, InvarianceClass.DIRECTED_POLYLINE,
+                          [[0.0, 0.0], [100.0, 100.0]])
+        divider = MapFeature(FeatureClass.LANE_DIVIDER, InvarianceClass.UNDIRECTED_POLYLINE,
+                             [[1.0, 1.0], [one, 1.0]])
+        ring = MapFeature(FeatureClass.DRIVEWAY, InvarianceClass.POLYGON,
+                          [[1.0, 1.0], [one, 1.0], [1.0, one]])
+        path = tmp_path / "map.jsonl"
+        write_map_version("v", [lane, divider, ring], path)
+        world = MapVersion.build(*read_map_version(path))
+        pose = Pose2D(20.0, 20.0, 0.0)
+        ego = world_to_ego(np.concatenate([divider.points, ring.points]), pose)
+        assert (ego == [-19.0, -19.0]).all()
+        pair = build_scene_pair(world, world, pose, n_points=5)
+        assert [f.feature_class for f in pair.prior.features] == [FeatureClass.LANE_CENTER]
+        # A divider 3.6e-15 m long beside a 100 m lane, at yaw 0.67: whether
+        # the rotation rounds it to a point depends on the BLAS kernel, and
+        # the crop succeeds either way.
+        divider = divider.with_points([[30.0, 7.0], [math.nextafter(30.0, 100.0), 7.0]])
+        world = MapVersion.build("v", [lane.with_points([[0.0, 0.0], [100.0, 0.0]]), divider])
+        pair = build_scene_pair(world, world, Pose2D(0.0, 0.0, 0.67))
+        assert pair.prior.features[0].feature_class is FeatureClass.LANE_CENTER
 
     @pytest.mark.parametrize("yaw", [0.0, math.pi / 2, 1.1, -2.2])
     def test_prior_gt_relation_invariant_under_yaw(self, yaw):

@@ -220,8 +220,9 @@ class TestLossCommand:
         rc = main(["loss", "--pred", str(src), "--labels", str(labels),
                    "--out", str(tmp_path / "loss.json"), "--m-max", "10"])
         assert rc == 1
-        err = capsys.readouterr().err
-        assert "frame_1" in err and str(src) in err and "overflow" in err
+        assert capsys.readouterr().err == (
+            f"error: {src} against {labels}: frame frame_1: frame overflow: 11 features exceed "
+            "m=10\n")
 
 
 class TestEvalCommand:
@@ -428,6 +429,14 @@ class TestDiffMineCommands:
         assert "missing field 't'" in capsys.readouterr().err
 
 
+#: A frame id character: one of the probes that an XML comment or a file
+#: name refuses, or holds only in some places, for about one character in
+#: eight, else any character. Drawn more often, the probes made `assume`
+#: refuse so many ids that hypothesis failed its filter health check.
+_ID_CHARS = st.tuples(st.integers(0, 7), st.sampled_from("-\x01\x7f\ufffe\ud800\udc80"),
+                      st.characters()).map(lambda d: d[2] if d[0] else d[1])
+
+
 class TestRenderCommand:
     def test_render_scenes(self, tmp_path, scene_file):
         src, frames = scene_file
@@ -486,8 +495,7 @@ class TestRenderCommand:
         assert not out_dir.exists()
 
     @settings(max_examples=300, deadline=None)
-    @given(frame_id=st.text(st.one_of(st.sampled_from("-\x01\x7f\ufffe\ud800\udc80"),
-                                      st.characters()), min_size=1, max_size=12))
+    @given(frame_id=st.text(_ID_CHARS, min_size=1, max_size=12))
     def test_svg_of_an_accepted_frame_id_is_xml(self, frame_id):
         frame = MapFrame(frame_id, Pose2D(0.0, 0.0, 0.0), 90.0, (line_feature(n=3),))
         assume(not _frame_id_faults("scenes.jsonl", [frame]))
@@ -756,7 +764,7 @@ def test_perturb_error_names_file_and_frame(tmp_path, scene_file, capsys, monkey
         {"master_seed": 1, "mutations": [{"kind": "jitter_control_points", "sigma": 0.1}]}))
     err = _error_of(["perturb", "--scenes", str(src), "--recipe", str(recipe),
                      "--out", str(tmp_path / "out.jsonl")], capsys)
-    assert f"{src}, frame frame_0: points must be finite" in err
+    assert err == f"error: {src}: frame frame_0: points must be finite (no NaN/Inf)\n"
 
 
 @pytest.mark.parametrize("jobs", ["1", "3"])
@@ -764,12 +772,22 @@ def test_perturb_error_in_a_later_chunk_leaves_the_output_as_it_was(
         tmp_path, scene_file, capsys, monkeypatch, jobs):
     # The last of four one-frame chunks fails: it is named, as the first
     # frame of one chunk is above, and the existing output is left as it was.
+    # Each chunk is perturbed once: no frame is perturbed again to name it.
     def last_to_infinity(columns, sigma, master_seed, mutation):
         bad = [i for i, f in enumerate(columns.frames) if f.frame_id == "frame_3"]
         columns.points[np.repeat(np.isin(columns.frame, bad), columns.sizes)] = np.inf
         return True
 
+    perturbed = []
+    perturb_frames = priormap.perturb.perturb_frames
+
+    def counted(frames, *args):
+        perturbed.extend(f.frame_id for f in frames)
+        return perturb_frames(frames, *args)
+
     monkeypatch.setattr(priormap.perturb, "_jitter", last_to_infinity)
+    monkeypatch.setattr(priormap.perturb, "perturb_frames", counted)
+    monkeypatch.setattr(priormap.cli, "perturb_frames", counted)
     monkeypatch.setattr(priormap.cli, "CHUNK_FRAMES", 1)
     src, _ = scene_file
     recipe, out = tmp_path / "recipe.json", tmp_path / "out" / "out.jsonl"
@@ -779,7 +797,8 @@ def test_perturb_error_in_a_later_chunk_leaves_the_output_as_it_was(
     out.write_text("kept\n")
     err = _error_of(["perturb", "--scenes", str(src), "--recipe", str(recipe), "--out", str(out),
                      "--jobs", jobs], capsys)
-    assert f"{src}, frame frame_3: points must be finite" in err
+    assert err == f"error: {src}: frame frame_3: points must be finite (no NaN/Inf)\n"
+    assert sorted(perturbed) == ["frame_0", "frame_1", "frame_2", "frame_3"]
     assert out.read_text() == "kept\n"
     assert [p.name for p in out.parent.iterdir()] == ["out.jsonl"]
 
@@ -955,17 +974,28 @@ def test_duplicate_frame_error_names_files_and_id(tmp_path, scene_file, capsys, 
 
 
 def test_mine_error_names_files_and_frame(tmp_path, capsys, monkeypatch):
-    # As above, a crop that fails for one window stands in for a feature
-    # that the crop cannot resample. The crop of all windows fails, and so
-    # does the crop of that window alone.
-    build = priormap.cli.build_scene_pairs
+    # The readers refuse every point that would make a crop fail; a
+    # transform that sends the second cropped window's points to infinity
+    # stands in for one. Windows 0 and 1 are off the map, so the crop names
+    # window_0003, and all windows are cropped in one build_scene_pairs
+    # call: no window is cropped again to name it.
+    to_ego = priormap.changes.world_to_ego
+    order = {}
 
-    def fails_on_second_window(old, new, poses, **kwargs):
-        if "window_0001" in kwargs["frame_ids"]:
-            raise DegenerateFeatureError("degenerate feature: zero arc length")
-        return build(old, new, poses, **kwargs)
+    def second_window_to_infinity(points, pose):
+        ego = to_ego(points, pose)
+        return ego + np.inf if order.setdefault(pose, len(order)) == 1 else ego
 
-    monkeypatch.setattr(priormap.cli, "build_scene_pairs", fails_on_second_window)
+    calls = []
+    build = priormap.changes.build_scene_pairs
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(priormap.changes, "world_to_ego", second_window_to_infinity)
+    monkeypatch.setattr(priormap.changes, "build_scene_pairs", counted)
+    monkeypatch.setattr(priormap.cli, "build_scene_pairs", counted)
     world = grid_world(n_blocks=3)
     old, new = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
     write_map_version("v2020", world, old)
@@ -973,8 +1003,9 @@ def test_mine_error_names_files_and_frame(tmp_path, capsys, monkeypatch):
     err = _error_of(["mine", "--old", str(old), "--new", str(new),
                      "--trajectory", str(_drive(tmp_path)), "--out-prior",
                      str(tmp_path / "prior.jsonl"), "--out-gt", str(tmp_path / "gt.jsonl"),
-                     "--window", "20"], capsys)
-    assert f"{old} to {new}, frame window_0001: degenerate feature" in err
+                     "--window", "5"], capsys)
+    assert err == f"error: {old} to {new}: frame window_0003: points must be finite (no NaN/Inf)\n"
+    assert len(calls) == 1 and len(order) == 3
 
 
 def test_mine_resamples_all_windows_in_one_pass(tmp_path, monkeypatch):
@@ -1025,40 +1056,52 @@ def _two_feature_maps(tmp_path) -> list[str]:
     ("--buffer", "-100", "buffer must be a finite non-negative distance, got -100.0"),
     ("--buffer", "nan", "buffer must be a finite non-negative distance, got nan"),
     ("--buffer", "inf", "buffer must be a finite non-negative distance, got inf"),
+    ("--max-match-dist", "-1", "max_match_dist must be a non-negative distance, got -1.0"),
+    ("--max-match-dist", "nan", "max_match_dist must be a non-negative distance, got nan"),
 ])
 def test_diff_settings_out_of_range_write_nothing(tmp_path, capsys, command, option, value,
                                                   message):
     # Accepted, nan and -1 would give diffs that lose or invent a change,
     # --buffer -100 an inverted region, and nan or inf a JSON error that
-    # names no option. Each is refused before any file is written.
+    # names no option. Each is a usage error (exit 2) before any file is
+    # written, in the library's words with the option for its parameter.
     maps = _two_feature_maps(tmp_path)
     outs = (["--out", str(tmp_path / "diff.json")] if command == "diff" else
             ["--trajectory", str(_drive(tmp_path)), "--out-prior", str(tmp_path / "prior.jsonl"),
              "--out-gt", str(tmp_path / "gt.jsonl"), "--report", str(tmp_path / "windows.json")])
     before = set(tmp_path.iterdir())
-    err = _error_of([command, *maps, *outs, f"{option}={value}"], capsys)
-    assert err.splitlines() == [f"error: {message}"]
+    with pytest.raises(SystemExit) as info:
+        main([command, *maps, *outs, f"{option}={value}"])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"priormap {command}: error: argument {option}: {message.partition(' ')[2]}")
     assert set(tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize("window, t0", [("inf", 0.0), ("1e308", 1e308)])
 def test_mine_window_report_that_json_cannot_hold_writes_nothing(tmp_path, capsys, window, t0):
-    # A window of inf is refused, and a t_end that overflows fails the
-    # report's encoding, both before the scene files are written, so the
-    # failed run writes no file.
+    # A window of inf is a usage error (exit 2), and a t_end that overflows
+    # fails the report's encoding (exit 1), both before the scene files are
+    # written, so the failed run writes no file.
     maps = _two_feature_maps(tmp_path)
     drive = tmp_path / "drive.jsonl"
     write_trajectory([(t0, Pose2D(t - 20.0, 15.0, 0.0)) for t in range(40)], drive)
     before = set(tmp_path.iterdir())
-    err = _error_of(["mine", *maps, "--trajectory", str(drive), f"--window={window}",
-                     "--out-prior", str(tmp_path / "prior.jsonl"),
-                     "--out-gt", str(tmp_path / "gt.jsonl"),
-                     "--report", str(tmp_path / "r.json")], capsys)
+    argv = ["mine", *maps, "--trajectory", str(drive), f"--window={window}",
+            "--out-prior", str(tmp_path / "prior.jsonl"), "--out-gt", str(tmp_path / "gt.jsonl"),
+            "--report", str(tmp_path / "r.json")]
+    if window == "inf":
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "priormap mine: error: argument --window: must be a finite non-negative duration, "
+            "got inf")
+    else:
+        assert _error_of(argv, capsys).splitlines() == [
+            f"error: windows report {tmp_path / 'r.json'}: Out of range float values are not "
+            "JSON compliant: inf"]
     assert set(tmp_path.iterdir()) == before
-    want = ("window must be a finite non-negative duration, got inf" if window == "inf" else
-            f"windows report {tmp_path / 'r.json'}: Out of range float values are not JSON "
-            "compliant: inf")
-    assert err.splitlines() == [f"error: {want}"]
 
 
 @pytest.mark.parametrize("value, message", [
@@ -1074,7 +1117,16 @@ def test_mine_n_points_below_3_is_a_usage_error(tmp_path, capsys, value, message
 @pytest.mark.parametrize("value", ["1e10", "1000000001", "inf", "nan", "0", "-90"])
 def test_mine_fov_beyond_the_coordinate_bound_is_a_usage_error(tmp_path, capsys, value):
     assert _mine_usage_error(tmp_path, capsys, [f"--fov={value}"]) == (
-        f"priormap mine: error: argument --fov: must be positive and at most 1e+09 m, got {value}")
+        "priormap mine: error: argument --fov: must be positive and at most 1e+09 m, "
+        f"got {float(value)}")
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "x"])
+def test_mine_window_out_of_range_is_a_usage_error(tmp_path, capsys, value):
+    message = ("invalid float value: 'x'" if value == "x" else
+               f"must be a finite non-negative duration, got {float(value)}")
+    assert _mine_usage_error(tmp_path, capsys, [f"--window={value}"]) == (
+        f"priormap mine: error: argument --window: {message}")
 
 
 @pytest.mark.parametrize("command, option, value, message", [

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import re
 
@@ -25,7 +26,10 @@ from priormap import (
     resample_polyline,
     resample_polylines,
 )
+from priormap import model
 from priormap.model import (
+    clip_pieces,
+    group_indices,
     polyline_length,
     resampled_features,
     resampled_pieces,
@@ -707,6 +711,58 @@ class TestClipMatchesOracle:
     def test_empty_frame(self):
         frame = MapFrame("f", Pose2D(0, 0, 0), 90.0, ())
         assert clip_to_fov(frame) == oracle_clip_to_fov(frame) == frame
+
+
+class TestPerFeatureSquares:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1),
+           st.lists(st.sampled_from([45.0, 30.0, 12.5, 60.0]), min_size=1, max_size=12))
+    def test_one_call_is_one_call_per_half_side(self, seed, halves):
+        # clip_pieces with one half-side per feature against one call per
+        # distinct half-side over its features, merged in feature order.
+        rng = np.random.default_rng(seed)
+        feats = [edge_case_feature(rng, h)[1] for h in halves]
+        sizes = np.array([f.n_points for f in feats])
+        polygon = np.array([f.invariance is InvarianceClass.POLYGON for f in feats])
+        source, pieces, cut = clip_pieces(np.concatenate([f.points for f in feats]), sizes,
+                                          polygon, np.array(halves))
+        want_pieces = [[] for _ in feats]
+        want_cut = np.zeros(len(feats), dtype=bool)
+        for h, idx in group_indices(halves).items():
+            idx = np.array(idx)
+            s, p, c = clip_pieces(np.concatenate([feats[i].points for i in idx]), sizes[idx],
+                                  polygon[idx], h)
+            want_cut[idx] = c
+            for i, piece in zip(idx[s].tolist(), p):
+                want_pieces[i].append(piece)
+        assert cut.tolist() == want_cut.tolist()
+        assert source.tolist() == np.repeat(np.arange(len(feats)),
+                                            list(map(len, want_pieces))).tolist()
+        for got, want in zip(pieces, itertools.chain.from_iterable(want_pieces)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_clip_features_makes_one_clip_pieces_call(self, monkeypatch):
+        # A chunk of features in squares of three sizes, crossing polygons
+        # and polylines among them, is clipped in one call.
+        rng = np.random.default_rng(3)
+        halves = [45.0, 30.0, 12.5] * 6
+        feats = [edge_case_feature(rng, h)[1] for h in halves]
+        calls = []
+        clip = model.clip_pieces
+
+        def counted(*args):
+            calls.append(args)
+            return clip(*args)
+
+        monkeypatch.setattr(model, "clip_pieces", counted)
+        source, pieces = model.clip_features(
+            np.concatenate([f.points for f in feats]), np.array([f.n_points for f in feats]),
+            np.array([f.invariance is InvarianceClass.POLYGON for f in feats]), np.array(halves))
+        assert len(calls) == 1
+        assert any(piece is not None and feats[i].invariance is InvarianceClass.POLYGON
+                   for i, piece in zip(source.tolist(), pieces))
+        assert any(piece is not None and feats[i].invariance is not InvarianceClass.POLYGON
+                   for i, piece in zip(source.tolist(), pieces))
 
 
 class TestPolygonRule:

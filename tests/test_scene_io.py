@@ -481,6 +481,22 @@ class TestWritersCheckAsTheyWrite:
         write_scenes(self._frames(2), path)
         assert os.path.samefile(path, other) and read_scenes(other) == self._frames(2)
 
+    def test_refused_later_chunk_leaves_a_hard_link_as_it_was(self, tmp_path):
+        # A hard link is written in place: the first 64-frame chunk used to
+        # reach it before the last frame, off the coordinate bound, was
+        # refused.
+        path = tmp_path / "out.jsonl"
+        write_scenes(self._frames(1), path)
+        other = tmp_path / "other.jsonl"
+        os.link(path, other)
+        kept = path.read_bytes()
+        frames = self._frames(101)
+        frames[-1] = replace(frames[-1], ego_pose=Pose2D(2e9, 0.0, 0.0))
+        with pytest.raises(SceneFormatError, match="^.*: line 101: frame 'f100'.ego_pose.x: "):
+            write_scenes(frames, path)
+        assert path.read_bytes() == other.read_bytes() == kept
+        assert os.path.samefile(path, other)
+
     @pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() != 0,
                         reason="giving a file to another user needs root")
     def test_writes_another_users_file_in_place(self, tmp_path):
